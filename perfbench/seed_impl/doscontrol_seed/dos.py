@@ -1,0 +1,340 @@
+"""Denial-of-service signals over a finite horizon.
+
+A DoS signal is a union of blocking intervals {h} u [h, h+tau[ on the time
+axis: closed at the onset instant h (a zero-length pulse still blocks exactly
+t = h) and open at the right end, so a transmission attempted exactly when
+the interference switches off goes through.  The module measures signals,
+fits them to a frequency/duration class, generates random ones, and derives
+the worst-case spacing of successful periodic transmissions.
+"""
+
+from __future__ import annotations
+
+import bisect
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+
+class InfeasibleDoSClassError(ValueError):
+    """The class constants leave no guaranteed transmission window.
+
+    Raised when 1/T + mu*Delta/tau_D >= 1; the offending rate is available
+    as ``rate``.
+    """
+
+    def __init__(self, rate: float, mu: int = 1):
+        self.rate = rate
+        self.mu = mu
+        super().__init__(
+            f"infeasible DoS class: 1/T + {mu}*Delta/tau_D = {rate:.6g} >= 1"
+        )
+
+
+def _canonical_intervals(
+    intervals, horizon: float
+) -> tuple[tuple[float, float], ...]:
+    """Sort, validate, clip to [0, horizon] and merge overlapping intervals.
+
+    Merging respects the half-open semantics: [a, b[ followed by [b, c[ fuses
+    into [a, c[, but a pulse sitting exactly at an open right endpoint stays
+    separate because the union would be closed on the right.
+    """
+    cleaned: list[tuple[float, float]] = []
+    for item in intervals:
+        h, tau = (float(item[0]), float(item[1]))
+        if not (math.isfinite(h) and math.isfinite(tau)):
+            raise ValueError(f"non-finite DoS interval ({h}, {tau})")
+        if h < 0.0 or tau < 0.0:
+            raise ValueError(f"negative onset or duration in ({h}, {tau})")
+        if h > horizon:
+            continue
+        cleaned.append((h, min(tau, horizon - h)))
+    cleaned.sort()
+    merged: list[tuple[float, float]] = []
+    for h, tau in cleaned:
+        if merged:
+            h0, tau0 = merged[-1]
+            end0 = h0 + tau0
+            if h < end0 or (h == end0 and (tau > 0.0 or h == h0)):
+                merged[-1] = (h0, max(end0, h + tau) - h0)
+                continue
+        merged.append((h, tau))
+    return tuple(merged)
+
+
+@dataclass(frozen=True)
+class DoSSignal:
+    """Explicit list of DoS intervals (onset, duration) within [0, horizon].
+
+    Overlapping or touching input intervals are merged on construction, so
+    the stored representation is canonical: onsets strictly increase and
+    consecutive intervals are disjoint.
+    """
+
+    intervals: tuple[tuple[float, float], ...]
+    horizon: float
+
+    def __post_init__(self):
+        horizon = float(self.horizon)
+        if not math.isfinite(horizon) or horizon <= 0.0:
+            raise ValueError(f"horizon must be finite and > 0, got {horizon}")
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(
+            self, "intervals", _canonical_intervals(self.intervals, horizon)
+        )
+
+    @property
+    def onsets(self) -> tuple[float, ...]:
+        return tuple(h for h, _ in self.intervals)
+
+
+@dataclass(frozen=True)
+class DoSClassParams:
+    """Frequency/duration class constants (eta, tau_D, kappa, T).
+
+    eta bounds the transition count chatter, tau_D the average spacing of
+    off/on transitions, kappa the duration chatter and 1/T the long-run
+    fraction of time under DoS.
+    """
+
+    eta: float
+    tau_D: float
+    kappa: float
+    T: float
+
+    def __post_init__(self):
+        if self.eta < 0.0 or self.kappa < 0.0:
+            raise ValueError("eta and kappa must be >= 0")
+        if self.tau_D <= 0.0:
+            raise ValueError(f"tau_D must be > 0, got {self.tau_D}")
+        if not self.T > 1.0:
+            raise ValueError(f"T must be > 1, got {self.T}")
+
+
+@dataclass(frozen=True)
+class GeneratorSpec:
+    """Uniform ranges for alternating clear/blocked durations."""
+
+    off_range: tuple[float, float] = (0.1, 0.7)
+    on_range: tuple[float, float] = (0.3, 1.5)
+
+    def __post_init__(self):
+        for name, (lo, hi) in (("off_range", self.off_range),
+                               ("on_range", self.on_range)):
+            if lo < 0.0 or hi < lo:
+                raise ValueError(f"{name} must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
+        if self.off_range[1] + self.on_range[1] <= 0.0:
+            raise ValueError("ranges admit no forward progress (both pinned at 0)")
+
+
+@dataclass(frozen=True)
+class TransmissionSchedule:
+    """Periodic attempt grid and the subset that got through."""
+
+    delta_big: float
+    attempts: tuple[float, ...]
+    successes: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class GapBoundVerdict:
+    """Observed first-success time and maximum gap against their bounds."""
+
+    z0: float
+    max_gap: float
+    gap_bound: float  # bound on z0; successive gaps are bounded by this + Delta
+    gap_bound_plus_delta: float
+    z0_ok: bool
+    max_gap_ok: bool
+
+
+def active_at(signal: DoSSignal, t: float) -> bool:
+    """True iff the network is blocked at time t (t within [0, horizon])."""
+    t = float(t)
+    if t < 0.0 or t > signal.horizon:
+        raise ValueError(f"t={t} outside [0, {signal.horizon}]")
+    idx = bisect.bisect_right(signal.onsets, t) - 1
+    if idx < 0:
+        return False
+    h, tau = signal.intervals[idx]
+    return t == h or t < h + tau
+
+
+def transitions_count(signal: DoSSignal, tau: float, t: float) -> int:
+    """Number of off/on transitions with onset in the half-open window [tau, t[."""
+    tau, t = _check_window(signal, tau, t)
+    onsets = signal.onsets
+    return bisect.bisect_left(onsets, t) - bisect.bisect_left(onsets, tau)
+
+
+def dos_measure(signal: DoSSignal, tau: float, t: float) -> float:
+    """Total blocked time (Lebesgue measure) within [tau, t]; pulses count 0."""
+    tau, t = _check_window(signal, tau, t)
+    total = 0.0
+    for h, dur in signal.intervals:
+        if h >= t:
+            break
+        total += max(0.0, min(h + dur, t) - max(h, tau))
+    return total
+
+
+def _check_window(signal: DoSSignal, tau: float, t: float) -> tuple[float, float]:
+    tau, t = float(tau), float(t)
+    if tau < 0.0 or t > signal.horizon or tau > t:
+        raise ValueError(
+            f"window [{tau}, {t}] must satisfy 0 <= tau <= t <= {signal.horizon}"
+        )
+    return tau, t
+
+
+def fit_class_params(
+    signal: DoSSignal, tau_D: float, T: float
+) -> tuple[float, float]:
+    """Smallest (eta, kappa) making the signal a member of class (tau_D, T).
+
+    Both deficits are piecewise linear in the window endpoints, so the
+    suprema over all windows are attained on the finite critical set of
+    interval onsets and ends; the search below is exact, not sampled.
+    Transition counting is half-open in t, so for eta the supremum over
+    windows [h_i, h_j + eps[ is approached as eps -> 0 and equals
+    (j - i + 1) - (h_j - h_i)/tau_D.
+    """
+    if tau_D <= 0.0:
+        raise ValueError(f"tau_D must be > 0, got {tau_D}")
+    if not T > 1.0:
+        raise ValueError(f"T must be > 1, got {T}")
+    eta_min = 0.0
+    kappa_min = 0.0
+    iv = signal.intervals
+    durations = [tau for _, tau in iv]
+    for i in range(len(iv)):
+        run = 0.0
+        for j in range(i, len(iv)):
+            run += durations[j]
+            eta_min = max(eta_min, (j - i + 1) - (iv[j][0] - iv[i][0]) / tau_D)
+            kappa_min = max(
+                kappa_min, run - (iv[j][0] + iv[j][1] - iv[i][0]) / T
+            )
+    return eta_min, kappa_min
+
+
+def generate(seed: int, spec: GeneratorSpec, horizon: float) -> DoSSignal:
+    """Generate a random off/on signal: durations drawn uniformly per range.
+
+    Uses numpy's PCG64 generator seeded with ``seed``, so identical inputs
+    reproduce the identical interval list on every platform.  The signal
+    starts with an off period and is truncated at the horizon.
+    """
+    rng = np.random.default_rng(seed)
+    intervals: list[tuple[float, float]] = []
+    t = 0.0
+    while True:
+        off = rng.uniform(spec.off_range[0], spec.off_range[1])
+        onset = t + off
+        if onset > horizon:
+            break
+        on = rng.uniform(spec.on_range[0], spec.on_range[1])
+        intervals.append((onset, min(on, horizon - onset)))
+        t = onset + on
+        if t > horizon:
+            break
+    return DoSSignal(intervals=tuple(intervals), horizon=horizon)
+
+
+def successful_transmissions(
+    signal: DoSSignal, delta_big: float, horizon: float
+) -> TransmissionSchedule:
+    """Attempt grid k*Delta up to the horizon and its DoS-free subset."""
+    if delta_big <= 0.0:
+        raise ValueError(f"delta_big must be > 0, got {delta_big}")
+    if horizon > signal.horizon:
+        raise ValueError(
+            f"horizon {horizon} exceeds signal horizon {signal.horizon}"
+        )
+    n_attempts = int(math.floor(horizon / delta_big + 1e-9))
+    # k*Delta can land one ulp past the horizon; clamp so the domain gate
+    # of active_at stays strict.
+    attempts = tuple(
+        min(k * delta_big, horizon) for k in range(n_attempts + 1)
+    )
+    successes = tuple(t for t in attempts if not active_at(signal, t))
+    return TransmissionSchedule(
+        delta_big=delta_big, attempts=attempts, successes=successes
+    )
+
+
+def success_gap_bound(
+    params: DoSClassParams, delta_big: float, mu: int = 1
+) -> float:
+    """Worst-case wait for a DoS-free stretch of mu consecutive attempts.
+
+    For a class-(eta, tau_D, kappa, T) signal with periodic attempts of
+    period Delta, the first success happens within this bound and successive
+    successes are never more than this bound + Delta apart.  Requires
+    1/T + mu*Delta/tau_D < 1, otherwise the class admits signals that jam
+    every attempt and InfeasibleDoSClassError is raised.
+    """
+    if delta_big <= 0.0:
+        raise ValueError(f"delta_big must be > 0, got {delta_big}")
+    if mu < 1:
+        raise ValueError(f"mu must be >= 1, got {mu}")
+    rate = 1.0 / params.T + mu * delta_big / params.tau_D
+    if rate >= 1.0:
+        raise InfeasibleDoSClassError(rate, mu)
+    return (params.kappa + params.eta * mu * delta_big) / (1.0 - rate)
+
+
+def check_gap_bound(
+    signal: DoSSignal,
+    delta_big: float,
+    params: DoSClassParams,
+    horizon: float,
+) -> GapBoundVerdict:
+    """Audit the realized success schedule against the class gap bound.
+
+    The caller certifies class membership (fit_class_params); with no
+    success inside the horizon the observed quantities are infinite and the
+    flags come back false.
+    """
+    bound = success_gap_bound(params, delta_big)
+    schedule = successful_transmissions(signal, delta_big, horizon)
+    z = schedule.successes
+    if not z:
+        z0 = math.inf
+        max_gap = math.inf
+    else:
+        z0 = z[0]
+        max_gap = max(
+            (b - a for a, b in zip(z, z[1:])), default=0.0
+        )
+    return GapBoundVerdict(
+        z0=z0,
+        max_gap=max_gap,
+        gap_bound=bound,
+        gap_bound_plus_delta=bound + delta_big,
+        z0_ok=z0 <= bound,
+        max_gap_ok=max_gap <= bound + delta_big,
+    )
+
+
+def signal_to_dict(signal: DoSSignal) -> dict:
+    """JSON-ready form: {"horizon": ..., "intervals": [[h, tau], ...]}."""
+    return {
+        "horizon": signal.horizon,
+        "intervals": [[h, tau] for h, tau in signal.intervals],
+    }
+
+
+def signal_from_dict(data: dict) -> DoSSignal:
+    """Inverse of signal_to_dict, with validation via the constructor."""
+    try:
+        horizon = data["horizon"]
+        intervals = data["intervals"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"signal object needs 'horizon' and 'intervals': {exc}")
+    return DoSSignal(
+        intervals=tuple((float(h), float(tau)) for h, tau in intervals),
+        horizon=float(horizon),
+    )

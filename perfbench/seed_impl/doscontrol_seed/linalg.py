@@ -1,0 +1,184 @@
+"""Small dense linear-algebra kernels.
+
+Matrix exponential, zero-order-hold discretization, Lyapunov solves and the
+norm helpers the rest of the package is built on.  Everything is sized for
+dense low-order systems (state dimension of order ten); there are no sparse
+or large-scale code paths on purpose.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+import scipy.linalg
+
+# Contract tolerances, read by the test suite.
+HURWITZ_TOL = 1e-9  # eigenvalues must satisfy Re(lambda) < -HURWITZ_TOL
+LYAPUNOV_RESIDUAL_RTOL = 1e-10
+SYMMETRY_ATOL = 1e-12
+
+
+class StabilityCertificationError(ValueError):
+    """A matrix required to be Hurwitz has an eigenvalue too far right.
+
+    The offending eigenvalue is available as ``eigenvalue``.
+    """
+
+    def __init__(self, eigenvalue: complex):
+        self.eigenvalue = eigenvalue
+        super().__init__(
+            "matrix is not Hurwitz: eigenvalue "
+            f"{eigenvalue:.6g} has real part >= {-HURWITZ_TOL:g}"
+        )
+
+
+class SymmetricSpectrum(NamedTuple):
+    """Extreme eigenvalues of a symmetric matrix."""
+
+    min_eig: float
+    max_eig: float
+
+
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Validate ``a`` as a finite 2-D float array and return it.
+
+    Scalars are promoted to 1x1; 1-D input is rejected because its
+    orientation (row gain vs. column input map) would be ambiguous.
+    """
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim == 0:
+        arr = arr.reshape(1, 1)
+    if arr.ndim != 2:
+        raise ValueError(f"{name} must be 2-D, got {arr.ndim}-D input")
+    if arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError(f"{name} must have at least one row and one column")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} has non-finite entries")
+    return arr
+
+
+def _as_square(a, name: str = "matrix") -> np.ndarray:
+    arr = as_matrix(a, name)
+    if arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {arr.shape}")
+    return arr
+
+
+def require_hurwitz(a, name: str = "matrix") -> np.ndarray:
+    """Return ``a`` if every eigenvalue satisfies Re < -HURWITZ_TOL.
+
+    Raises StabilityCertificationError naming the worst eigenvalue otherwise.
+    """
+    arr = _as_square(a, name)
+    eigs = np.linalg.eigvals(arr)
+    worst = eigs[np.argmax(eigs.real)]
+    if worst.real >= -HURWITZ_TOL:
+        raise StabilityCertificationError(worst)
+    return arr
+
+
+def _as_symmetric(a, name: str = "matrix") -> np.ndarray:
+    arr = _as_square(a, name)
+    scale = max(1.0, float(np.max(np.abs(arr))))
+    asym = float(np.max(np.abs(arr - arr.T)))
+    if asym > SYMMETRY_ATOL * scale:
+        raise ValueError(
+            f"{name} is not symmetric (max asymmetry {asym:.3g} exceeds "
+            f"{SYMMETRY_ATOL:g} at scale {scale:.3g})"
+        )
+    return 0.5 * (arr + arr.T)
+
+
+def expm(a, t: float = 1.0) -> np.ndarray:
+    """Matrix exponential e^(A t) for square A and t >= 0.
+
+    Uses scaling-and-squaring with a Pade approximant (scipy.linalg.expm).
+    """
+    arr = _as_square(a, "A")
+    t = float(t)
+    if not np.isfinite(t) or t < 0.0:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+    return scipy.linalg.expm(arr * t)
+
+
+def zoh_discretize(a, b, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact zero-order-hold discretization of dx/dt = A x + B u.
+
+    Returns (A_d, B_d) with A_d = e^(A delta) and B_d the integral of
+    e^(A tau) B over one step.  Both come out of a single exponential of the
+    augmented block matrix [[A, B], [0, 0]], so they are mutually consistent
+    to machine precision.
+    """
+    a_arr = _as_square(a, "A")
+    b_arr = as_matrix(b, "B")
+    n = a_arr.shape[0]
+    m = b_arr.shape[1]
+    if b_arr.shape[0] != n:
+        raise ValueError(
+            f"B must have {n} rows to match A, got shape {b_arr.shape}"
+        )
+    delta = float(delta)
+    if not np.isfinite(delta) or delta <= 0.0:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
+    aug = np.zeros((n + m, n + m))
+    aug[:n, :n] = a_arr
+    aug[:n, n:] = b_arr
+    big = scipy.linalg.expm(aug * delta)
+    return big[:n, :n], big[:n, n:]
+
+
+def solve_lyapunov(phi, m) -> np.ndarray:
+    """Solve Phi' P + P Phi + M = 0 for symmetric positive-definite P.
+
+    Phi must be Hurwitz and M symmetric positive definite.  The equation is
+    vectorized into a Kronecker-sum linear solve, which is simple, exact to
+    round-off, and entirely adequate at the matrix sizes in scope.  The
+    residual is verified against LYAPUNOV_RESIDUAL_RTOL before returning.
+    """
+    phi_arr = require_hurwitz(phi, "Phi")
+    m_arr = _as_symmetric(m, "M")
+    if m_arr.shape != phi_arr.shape:
+        raise ValueError(
+            f"M shape {m_arr.shape} does not match Phi shape {phi_arr.shape}"
+        )
+    if np.linalg.eigvalsh(m_arr)[0] <= 0.0:
+        raise ValueError("M must be positive definite")
+    n = phi_arr.shape[0]
+    eye = np.eye(n)
+    kron = np.kron(eye, phi_arr.T) + np.kron(phi_arr.T, eye)
+    lu, piv = scipy.linalg.lu_factor(kron)
+    vec = scipy.linalg.lu_solve((lu, piv), -m_arr.reshape(-1))
+    # two rounds of iterative refinement recover the digits the plain solve
+    # loses on badly conditioned pencils
+    for _ in range(2):
+        resid_vec = -m_arr.reshape(-1) - kron @ vec
+        vec = vec + scipy.linalg.lu_solve((lu, piv), resid_vec)
+    p = vec.reshape(n, n)
+    p = 0.5 * (p + p.T)
+    residual = spectral_norm(phi_arr.T @ p + p @ phi_arr + m_arr)
+    if residual > LYAPUNOV_RESIDUAL_RTOL * spectral_norm(m_arr):
+        raise ArithmeticError(
+            f"Lyapunov solve residual {residual:.3g} exceeds tolerance"
+        )
+    if np.linalg.eigvalsh(p)[0] <= 0.0:
+        raise ArithmeticError("Lyapunov solution is not positive definite")
+    return p
+
+
+def log_norm(a) -> float:
+    """Logarithmic norm (2-norm): largest eigenvalue of (A + A')/2."""
+    arr = _as_square(a, "A")
+    return float(np.linalg.eigvalsh(0.5 * (arr + arr.T))[-1])
+
+
+def spectral_norm(m) -> float:
+    """Largest singular value."""
+    return float(np.linalg.norm(as_matrix(m, "M"), 2))
+
+
+def symmetric_extremes(s) -> SymmetricSpectrum:
+    """Smallest and largest eigenvalues of a symmetric matrix."""
+    arr = _as_symmetric(s, "S")
+    w = np.linalg.eigvalsh(arr)
+    return SymmetricSpectrum(float(w[0]), float(w[-1]))

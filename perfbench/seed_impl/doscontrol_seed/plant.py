@@ -1,0 +1,47 @@
+"""Continuous-time LTI plant description."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .linalg import as_matrix
+
+
+@dataclass(frozen=True)
+class LtiPlant:
+    """Plant dx/dt = A x + B u + d with (A, B) stabilizable.
+
+    Stabilizability is certified at construction with the PBH rank test on
+    every eigenvalue of A with nonnegative real part.
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+    n: int = field(init=False)
+    m: int = field(init=False)
+
+    def __post_init__(self):
+        a = as_matrix(self.A, "A")
+        b = as_matrix(self.B, "B")
+        if a.shape[0] != a.shape[1]:
+            raise ValueError(f"A must be square, got shape {a.shape}")
+        if b.shape[0] != a.shape[0]:
+            raise ValueError(
+                f"B must have {a.shape[0]} rows to match A, got {b.shape}"
+            )
+        n = a.shape[0]
+        for lam in np.linalg.eigvals(a):
+            if lam.real < 0.0:
+                continue
+            pencil = np.hstack([a - lam * np.eye(n), b])
+            if np.linalg.matrix_rank(pencil) < n:
+                raise ValueError(
+                    f"(A, B) is not stabilizable: eigenvalue {lam:.6g} fails "
+                    "the rank test"
+                )
+        object.__setattr__(self, "A", a)
+        object.__setattr__(self, "B", b)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", b.shape[1])
