@@ -467,11 +467,10 @@ def cmd_repro(args) -> int:
     )
     q = success_gap_bound(benchmark.REFERENCE_CLASS, benchmark.DELTA_BIG)
     h_min = min_prediction_horizon(pinned, q, benchmark.DELTA_BIG, benchmark.DELTA)
-    ok = h_min == benchmark.REFERENCE_MIN_BUFFER
+    ref = benchmark.REFERENCE_MIN_BUFFER
+    ok = h_min == ref
     failed |= not ok
-    rows.append(
-        ("h_min", h_min, benchmark.REFERENCE_MIN_BUFFER, abs(h_min - 50), "PASS" if ok else "FAIL")
-    )
+    rows.append(("h_min", h_min, ref, abs(h_min - ref), "PASS" if ok else "FAIL"))
 
     print("constants comparison")
     print(f"{'name':<10} {'computed':>12} {'reference':>12} {'|diff|':>10}  flag")
@@ -518,8 +517,11 @@ def cmd_repro(args) -> int:
         )
         if name == "remote_h1":
             ff = metrics.failure_fraction
-            ok = abs(ff - benchmark.REALIZED["failure_fraction"]) <= 1e-12
+            ref = benchmark.REALIZED["failure_fraction"]
+            ok = abs(ff - ref) <= 1e-12
             failed |= not ok
+            print(f"  failure_fraction {ff:.8g} (frozen {ref:.8g})  "
+                  f"{'PASS' if ok else 'FAIL'}")
 
     print("\noverall:", "FAIL" if failed else "PASS")
     return EXIT_UNSTABLE if failed else EXIT_OK

@@ -10,9 +10,8 @@ the worst-case spacing of successful periodic transmissions.
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,24 +69,28 @@ class DoSSignal:
 
     Overlapping or touching input intervals are merged on construction, so
     the stored representation is canonical: onsets strictly increase and
-    consecutive intervals are disjoint.
+    consecutive intervals are disjoint.  ``onsets`` and ``ends`` hold the
+    same intervals as read-only arrays, computed once; equality, hashing
+    and the JSON form use ``intervals`` and ``horizon`` only.
     """
 
     intervals: tuple[tuple[float, float], ...]
     horizon: float
+    onsets: np.ndarray = field(init=False, compare=False, repr=False)
+    ends: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         horizon = float(self.horizon)
         if not math.isfinite(horizon) or horizon <= 0.0:
             raise ValueError(f"horizon must be finite and > 0, got {horizon}")
+        intervals = _canonical_intervals(self.intervals, horizon)
+        onsets, durations = np.array(intervals, dtype=float).reshape(-1, 2).T.copy()
+        ends = onsets + durations
+        onsets.flags.writeable = ends.flags.writeable = False
         object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(
-            self, "intervals", _canonical_intervals(self.intervals, horizon)
-        )
-
-    @property
-    def onsets(self) -> tuple[float, ...]:
-        return tuple(h for h, _ in self.intervals)
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "onsets", onsets)
+        object.__setattr__(self, "ends", ends)
 
 
 @dataclass(frozen=True)
@@ -150,34 +153,46 @@ class GapBoundVerdict:
     max_gap_ok: bool
 
 
+def active_mask(signal: DoSSignal, times) -> np.ndarray:
+    """Blocked flag at each of ``times``: the one blocked-time rule.
+
+    Only the last interval with onset <= t can hold t, since the canonical
+    intervals are disjoint; it blocks t at its onset and before its end.
+    Times outside [0, horizon] are not checked.
+    """
+    times = np.asarray(times, dtype=float)
+    if not signal.intervals:
+        return np.zeros(times.shape, dtype=bool)
+    idx = np.searchsorted(signal.onsets, times, side="right") - 1
+    last = np.maximum(idx, 0)
+    return (idx >= 0) & (
+        (times == signal.onsets[last]) | (times < signal.ends[last])
+    )
+
+
 def active_at(signal: DoSSignal, t: float) -> bool:
     """True iff the network is blocked at time t (t within [0, horizon])."""
     t = float(t)
     if t < 0.0 or t > signal.horizon:
         raise ValueError(f"t={t} outside [0, {signal.horizon}]")
-    idx = bisect.bisect_right(signal.onsets, t) - 1
-    if idx < 0:
-        return False
-    h, tau = signal.intervals[idx]
-    return t == h or t < h + tau
+    return bool(active_mask(signal, t))
 
 
 def transitions_count(signal: DoSSignal, tau: float, t: float) -> int:
     """Number of off/on transitions with onset in the half-open window [tau, t[."""
     tau, t = _check_window(signal, tau, t)
-    onsets = signal.onsets
-    return bisect.bisect_left(onsets, t) - bisect.bisect_left(onsets, tau)
+    return int(np.searchsorted(signal.onsets, t) - np.searchsorted(signal.onsets, tau))
 
 
 def dos_measure(signal: DoSSignal, tau: float, t: float) -> float:
     """Total blocked time (Lebesgue measure) within [tau, t]; pulses count 0."""
     tau, t = _check_window(signal, tau, t)
-    total = 0.0
-    for h, dur in signal.intervals:
-        if h >= t:
-            break
-        total += max(0.0, min(h + dur, t) - max(h, tau))
-    return total
+    n = int(np.searchsorted(signal.onsets, t))
+    if n == 0:
+        return 0.0
+    overlap = np.minimum(signal.ends[:n], t) - np.maximum(signal.onsets[:n], tau)
+    # cumsum adds left to right, as a plain loop would; np.sum would not.
+    return float(np.cumsum(np.maximum(overlap, 0.0))[-1])
 
 
 def _check_window(signal: DoSSignal, tau: float, t: float) -> tuple[float, float]:
@@ -254,12 +269,12 @@ def successful_transmissions(
             f"horizon {horizon} exceeds signal horizon {signal.horizon}"
         )
     n_attempts = int(math.floor(horizon / delta_big + 1e-9))
-    # k*Delta can land one ulp past the horizon; clamp so the domain gate
-    # of active_at stays strict.
+    # k*Delta can land one ulp past the horizon; clamp it back inside.
     attempts = tuple(
         min(k * delta_big, horizon) for k in range(n_attempts + 1)
     )
-    successes = tuple(t for t in attempts if not active_at(signal, t))
+    blocked = active_mask(signal, attempts)
+    successes = tuple(t for t, jammed in zip(attempts, blocked) if not jammed)
     return TransmissionSchedule(
         delta_big=delta_big, attempts=attempts, successes=successes
     )

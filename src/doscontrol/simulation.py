@@ -197,38 +197,29 @@ def simulate(
             return np.zeros(plant.n)
         return sample
 
+    # Row r sits at tick r // substeps, sub-step r % substeps; the last row
+    # is the final tick alone.  Attempts fall on every b-th tick.
     n_rows = n_ticks * config.substeps + 1
-    times = np.empty(n_rows)
+    rows = np.arange(n_rows)
+    times = rows // config.substeps * delta + rows % config.substeps * sub_dt
+    dos_flags = dos.active_mask(dos_signal, np.minimum(times, dos_signal.horizon))
+    attempt_flags = rows % (config.b * config.substeps) == 0
+    success_flags = attempt_flags & ~dos_flags
     xs = np.empty((n_rows, plant.n))
     us = np.empty((n_rows, plant.m))
     preds = np.full((n_rows, plant.n), np.nan)
-    dos_flags = np.zeros(n_rows, dtype=bool)
-    attempt_flags = np.zeros(n_rows, dtype=bool)
-    success_flags = np.zeros(n_rows, dtype=bool)
     depths = np.zeros(n_rows, dtype=int)
 
     colocated = config.mode == "colocated"
     pred_state = controllers.PredictorState.initial(plant.n, plant.m)
     buf = controllers.ActuatorBuffer(sampling=delta, n_inputs=plant.m)
     pending: deque[controllers.ControlPacket] = deque()
-    attempt_times: list[float] = []
-    attempt_success: list[bool] = []
-    z_times: list[float] = []
 
     row = 0
     for q in range(n_ticks + 1):
         t = q * delta
-        is_attempt = q % config.b == 0
-        success = False
-        y = None
-        if is_attempt:
-            ok = not dos.active_at(dos_signal, min(t, dos_signal.horizon))
-            attempt_times.append(t)
-            attempt_success.append(ok)
-            if ok:
-                y = x + draw(n_rng, noise.n_bound, t)
-                z_times.append(t)
-                success = True
+        success = success_flags[row]
+        y = x + draw(n_rng, noise.n_bound, t) if success else None
 
         if colocated:
             alpha = y if success else pred_state.xi
@@ -250,36 +241,18 @@ def simulate(
             depth = controllers.buffer_depth(buf, t) if buf.packet is not None else 0
             alpha = controllers.buffer_prediction(buf, t)
 
-        if q == n_ticks:
-            times[row] = t
-            xs[row] = x
-            us[row] = u
-            if alpha is not None:
-                preds[row] = alpha
-            dos_flags[row] = dos.active_at(dos_signal, min(t, dos_signal.horizon))
-            attempt_flags[row] = is_attempt
-            success_flags[row] = success
-            depths[row] = depth
-            row += 1
-            break
-
         for s in range(config.substeps):
-            ts = t + s * sub_dt
-            times[row] = ts
             xs[row] = x
             us[row] = u
             if alpha is not None:
                 preds[row] = alpha
-            dos_flags[row] = dos.active_at(dos_signal, min(ts, dos_signal.horizon))
-            if s == 0:
-                attempt_flags[row] = is_attempt
-                success_flags[row] = success
             depths[row] = depth
             row += 1
-            d = draw(d_rng, noise.d_bound, ts)
+            if row == n_rows:
+                break
+            d = draw(d_rng, noise.d_bound, t + s * sub_dt)
             x = a_s @ x + b_s @ u + e_s @ d
 
-    assert row == n_rows
     v = np.einsum("ij,jk,ik->i", xs, p_mat, xs)
     return SimTrace(
         times=times,
@@ -291,9 +264,9 @@ def simulate(
         attempt=attempt_flags,
         success=success_flags,
         buffer_depth=depths,
-        attempt_times=np.array(attempt_times),
-        attempt_success=np.array(attempt_success, dtype=bool),
-        z=np.array(z_times),
+        attempt_times=times[attempt_flags],
+        attempt_success=success_flags[attempt_flags],
+        z=times[success_flags],
         delta=delta,
         delta_big=config.delta_big,
         substeps=config.substeps,
@@ -339,8 +312,7 @@ def check_envelope(
         raise ValueError("trace has no successful transmissions")
     if w_inf < 0.0:
         raise ValueError(f"w_inf must be >= 0, got {w_inf}")
-    iz = np.array([row_of_time(trace, t) for t in trace.z])
-    v_z = trace.V[iz]
+    v_z = trace.V[trace.success]
     z0 = trace.z[0]
     v0 = v_z[0]
     rate = min(env.beta, consts.omega1)

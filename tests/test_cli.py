@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from doscontrol import fit_class_params, generate, GeneratorSpec
+from doscontrol import benchmark, fit_class_params, generate, GeneratorSpec
 from doscontrol.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -186,6 +186,21 @@ class TestRepro:
         assert "overall: PASS" in out
         assert "INFO" in out  # the two informational rate rows
         assert "FAIL" not in out.replace("overall: PASS", "")
+
+    def test_failure_fraction_mismatch_has_its_own_row(self, capsys, monkeypatch):
+        monkeypatch.setitem(benchmark.REALIZED, "failure_fraction", 0.5)
+        code, out, _ = run(capsys, "repro")
+        assert code == 3
+        assert out.rstrip().endswith("overall: FAIL")
+        failing = [ln for ln in out.splitlines()[:-1] if ln.endswith("FAIL")]
+        assert len(failing) == 1 and "failure_fraction" in failing[0]
+
+    def test_min_buffer_diff_against_reference(self, capsys, monkeypatch):
+        monkeypatch.setattr(benchmark, "REFERENCE_MIN_BUFFER", 53)
+        code, out, _ = run(capsys, "repro")
+        assert code == 3
+        row = next(ln for ln in out.splitlines() if ln.startswith("h_min"))
+        assert row.split()[1:] == ["50", "53", "3", "FAIL"]
 
 
 class TestUsage:

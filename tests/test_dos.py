@@ -19,6 +19,7 @@ from doscontrol import (
     successful_transmissions,
     transitions_count,
 )
+from doscontrol.dos import active_mask
 
 
 def pulse_train(delta, horizon):
@@ -26,6 +27,27 @@ def pulse_train(delta, horizon):
     return DoSSignal(
         intervals=tuple((k * delta, 0.0) for k in range(n + 1)), horizon=horizon
     )
+
+
+def random_signal(rng, horizon=30.0):
+    """Random signal with zero-length pulses and intervals that touch."""
+    intervals, t = [], 0.0
+    for _ in range(int(rng.integers(0, 60))):
+        t += 0.0 if rng.random() < 0.3 else rng.uniform(0.0, 1.0)
+        tau = 0.0 if rng.random() < 0.3 else rng.uniform(0.0, 0.8)
+        intervals.append((t, tau))
+        t += tau
+    return DoSSignal(intervals=tuple(intervals), horizon=horizon)
+
+
+def critical_times(signal, rng):
+    """Onsets, ends, both horizon ends and random times, each also one ulp off."""
+    marks = np.concatenate([
+        signal.onsets, signal.ends, [0.0, signal.horizon],
+        rng.uniform(0.0, signal.horizon, 20),
+    ])
+    t = np.concatenate([marks, np.nextafter(marks, -1.0), np.nextafter(marks, np.inf)])
+    return t[(t >= 0.0) & (t <= signal.horizon)]
 
 
 def brute_force_deficits(signal, tau_D, T, windows):
@@ -121,6 +143,41 @@ class TestCountAndMeasure:
             )
             assert dos_measure(sig, a, c) >= dos_measure(sig, b, c) - 1e-12
             assert transitions_count(sig, a, c) >= transitions_count(sig, b, c)
+
+
+class TestBlockedTimeLookup:
+    def test_mask_matches_membership_and_active_at(self):
+        rng = np.random.default_rng(31)
+        signals = [DoSSignal(intervals=(), horizon=10.0)]
+        signals += [random_signal(rng) for _ in range(200)]
+        pulses = touching = 0
+        for sig in signals:
+            iv = sig.intervals
+            pulses += sum(tau == 0.0 for _, tau in iv)
+            touching += sum(h1 == h0 + tau0 for (h0, tau0), (h1, _) in zip(iv, iv[1:]))
+            t = critical_times(sig, rng)
+            mask = active_mask(sig, t)
+            assert mask.tolist() == [
+                any(x == h or h <= x < h + tau for h, tau in iv) for x in t
+            ]
+            assert mask.tolist() == [active_at(sig, x) for x in t]
+        assert pulses > 100 and touching > 20
+
+    def test_measure_and_count_match_loops(self):
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            sig = random_signal(rng)
+            marks = critical_times(sig, rng)
+            windows = [np.sort(rng.choice(marks, 2)) for _ in range(10)]
+            for tau, t in [(0.0, sig.horizon)] + windows:
+                tau, t = float(tau), float(t)
+                measure = 0.0
+                for h, dur in sig.intervals:
+                    measure += max(0.0, min(h + dur, t) - max(h, tau))
+                assert dos_measure(sig, tau, t) == measure
+                assert transitions_count(sig, tau, t) == sum(
+                    tau <= h < t for h, _ in sig.intervals
+                )
 
 
 class TestFitClassParams:

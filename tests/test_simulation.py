@@ -70,11 +70,18 @@ class TestSimulate:
         assert rel < 1e-6
 
     def test_success_times_match_schedule(self, bench_plant):
+        # one test over b = 1, 2, 3: attempts every b-th controller period
         sig = generate(11, GeneratorSpec(), 10.0)
-        trace = bench_sim(bench_plant, dos_signal=sig)
         sched = successful_transmissions(sig, 0.1, 10.0)
-        assert np.allclose(trace.z, sched.successes, atol=1e-12)
-        assert len(trace.attempt_times) == len(sched.attempts)
+        for b in (1, 2, 3):
+            trace = bench_sim(bench_plant, dos_signal=sig, b=b)
+            assert np.allclose(trace.z, sched.successes, atol=1e-12)
+            assert len(trace.attempt_times) == len(sched.attempts)
+            assert trace.dos_active.tolist() == [
+                dos.active_at(sig, min(t, sig.horizon)) for t in trace.times
+            ]
+            assert np.array_equal(trace.z, trace.times[trace.success])
+            assert np.array_equal(trace.attempt_times, trace.times[trace.attempt])
 
     def test_grid_and_flags_shape(self, bench_plant):
         trace = bench_sim(bench_plant, horizon=2.0, substeps=4)
