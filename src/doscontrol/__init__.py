@@ -14,7 +14,6 @@ from .bounds import (
     DesignInputs,
     EnvelopeConstants,
     HorizonTooShortError,
-    SIGMA_FRACTION_REPORT,
     SIGMA_FRACTION_SIM,
     SigmaInfeasibleError,
     decay_envelope,
@@ -72,7 +71,6 @@ from .simulation import (
     SimTrace,
     check_envelope,
     compute_metrics,
-    lyapunov_trace,
     metrics_to_dict,
     simulate,
     trace_to_csv,

@@ -17,10 +17,10 @@ from . import linalg
 from .plant import LtiPlant
 
 # Working sigma as a fraction of its supremum gamma1/gamma2.  The strict
-# margin gamma1 - sigma*gamma2 > 0 rules out the supremum itself: bound
-# reporting uses a fraction negligibly below 1, simulation-time constants a
-# comfortable 1/2 (larger decay margin, smaller tolerable sampling period).
-SIGMA_FRACTION_REPORT = 1.0 - 1e-9
+# margin gamma1 - sigma*gamma2 > 0 rules out the supremum itself, so the
+# constants use a comfortable 1/2 (larger decay margin, smaller tolerable
+# sampling period); the reported delta_max is evaluated at the supremum
+# gamma1/gamma2 directly, where the sampling-period bound is largest.
 SIGMA_FRACTION_SIM = 0.5
 
 

@@ -84,6 +84,17 @@ def _ctx(data: dict, key: str, path: str, required: bool = True, default=None):
     return data[key]
 
 
+def _section(data: dict, key: str, path: str, required: bool = True) -> dict | None:
+    """The JSON object under key; None when an optional one is absent or null."""
+    value = _ctx(data, key, path, required)
+    if value is None and not required:
+        return None
+    if not isinstance(value, dict):
+        name = f"{path}.{key}" if path else key
+        raise ConfigError(f"{name}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _matrix(value, path: str) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
@@ -106,12 +117,13 @@ class ExperimentConfig:
                 f"format: unsupported config version {fmt!r} "
                 f"(this build reads version {CONFIG_FORMAT_VERSION})"
             )
-        plant_obj = _ctx(data, "plant", "")
-        ctrl_obj = _ctx(data, "controller", "")
-        net_obj = _ctx(data, "network", "")
-        sim_obj = _ctx(data, "sim", "")
-        buf_obj = data.get("buffer", {})
-        noise_obj = data.get("noise", {})
+        plant_obj = _section(data, "plant", "")
+        ctrl_obj = _section(data, "controller", "")
+        net_obj = _section(data, "network", "")
+        sim_obj = _section(data, "sim", "")
+        buf_obj = _section(data, "buffer", "", required=False) or {}
+        noise_obj = _section(data, "noise", "", required=False) or {}
+        cls_obj = _section(data, "dos_class", "", required=False)
 
         try:
             self.plant = LtiPlant(
@@ -145,16 +157,21 @@ class ExperimentConfig:
                 )
         self.divergence_threshold = sim_obj.get("divergence_threshold")
 
-        self.noise = NoiseSpec(
-            d_bound=float(noise_obj.get("d_bound", 0.0)),
-            n_bound=float(noise_obj.get("n_bound", 0.0)),
-            seed=int(noise_obj.get("seed", 0)),
-            decay_at=noise_obj.get("decay_at"),
-        )
+        try:
+            self.noise = NoiseSpec(
+                d_bound=float(noise_obj.get("d_bound", 0.0)),
+                n_bound=float(noise_obj.get("n_bound", 0.0)),
+                seed=int(noise_obj.get("seed", 0)),
+                decay_at=noise_obj.get("decay_at"),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"noise: {exc}")
 
-        self.dos_signal = self._parse_dos(data.get("dos"), base_dir)
-        self.dos_class = self._parse_class(data.get("dos_class"))
-        self.mu = int(data.get("dos_class", {}).get("mu", 1) or 1)
+        self.dos_signal = self._parse_dos(
+            _section(data, "dos", "", required=False), base_dir
+        )
+        self.dos_class = self._parse_class(cls_obj)
+        self.mu = int(cls_obj.get("mu", 1) or 1) if cls_obj is not None else 1
 
     def _parse_dos(self, dos_obj, base_dir) -> DoSSignal:
         if dos_obj is None:
@@ -165,7 +182,7 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(f"dos.signal: {exc}")
         if "generator" in dos_obj:
-            gen = dos_obj["generator"]
+            gen = _section(dos_obj, "generator", "dos")
             try:
                 spec = GeneratorSpec(
                     off_range=tuple(gen.get("off_range", GeneratorSpec().off_range)),
@@ -255,30 +272,11 @@ def cmd_bounds(args) -> int:
     delta = cfg.delta_big / cfg.b
     consts = derive_constants(inputs, cfg.h, delta)
     sigma_sup = consts.gamma1 / consts.gamma2
-    record = {
+    record = {f.name: getattr(consts, f.name) for f in dataclasses.fields(consts)}
+    record.update({
         "format": CONFIG_FORMAT_VERSION,
         "P": consts.P.tolist(),
-        "alpha1": consts.alpha1,
-        "alpha2": consts.alpha2,
-        "gamma1": consts.gamma1,
-        "gamma2": consts.gamma2,
-        "gamma3": consts.gamma3,
-        "gamma4": consts.gamma4,
-        "gamma5": consts.gamma5,
-        "gamma6": consts.gamma6,
-        "gamma7": consts.gamma7,
-        "sigma": consts.sigma,
         "sigma_supremum": sigma_sup,
-        "mu_A": consts.mu_A,
-        "norm_Phi": consts.norm_Phi,
-        "kappa1": consts.kappa1,
-        "rho1": consts.rho1,
-        "rho2": consts.rho2,
-        "rho": consts.rho,
-        "omega1": consts.omega1,
-        "omega2": consts.omega2,
-        "zeta1": consts.zeta1,
-        "zeta2": consts.zeta2,
         # reported at the supremum sigma, where the bound is largest
         "delta_max": max_sampling_period(consts.mu_A, sigma_sup, consts.norm_Phi),
         "Q": None,
@@ -290,7 +288,7 @@ def cmd_bounds(args) -> int:
         "h_delta": cfg.h * delta,
         "warnings": [],
         "formulas": CONSTANT_FORMULAS,
-    }
+    })
     if cfg.dos_class is not None:
         q = success_gap_bound(cfg.dos_class, cfg.delta_big, cfg.mu)
         record["Q"] = q
@@ -431,19 +429,12 @@ def cmd_repro(args) -> int:
     inputs = benchmark.design()
     consts = derive_constants(inputs, h=5, delta=benchmark.DELTA)
     sigma_sup = consts.gamma1 / consts.gamma2
-    computed = {
-        "gamma1": consts.gamma1,
-        "gamma2": consts.gamma2,
-        "alpha1": consts.alpha1,
-        "alpha2": consts.alpha2,
-        "norm_Phi": consts.norm_Phi,
-        "mu_A": consts.mu_A,
-    }
     for name, ref in benchmark.REFERENCE_CONSTANTS.items():
-        diff = abs(computed[name] - ref)
+        val = getattr(consts, name)
+        diff = abs(val - ref)
         ok = diff <= benchmark.CONSTANTS_TOL
         failed |= not ok
-        rows.append((name, computed[name], ref, diff, "PASS" if ok else "FAIL"))
+        rows.append((name, val, ref, diff, "PASS" if ok else "FAIL"))
 
     dmax = max_sampling_period(consts.mu_A, sigma_sup, consts.norm_Phi)
     diff = abs(dmax - benchmark.REFERENCE_DELTA_MAX)

@@ -242,6 +242,8 @@ def generate(seed: int, spec: GeneratorSpec, horizon: float) -> DoSSignal:
     reproduce the identical interval list on every platform.  The signal
     starts with an off period and is truncated at the horizon.
     """
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     rng = np.random.default_rng(seed)
     intervals: list[tuple[float, float]] = []
     t = 0.0

@@ -9,8 +9,8 @@ measurement noise enters only through the samples that actually get through.
 
 from __future__ import annotations
 
-import csv
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -24,6 +24,9 @@ MODES = ("colocated", "remote", "remote_no_buffer")
 
 TRACE_FORMAT_VERSION = 1
 METRICS_FORMAT_VERSION = 1
+
+# Rows per tolist() call: a whole 500 s trace at once adds ~35 MiB of peak RSS.
+CSV_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,12 @@ class NoiseSpec:
             raise ValueError(f"d_bound must be finite and >= 0, got {self.d_bound}")
         if not (math.isfinite(self.n_bound) and self.n_bound >= 0.0):
             raise ValueError(f"n_bound must be finite and >= 0, got {self.n_bound}")
+        if self.decay_at is not None and not (
+            isinstance(self.decay_at, numbers.Real) and math.isfinite(self.decay_at)
+        ):
+            raise ValueError(
+                f"decay_at must be None or a finite number, got {self.decay_at!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -66,8 +75,10 @@ class SimConfig:
     T_c: float = 0.0
 
     def __post_init__(self):
-        if self.delta_big <= 0.0:
-            raise ValueError(f"delta_big must be > 0, got {self.delta_big}")
+        if not (math.isfinite(self.delta_big) and self.delta_big > 0.0):
+            raise ValueError(f"delta_big must be finite and > 0, got {self.delta_big}")
+        if not math.isfinite(self.horizon):
+            raise ValueError(f"horizon must be finite, got {self.horizon}")
         if self.b < 1:
             raise ValueError(f"b must be >= 1, got {self.b}")
         if self.substeps < 1:
@@ -105,8 +116,7 @@ class SimTrace:
     """Everything a run produced, on the delta/substeps grid.
 
     attempt/success flags mark the rows that coincide with transmission
-    attempts; attempt_times/attempt_success give the same information per
-    attempt; z lists the successful times.  prediction carries the state
+    attempts; z lists the successful times.  prediction carries the state
     estimate behind the input applied at each row (NaN before the first
     packet in remote mode).
     """
@@ -120,8 +130,6 @@ class SimTrace:
     attempt: np.ndarray
     success: np.ndarray
     buffer_depth: np.ndarray
-    attempt_times: np.ndarray
-    attempt_success: np.ndarray
     z: np.ndarray
     delta: float
     delta_big: float
@@ -187,16 +195,6 @@ def simulate(
     )
     b_s, e_s = be_s[:, : plant.m], be_s[:, plant.m :]
 
-    d_seq, n_seq = np.random.SeedSequence(noise.seed).spawn(2)
-    d_rng = np.random.default_rng(d_seq)
-    n_rng = np.random.default_rng(n_seq)
-
-    def draw(rng, bound, t):
-        sample = rng.uniform(-bound, bound, size=plant.n)
-        if noise.decay_at is not None and t >= noise.decay_at:
-            return np.zeros(plant.n)
-        return sample
-
     # Row r sits at tick r // substeps, sub-step r % substeps; the last row
     # is the final tick alone.  Attempts fall on every b-th tick.
     n_rows = n_ticks * config.substeps + 1
@@ -205,6 +203,22 @@ def simulate(
     dos_flags = dos.active_mask(dos_signal, np.minimum(times, dos_signal.horizon))
     attempt_flags = rows % (config.b * config.substeps) == 0
     success_flags = attempt_flags & ~dos_flags
+
+    # One disturbance per sub-step (held from its row to the next) and one
+    # measurement noise per successful sample, each stream drawn in order.
+    d_seq, n_seq = np.random.SeedSequence(noise.seed).spawn(2)
+    dist = np.random.default_rng(d_seq).uniform(
+        -noise.d_bound, noise.d_bound, size=(n_rows - 1, plant.n)
+    )
+    meas = np.random.default_rng(n_seq).uniform(
+        -noise.n_bound, noise.n_bound, size=(int(success_flags.sum()), plant.n)
+    )
+    if noise.decay_at is not None:
+        late = times >= noise.decay_at
+        dist[late[:-1]] = 0.0
+        meas[late[success_flags]] = 0.0
+    samples = iter(meas)
+
     xs = np.empty((n_rows, plant.n))
     us = np.empty((n_rows, plant.m))
     preds = np.full((n_rows, plant.n), np.nan)
@@ -215,17 +229,15 @@ def simulate(
     buf = controllers.ActuatorBuffer(sampling=delta, n_inputs=plant.m)
     pending: deque[controllers.ControlPacket] = deque()
 
-    row = 0
     for q in range(n_ticks + 1):
         t = q * delta
-        success = success_flags[row]
-        y = x + draw(n_rng, noise.n_bound, t) if success else None
+        lo, hi = q * config.substeps, (q + 1) * config.substeps
+        success = success_flags[lo]
+        y = x + next(samples) if success else None
 
         if colocated:
             alpha = y if success else pred_state.xi
-            pred_state, u = controllers.colocated_step(
-                pred_state, k_mat, a_d, b_d, y if success else None
-            )
+            pred_state, u = controllers.colocated_step(pred_state, k_mat, a_d, b_d, y)
             depth = 0
         else:
             if success:
@@ -241,17 +253,14 @@ def simulate(
             depth = controllers.buffer_depth(buf, t) if buf.packet is not None else 0
             alpha = controllers.buffer_prediction(buf, t)
 
-        for s in range(config.substeps):
-            xs[row] = x
-            us[row] = u
-            if alpha is not None:
-                preds[row] = alpha
-            depths[row] = depth
-            row += 1
-            if row == n_rows:
-                break
-            d = draw(d_rng, noise.d_bound, t + s * sub_dt)
-            x = a_s @ x + b_s @ u + e_s @ d
+        us[lo:hi] = u
+        if alpha is not None:
+            preds[lo:hi] = alpha
+        depths[lo:hi] = depth
+        for r in range(lo, min(hi, n_rows - 1)):
+            xs[r] = x
+            x = a_s @ x + b_s @ u + e_s @ dist[r]
+    xs[-1] = x
 
     v = np.einsum("ij,jk,ik->i", xs, p_mat, xs)
     return SimTrace(
@@ -264,34 +273,12 @@ def simulate(
         attempt=attempt_flags,
         success=success_flags,
         buffer_depth=depths,
-        attempt_times=times[attempt_flags],
-        attempt_success=success_flags[attempt_flags],
         z=times[success_flags],
         delta=delta,
         delta_big=config.delta_big,
         substeps=config.substeps,
         noise_decay_at=noise.decay_at,
     )
-
-
-def lyapunov_trace(trace: SimTrace, P) -> tuple[np.ndarray, np.ndarray]:
-    """Recompute V = x' P x on the trace grid for a given weight P."""
-    p_mat = linalg.as_matrix(P, "P")
-    n = trace.x.shape[1]
-    if p_mat.shape != (n, n):
-        raise ValueError(f"P must be {n}x{n}, got {p_mat.shape}")
-    if np.linalg.eigvalsh(0.5 * (p_mat + p_mat.T))[0] <= 0.0:
-        raise ValueError("P must be positive definite")
-    return trace.times, np.einsum("ij,jk,ik->i", trace.x, p_mat, trace.x)
-
-
-def row_of_time(trace: SimTrace, t: float) -> int:
-    """Index of the trace row at grid time t (t must lie on the grid)."""
-    step = trace.delta / trace.substeps
-    idx = int(round(t / step))
-    if idx < 0 or idx >= len(trace.times) or abs(trace.times[idx] - t) > 1e-9:
-        raise ValueError(f"time {t} is not on the trace grid")
-    return idx
 
 
 def check_envelope(
@@ -352,7 +339,7 @@ def compute_metrics(
     if trace.noise_decay_at is not None:
         stable = stable and float(norms[-1]) <= 1e-3 * scale
     return SimMetrics(
-        failure_fraction=1.0 - len(z) / len(trace.attempt_times),
+        failure_fraction=1.0 - len(z) / np.count_nonzero(trace.attempt),
         max_state_norm=float(np.max(norms)),
         final_state_norm=float(norms[-1]),
         max_gap=max_gap,
@@ -365,7 +352,8 @@ def trace_to_csv(trace: SimTrace, path) -> None:
     """Write the trace in the versioned CSV layout.
 
     First line is the version comment '# format: 1', then the header
-    t,x1..xn,u1..um,V,dos_active,attempt,success,buffer_depth.
+    t,x1..xn,u1..um,V,dos_active,attempt,success,buffer_depth.  The version
+    line ends in LF, the header and every row in CRLF.
     """
     n = trace.x.shape[1]
     m = trace.u.shape[1]
@@ -375,23 +363,17 @@ def trace_to_csv(trace: SimTrace, path) -> None:
         + [f"u{j + 1}" for j in range(m)]
         + ["V", "dos_active", "attempt", "success", "buffer_depth"]
     )
+    row_fmt = ",".join(["%.12g"] + ["%.16g"] * (n + m + 1) + ["%d"] * 4) + "\r\n"
+    columns = (
+        trace.times, trace.x, trace.u, trace.V,
+        trace.dos_active, trace.attempt, trace.success, trace.buffer_depth,
+    )
     with open(path, "w", newline="") as fh:
         fh.write(f"# format: {TRACE_FORMAT_VERSION}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(trace.times)):
-            writer.writerow(
-                [f"{trace.times[i]:.12g}"]
-                + [f"{v:.16g}" for v in trace.x[i]]
-                + [f"{v:.16g}" for v in trace.u[i]]
-                + [
-                    f"{trace.V[i]:.16g}",
-                    int(trace.dos_active[i]),
-                    int(trace.attempt[i]),
-                    int(trace.success[i]),
-                    int(trace.buffer_depth[i]),
-                ]
-            )
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(trace.times), CSV_BLOCK_ROWS):
+            block = np.column_stack([c[lo : lo + CSV_BLOCK_ROWS] for c in columns])
+            fh.write("".join(row_fmt % tuple(row) for row in block.tolist()))
 
 
 def metrics_to_dict(metrics: SimMetrics) -> dict:

@@ -43,7 +43,6 @@ from doscontrol import (
     zoh_discretize,
 )
 from doscontrol import benchmark
-from doscontrol.simulation import row_of_time
 
 QUIET = NoiseSpec()
 
@@ -239,10 +238,11 @@ def test_criterion_07_error_decay_growth_bounds():
         slack = 1.0 + 1e-6
         guard = 1e-12 * max(1.0, float(np.linalg.norm(x0)))
         h_delta = h * delta
+        z_rows = np.flatnonzero(trace.success)
         z_list = list(trace.z) + [horizon + delta]
         for i, zm in enumerate(z_list[:-1]):
             z_next = z_list[i + 1]
-            v_zm = trace.V[row_of_time(trace, zm)]
+            v_zm = trace.V[z_rows[i]]
             inside = segment_rows(trace, zm, min(zm + h_delta, z_next, horizon))
             # held prediction error stays below sigma * ||x||
             phi = trace.prediction[inside] - trace.x[inside]
@@ -257,7 +257,7 @@ def test_criterion_07_error_decay_growth_bounds():
             )
             # growth cap once the buffer is exhausted
             if z_next > zm + h_delta and zm + h_delta <= horizon:
-                base = trace.V[row_of_time(trace, zm + h_delta)]
+                base = trace.V[z_rows[i] + h * config.substeps]
                 outside = segment_rows(
                     trace, zm + h_delta, min(z_next, horizon + delta)
                 )

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -201,6 +204,59 @@ class TestRepro:
         assert code == 3
         row = next(ln for ln in out.splitlines() if ln.startswith("h_min"))
         assert row.split()[1:] == ["50", "53", "3", "FAIL"]
+
+
+def run_subprocess(*argv):
+    """The CLI in a fresh interpreter, killed if it has not exited in 20 s.
+
+    A hang here grows a list without bound, so the limit stays short.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "doscontrol.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("horizon", [float("inf"), float("nan")])
+    def test_non_finite_horizon_bounds_exits(self, tmp_path, horizon):
+        # the generated signal used to loop forever on such a horizon
+        cfg = write_config(tmp_path, **{"sim.horizon": horizon})
+        proc = run_subprocess("bounds", cfg)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "horizon" in proc.stderr
+
+    def test_infinite_horizon_with_explicit_signal(self, capsys, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            **{
+                "dos": {"signal": {"horizon": 50.0, "intervals": []}},
+                "sim.horizon": float("inf"),
+            },
+        )
+        code, _, err = run(capsys, "sim", cfg)
+        assert code == 1
+        assert "Traceback" not in err
+        assert "horizon" in err
+
+    def test_plant_not_an_object(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, plant=5)
+        code, _, err = run(capsys, "bounds", cfg)
+        assert code == 1
+        assert "Traceback" not in err
+        assert "plant: expected a JSON object" in err
+
+    def test_decay_at_not_a_number(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, **{"noise.decay_at": "soon"})
+        code, _, err = run(capsys, "sim", cfg)
+        assert code == 1
+        assert "Traceback" not in err
+        assert "decay_at" in err
 
 
 class TestUsage:

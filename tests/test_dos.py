@@ -225,6 +225,11 @@ class TestGenerate:
         spec = GeneratorSpec()
         assert generate(42, spec, 50.0) == generate(42, spec, 50.0)
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_bad_horizon(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            generate(1, GeneratorSpec(), horizon)
+
     def test_pure_pulses(self):
         spec = GeneratorSpec(off_range=(0.2, 0.4), on_range=(0.0, 0.0))
         sig = generate(7, spec, 10.0)

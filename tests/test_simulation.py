@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -16,7 +18,6 @@ from doscontrol import (
     dos,
     fit_class_params,
     generate,
-    lyapunov_trace,
     min_prediction_horizon,
     simulate,
     success_gap_bound,
@@ -33,9 +34,9 @@ NO_DOS = DoSSignal(intervals=(), horizon=100.0)
 
 
 def bench_sim(plant, mode="remote", h=5, horizon=10.0, dos_signal=NO_DOS,
-              noise=QUIET, x0=X0, **kw):
+              noise=QUIET, x0=X0, P=None, **kw):
     config = SimConfig(delta_big=0.1, horizon=horizon, mode=mode, h=h, **kw)
-    return simulate(plant, BENCH_K, config, dos_signal, noise, x0)
+    return simulate(plant, BENCH_K, config, dos_signal, noise, x0, P=P)
 
 
 class TestSimulate:
@@ -76,12 +77,11 @@ class TestSimulate:
         for b in (1, 2, 3):
             trace = bench_sim(bench_plant, dos_signal=sig, b=b)
             assert np.allclose(trace.z, sched.successes, atol=1e-12)
-            assert len(trace.attempt_times) == len(sched.attempts)
+            assert np.count_nonzero(trace.attempt) == len(sched.attempts)
             assert trace.dos_active.tolist() == [
                 dos.active_at(sig, min(t, sig.horizon)) for t in trace.times
             ]
             assert np.array_equal(trace.z, trace.times[trace.success])
-            assert np.array_equal(trace.attempt_times, trace.times[trace.attempt])
 
     def test_grid_and_flags_shape(self, bench_plant):
         trace = bench_sim(bench_plant, horizon=2.0, substeps=4)
@@ -142,24 +142,63 @@ class TestSimulate:
         with pytest.raises(ValueError):
             bench_sim(bench_plant, dos_signal=short, horizon=10.0)
 
+    @pytest.mark.parametrize(
+        "field", [{"horizon": math.inf}, {"horizon": math.nan},
+                  {"delta_big": math.inf}, {"delta_big": math.nan}],
+    )
+    def test_non_finite_timing_rejected(self, field):
+        kwargs = {"delta_big": 0.1, "horizon": 10.0, **field}
+        with pytest.raises(ValueError):
+            SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("decay_at", ["soon", math.inf, math.nan, [5.0]])
+    def test_decay_at_must_be_finite_number(self, decay_at):
+        with pytest.raises(ValueError, match="decay_at"):
+            NoiseSpec(decay_at=decay_at)
+
+    def test_decay_leaves_earlier_rows_untouched(self, bench_plant):
+        # zeroing the noise from T on must not shift either stream before T
+        sig = generate(5, GeneratorSpec(), 10.0)
+        decay_at = 4.0
+        for mode in ("colocated", "remote"):
+            runs = [
+                bench_sim(bench_plant, mode=mode, dos_signal=sig, substeps=7,
+                          noise=NoiseSpec(d_bound=0.05, n_bound=0.05, seed=8,
+                                          decay_at=t))
+                for t in (None, decay_at)
+            ]
+            before = runs[0].times < decay_at
+            assert 0 < before.sum() < len(before)
+            # the state at T itself still integrates only pre-T disturbances
+            upto = runs[0].times <= decay_at
+            for name, rows in (("x", upto), ("V", upto), ("u", before),
+                               ("prediction", before), ("buffer_depth", before)):
+                a, b = (getattr(r, name)[rows] for r in runs)
+                assert a.tobytes() == b.tobytes(), name
+            assert not np.array_equal(runs[0].x[~before], runs[1].x[~before])
+            # decaying from t = 0 on is the noise-free run
+            zero = NoiseSpec(d_bound=0.05, n_bound=0.05, seed=8, decay_at=0.0)
+            assert np.array_equal(
+                bench_sim(bench_plant, mode=mode, dos_signal=sig, noise=zero).x,
+                bench_sim(bench_plant, mode=mode, dos_signal=sig).x,
+            )
+
 
 class TestLyapunovTrace:
     def test_zero_state(self, bench_plant):
-        trace = bench_sim(bench_plant, x0=np.zeros(2), horizon=1.0)
-        _, v = lyapunov_trace(trace, np.eye(2))
-        assert np.all(v == 0.0)
+        trace = bench_sim(bench_plant, x0=np.zeros(2), horizon=1.0, P=np.eye(2))
+        assert np.all(trace.V == 0.0)
 
     def test_identity_weight_is_squared_norm(self, bench_plant):
-        trace = bench_sim(bench_plant, horizon=2.0)
-        _, v = lyapunov_trace(trace, np.eye(2))
-        assert np.allclose(v, np.linalg.norm(trace.x, axis=1) ** 2)
+        trace = bench_sim(bench_plant, horizon=2.0, P=np.eye(2))
+        assert np.allclose(trace.V, np.linalg.norm(trace.x, axis=1) ** 2)
 
     def test_rayleigh_bounds(self, bench_plant, bench_inputs):
         consts = derive_constants(bench_inputs, h=5, delta=0.1)
         noise = NoiseSpec(d_bound=0.01, n_bound=0.01, seed=5)
         sig = generate(3, GeneratorSpec(), 10.0)
-        trace = bench_sim(bench_plant, dos_signal=sig, noise=noise)
-        _, v = lyapunov_trace(trace, consts.P)
+        trace = bench_sim(bench_plant, dos_signal=sig, noise=noise, P=consts.P)
+        v = trace.V
         n2 = np.linalg.norm(trace.x, axis=1) ** 2
         assert np.all(v <= consts.alpha2 * n2 * (1 + 1e-9) + 1e-15)
         assert np.all(v >= consts.alpha1 * n2 * (1 - 1e-9) - 1e-15)
@@ -241,3 +280,35 @@ class TestTraceCsv:
         last = lines[-1].split(",")
         assert float(last[0]) == pytest.approx(1.0)
         assert float(last[5]) >= 0.0
+
+    def test_bytes_match_per_cell_writer(self, bench_plant, tmp_path):
+        # oracle: the csv module's excel dialect with per-cell formatting
+        sig = generate(3, GeneratorSpec(), 10.0)
+        noise = NoiseSpec(d_bound=0.01, n_bound=0.01, seed=2)
+        trace = bench_sim(bench_plant, dos_signal=sig, noise=noise, substeps=7)
+        assert len(trace.times) > 512
+        x = trace.x.copy()
+        x[3, 0] = -0.0
+        x[600, 1] = 0.1234567890123456  # needs all 16 significant digits
+        trace = dataclasses.replace(trace, x=x)
+        path = tmp_path / "trace.csv"
+        trace_to_csv(trace, path)
+
+        expected = io.StringIO(newline="")
+        expected.write("# format: 1\n")
+        writer = csv.writer(expected)
+        writer.writerow(["t", "x1", "x2", "u1", "u2", "V", "dos_active",
+                         "attempt", "success", "buffer_depth"])
+        for i in range(len(trace.times)):
+            writer.writerow(
+                [f"{trace.times[i]:.12g}"]
+                + [f"{v:.16g}" for v in trace.x[i]]
+                + [f"{v:.16g}" for v in trace.u[i]]
+                + [f"{trace.V[i]:.16g}", int(trace.dos_active[i]),
+                   int(trace.attempt[i]), int(trace.success[i]),
+                   int(trace.buffer_depth[i])]
+            )
+        data = path.read_bytes()
+        assert data == expected.getvalue().encode()
+        assert b",-0," in data
+        assert b",0.1234567890123456," in data
