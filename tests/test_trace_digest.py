@@ -1,31 +1,26 @@
-"""The bit-identity digest script runs and repeats itself exactly."""
+"""The bit-identity digest script repeats itself exactly on one run."""
 
 import dataclasses
-import os
-import subprocess
-import sys
+import importlib.util
 from pathlib import Path
 
 from doscontrol import SimTrace
 
-REPO = Path(__file__).resolve().parents[1]
-SCRIPT = REPO / "scripts" / "trace_digest.py"
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "trace_digest.py"
 
 
-def digest_lines():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
-    )
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--limit", "1"],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
-    )
-    return proc.stdout.splitlines()
+def load_script():
+    spec = importlib.util.spec_from_file_location("trace_digest", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def test_one_config_repeats_exactly():
-    first, second = digest_lines(), digest_lines()
+def test_one_config_repeats_exactly(tmp_path):
+    script = load_script()
+    csv_path = tmp_path / "trace.csv"
+    first = script.run(*next(script.grid()), csv_path)
+    second = script.run(*next(script.grid()), csv_path)
     assert first == second
     names = [line.split()[1] for line in first]
     assert names == [f.name for f in dataclasses.fields(SimTrace)] + ["csv", "metrics"]
