@@ -20,7 +20,6 @@ from .bounds import (
     derive_constants,
     max_sampling_period,
     min_prediction_horizon,
-    sampling_margin,
     tolerable_dos_bound,
 )
 from .controllers import (
@@ -56,7 +55,6 @@ from .dos import (
 from .linalg import (
     StabilityCertificationError,
     SymmetricSpectrum,
-    expm,
     log_norm,
     solve_lyapunov,
     spectral_norm,

@@ -182,18 +182,6 @@ def max_sampling_period(mu_A: float, sigma: float, norm_Phi: float) -> float:
     return ratio / kappa1
 
 
-def sampling_margin(delta: float, mu_A: float, kappa1: float) -> float:
-    """Accumulated error gain f(delta) = integral of e^(mu_A s) over one period.
-
-    max_sampling_period is exactly the delta at which kappa1 * f(delta)
-    reaches sigma/(1+sigma); exposed so that tests can cross-check the two
-    forms.
-    """
-    if mu_A == 0.0:
-        return delta
-    return (math.exp(mu_A * delta) - 1.0) / mu_A
-
-
 def min_prediction_horizon(
     consts: DerivedConstants, Q: float, delta_big: float, delta: float
 ) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -95,6 +96,36 @@ def _section(data: dict, key: str, path: str, required: bool = True) -> dict | N
     return value
 
 
+_REQUIRED = object()
+
+
+def _number(data: dict, key: str, path: str, default=_REQUIRED) -> float | None:
+    """The finite JSON number (not a bool) under key, or default when absent.
+
+    A None default makes the field optional: absent or null reads as None.
+    """
+    value = _ctx(data, key, path, default is _REQUIRED, default)
+    if value is None and default is None:
+        return None
+    if (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    ):
+        return float(value)
+    raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
+
+
+def _integer(data: dict, key: str, path: str, default=_REQUIRED) -> int:
+    """The JSON integer under key (an integral float such as 5.0 counts)."""
+    value = _ctx(data, key, path, default is _REQUIRED, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
+
+
 def _matrix(value, path: str) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
@@ -135,15 +166,15 @@ class ExperimentConfig:
         self.K = _matrix(_ctx(ctrl_obj, "K", "controller"), "controller.K")
         m_val = ctrl_obj.get("M")
         self.M = None if m_val is None else _matrix(m_val, "controller.M")
-        self.sigma_fraction = float(ctrl_obj.get("sigma_fraction", 0.5))
+        self.sigma_fraction = _number(ctrl_obj, "sigma_fraction", "controller", 0.5)
 
-        self.delta_big = float(_ctx(net_obj, "delta_big", "network"))
-        self.b = int(net_obj.get("b", 1))
-        self.h = int(buf_obj.get("h", 1))
-        self.T_c = float(buf_obj.get("T_c", 0.0))
+        self.delta_big = _number(net_obj, "delta_big", "network")
+        self.b = _integer(net_obj, "b", "network", 1)
+        self.h = _integer(buf_obj, "h", "buffer", 1)
+        self.T_c = _number(buf_obj, "T_c", "buffer", 0.0)
 
-        self.horizon = float(_ctx(sim_obj, "horizon", "sim"))
-        self.substeps = int(sim_obj.get("substeps", 10))
+        self.horizon = _number(sim_obj, "horizon", "sim")
+        self.substeps = _integer(sim_obj, "substeps", "sim", 10)
         self.mode = sim_obj.get("mode", "remote")
         x0_val = sim_obj.get("x0")
         if x0_val is None:
@@ -155,25 +186,30 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"sim.x0: expected {self.plant.n} entries, got {len(self.x0)}"
                 )
-        self.divergence_threshold = sim_obj.get("divergence_threshold")
+        self.divergence_threshold = _number(
+            sim_obj, "divergence_threshold", "sim", None
+        )
 
+        noise = {
+            "d_bound": _number(noise_obj, "d_bound", "noise", 0.0),
+            "n_bound": _number(noise_obj, "n_bound", "noise", 0.0),
+            "seed": _integer(noise_obj, "seed", "noise", 0),
+            "decay_at": _number(noise_obj, "decay_at", "noise", None),
+        }
         try:
-            self.noise = NoiseSpec(
-                d_bound=float(noise_obj.get("d_bound", 0.0)),
-                n_bound=float(noise_obj.get("n_bound", 0.0)),
-                seed=int(noise_obj.get("seed", 0)),
-                decay_at=noise_obj.get("decay_at"),
-            )
+            self.noise = NoiseSpec(**noise)
         except ValueError as exc:
             raise ConfigError(f"noise: {exc}")
 
-        self.dos_signal = self._parse_dos(
-            _section(data, "dos", "", required=False), base_dir
-        )
+        self._dos_obj = _section(data, "dos", "", required=False)
+        self._base_dir = base_dir
         self.dos_class = self._parse_class(cls_obj)
-        self.mu = int(cls_obj.get("mu", 1) or 1) if cls_obj is not None else 1
+        self.mu = 1 if cls_obj is None else _integer(cls_obj, "mu", "dos_class", 1)
 
-    def _parse_dos(self, dos_obj, base_dir) -> DoSSignal:
+    @functools.cached_property
+    def dos_signal(self) -> DoSSignal:
+        """The DoS signal, parsed on first use: only ``sim`` reads it."""
+        dos_obj = self._dos_obj
         if dos_obj is None:
             return DoSSignal(intervals=(), horizon=self.horizon)
         if "signal" in dos_obj:
@@ -183,33 +219,35 @@ class ExperimentConfig:
                 raise ConfigError(f"dos.signal: {exc}")
         if "generator" in dos_obj:
             gen = _section(dos_obj, "generator", "dos")
+            seed = _integer(gen, "seed", "dos.generator")
+            ranges = {}
+            for key in ("off_range", "on_range"):
+                pair = gen.get(key, getattr(GeneratorSpec(), key))
+                path = f"dos.generator.{key}"
+                if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                    raise ConfigError(f"{path}: expected [lo, hi], got {pair!r}")
+                lo_hi = dict(zip(("lo", "hi"), pair))
+                ranges[key] = (_number(lo_hi, "lo", path), _number(lo_hi, "hi", path))
             try:
-                spec = GeneratorSpec(
-                    off_range=tuple(gen.get("off_range", GeneratorSpec().off_range)),
-                    on_range=tuple(gen.get("on_range", GeneratorSpec().on_range)),
-                )
-                return generate(
-                    int(_ctx(gen, "seed", "dos.generator")), spec, self.horizon
-                )
+                return generate(seed, GeneratorSpec(**ranges), self.horizon)
             except ValueError as exc:
                 raise ConfigError(f"dos.generator: {exc}")
         if "file" in dos_obj:
             path = dos_obj["file"]
-            if base_dir is not None and not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
+            if self._base_dir is not None and not os.path.isabs(path):
+                path = os.path.join(self._base_dir, path)
             return load_signal_file(path)
         raise ConfigError("dos: expected one of 'signal', 'generator', 'file'")
 
     def _parse_class(self, cls_obj) -> DoSClassParams | None:
         if cls_obj is None:
             return None
+        values = {
+            key: _number(cls_obj, key, "dos_class")
+            for key in ("eta", "tau_D", "kappa", "T")
+        }
         try:
-            return DoSClassParams(
-                eta=float(_ctx(cls_obj, "eta", "dos_class")),
-                tau_D=float(_ctx(cls_obj, "tau_D", "dos_class")),
-                kappa=float(_ctx(cls_obj, "kappa", "dos_class")),
-                T=float(_ctx(cls_obj, "T", "dos_class")),
-            )
+            return DoSClassParams(**values)
         except ValueError as exc:
             raise ConfigError(f"dos_class: {exc}")
 

@@ -24,12 +24,10 @@ class PredictorState:
     """Rolling state of the co-located predictor (starts at the origin)."""
 
     xi: np.ndarray
-    last_u: np.ndarray
-    step_index: int = 0
 
     @classmethod
-    def initial(cls, n: int, m: int) -> "PredictorState":
-        return cls(xi=np.zeros(n), last_u=np.zeros(m), step_index=0)
+    def initial(cls, n: int) -> "PredictorState":
+        return cls(xi=np.zeros(n))
 
 
 @dataclass(frozen=True)
@@ -83,10 +81,7 @@ def colocated_step(
         )
     u = K @ alpha
     xi_next = A_delta @ alpha + B_delta @ u
-    return (
-        PredictorState(xi=xi_next, last_u=u, step_index=state.step_index + 1),
-        u,
-    )
+    return PredictorState(xi=xi_next), u
 
 
 def build_packet(

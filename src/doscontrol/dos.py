@@ -10,8 +10,9 @@ the worst-case spacing of successful periodic transmissions.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -63,34 +64,64 @@ def _canonical_intervals(
     return tuple(merged)
 
 
-@dataclass(frozen=True)
 class DoSSignal:
     """Explicit list of DoS intervals (onset, duration) within [0, horizon].
 
     Overlapping or touching input intervals are merged on construction, so
     the stored representation is canonical: onsets strictly increase and
-    consecutive intervals are disjoint.  ``onsets`` and ``ends`` hold the
-    same intervals as read-only arrays, computed once; equality, hashing
-    and the JSON form use ``intervals`` and ``horizon`` only.
+    consecutive intervals are disjoint.  The signal is held as read-only
+    arrays ``onsets`` and ``ends``; ``intervals``, the same list as
+    (onset, duration) pairs, is built on first use, so a generated signal
+    that is only queried creates no object per interval.  Equality,
+    hashing and the JSON form use ``intervals`` and ``horizon`` only.
+    Instances are immutable.
     """
 
-    intervals: tuple[tuple[float, float], ...]
-    horizon: float
-    onsets: np.ndarray = field(init=False, compare=False, repr=False)
-    ends: np.ndarray = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        horizon = float(self.horizon)
+    def __init__(self, intervals, horizon: float):
+        horizon = float(horizon)
         if not math.isfinite(horizon) or horizon <= 0.0:
             raise ValueError(f"horizon must be finite and > 0, got {horizon}")
-        intervals = _canonical_intervals(self.intervals, horizon)
-        onsets, durations = np.array(intervals, dtype=float).reshape(-1, 2).T.copy()
+        intervals = _canonical_intervals(intervals, horizon)
+        self._store(*np.array(intervals, dtype=float).reshape(-1, 2).T, horizon)
+        self.__dict__["intervals"] = intervals
+
+    @classmethod
+    def _from_canonical(cls, onsets, durations, horizon: float) -> DoSSignal:
+        """A signal from intervals already sorted, disjoint and clipped."""
+        signal = cls.__new__(cls)
+        signal._store(onsets, durations, horizon)
+        return signal
+
+    def _store(self, onsets, durations, horizon: float) -> None:
+        onsets = np.array(onsets, dtype=float)
+        durations = np.array(durations, dtype=float)
         ends = onsets + durations
-        onsets.flags.writeable = ends.flags.writeable = False
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "intervals", intervals)
-        object.__setattr__(self, "onsets", onsets)
-        object.__setattr__(self, "ends", ends)
+        for array in (onsets, durations, ends):
+            array.flags.writeable = False
+        self.__dict__.update(
+            horizon=horizon, onsets=onsets, ends=ends, _durations=durations
+        )
+
+    @functools.cached_property
+    def intervals(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.onsets.tolist(), self._durations.tolist()))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.intervals, self.horizon) == (other.intervals, other.horizon)
+
+    def __hash__(self):
+        return hash((self.intervals, self.horizon))
+
+    def __repr__(self):
+        return f"DoSSignal(intervals={self.intervals!r}, horizon={self.horizon!r})"
 
 
 @dataclass(frozen=True)
@@ -161,7 +192,7 @@ def active_mask(signal: DoSSignal, times) -> np.ndarray:
     Times outside [0, horizon] are not checked.
     """
     times = np.asarray(times, dtype=float)
-    if not signal.intervals:
+    if signal.onsets.size == 0:
         return np.zeros(times.shape, dtype=bool)
     idx = np.searchsorted(signal.onsets, times, side="right") - 1
     last = np.maximum(idx, 0)
@@ -220,19 +251,20 @@ def fit_class_params(
         raise ValueError(f"tau_D must be > 0, got {tau_D}")
     if not T > 1.0:
         raise ValueError(f"T must be > 1, got {T}")
-    eta_min = 0.0
-    kappa_min = 0.0
-    iv = signal.intervals
-    durations = [tau for _, tau in iv]
-    for i in range(len(iv)):
-        run = 0.0
-        for j in range(i, len(iv)):
-            run += durations[j]
-            eta_min = max(eta_min, (j - i + 1) - (iv[j][0] - iv[i][0]) / tau_D)
-            kappa_min = max(
-                kappa_min, run - (iv[j][0] + iv[j][1] - iv[i][0]) / T
-            )
-    return eta_min, kappa_min
+    if signal.onsets.size == 0:
+        return 0.0, 0.0
+    # Both suprema are max over i <= j of (c_j - b_i), one prefix-min scan:
+    # eta = 1 + max(a - cummin(a)) with a_j = j - h_j/tau_D, and
+    # kappa = max(c - cummin(b)) with c_j = S_j - end_j/T, b_j = S_{j-1} - h_j/T,
+    # where S_j is the blocked time of intervals 0..j.
+    onsets, ends = signal.onsets, signal.ends
+    a = np.arange(len(onsets)) - onsets / tau_D
+    blocked = np.cumsum(ends - onsets)
+    c = blocked - ends / T
+    b = np.concatenate(([0.0], blocked[:-1])) - onsets / T
+    eta_min = 1.0 + np.max(a - np.minimum.accumulate(a))
+    kappa_min = np.max(c - np.minimum.accumulate(b))
+    return float(eta_min), float(kappa_min)
 
 
 def generate(seed: int, spec: GeneratorSpec, horizon: float) -> DoSSignal:
@@ -245,7 +277,8 @@ def generate(seed: int, spec: GeneratorSpec, horizon: float) -> DoSSignal:
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     rng = np.random.default_rng(seed)
-    intervals: list[tuple[float, float]] = []
+    onsets: list[float] = []
+    durations: list[float] = []
     t = 0.0
     while True:
         off = rng.uniform(spec.off_range[0], spec.off_range[1])
@@ -253,11 +286,17 @@ def generate(seed: int, spec: GeneratorSpec, horizon: float) -> DoSSignal:
         if onset > horizon:
             break
         on = rng.uniform(spec.on_range[0], spec.on_range[1])
-        intervals.append((onset, min(on, horizon - onset)))
+        onsets.append(onset)
+        durations.append(min(on, horizon - onset))
         t = onset + on
         if t > horizon:
             break
-    return DoSSignal(intervals=tuple(intervals), horizon=horizon)
+    onsets, durations = np.array(onsets), np.array(durations)
+    if np.all(onsets[1:] > (onsets + durations)[:-1]):
+        # every clear period is long enough to separate its neighbours
+        return DoSSignal._from_canonical(onsets, durations, float(horizon))
+    intervals = tuple(zip(onsets.tolist(), durations.tolist()))
+    return DoSSignal(intervals=intervals, horizon=horizon)
 
 
 def successful_transmissions(

@@ -1,9 +1,9 @@
 """Small dense linear-algebra kernels.
 
-Matrix exponential, zero-order-hold discretization, Lyapunov solves and the
-norm helpers the rest of the package is built on.  Everything is sized for
-dense low-order systems (state dimension of order ten); there are no sparse
-or large-scale code paths on purpose.
+Zero-order-hold discretization, Lyapunov solves and the norm helpers the
+rest of the package is built on.  Everything is sized for dense low-order
+systems (state dimension of order ten); there are no sparse or large-scale
+code paths on purpose.
 """
 
 from __future__ import annotations
@@ -88,18 +88,6 @@ def _as_symmetric(a, name: str = "matrix") -> np.ndarray:
             f"{SYMMETRY_ATOL:g} at scale {scale:.3g})"
         )
     return 0.5 * (arr + arr.T)
-
-
-def expm(a, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential e^(A t) for square A and t >= 0.
-
-    Uses scaling-and-squaring with a Pade approximant (scipy.linalg.expm).
-    """
-    arr = _as_square(a, "A")
-    t = float(t)
-    if not np.isfinite(t) or t < 0.0:
-        raise ValueError(f"t must be finite and >= 0, got {t}")
-    return scipy.linalg.expm(arr * t)
 
 
 def zoh_discretize(a, b, delta: float) -> tuple[np.ndarray, np.ndarray]:

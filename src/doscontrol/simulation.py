@@ -225,7 +225,7 @@ def simulate(
     depths = np.zeros(n_rows, dtype=int)
 
     colocated = config.mode == "colocated"
-    pred_state = controllers.PredictorState.initial(plant.n, plant.m)
+    pred_state = controllers.PredictorState.initial(plant.n)
     buf = controllers.ActuatorBuffer(sampling=delta, n_inputs=plant.m)
     pending: deque[controllers.ControlPacket] = deque()
 

@@ -14,7 +14,6 @@ from doscontrol import (
     derive_constants,
     max_sampling_period,
     min_prediction_horizon,
-    sampling_margin,
     tolerable_dos_bound,
 )
 
@@ -65,6 +64,23 @@ class TestDeriveConstants:
         assert c.zeta1 == pytest.approx(c.gamma6 / 0.5)
         assert c.zeta2 == pytest.approx(c.gamma7 / 5.0)
 
+    def test_rho1_branches_jump_at_zero_mu(self):
+        # The paper's two branches, pinned as written: 1 + (h-1)*delta at
+        # mu_A = 0, but (1 + 1/mu_A) e^(mu_A (h-1) delta) just above 0, which
+        # blows up like 1/mu_A.
+        h, delta = 5, 0.1
+
+        def rho1(mu):
+            inputs = DesignInputs(plant=LtiPlant(A=[[mu]], B=[[1.0]]), K=[[-2.0]])
+            return derive_constants(inputs, h=h, delta=delta).rho1
+
+        assert rho1(0.0) == pytest.approx(1.0 + (h - 1) * delta, rel=1e-12)
+        for mu in (1e-3, 1e-6, 1e-9):
+            assert rho1(mu) == pytest.approx(
+                (1.0 + 1.0 / mu) * math.exp(mu * (h - 1) * delta), rel=1e-12
+            )
+            assert mu * rho1(mu) == pytest.approx(1.0, rel=2.0 * mu)
+
     def test_sigma_at_supremum_is_infeasible(self):
         plant = LtiPlant(A=[[0.0]], B=[[1.0]])
         inputs = DesignInputs(
@@ -110,8 +126,9 @@ class TestMaxSamplingPeriod:
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_margin_inequality_at_the_bound(self):
-        # kappa1 * f(delta_max) never exceeds sigma/(1+sigma); for
-        # non-contracting dynamics (mu_A >= 0) it lands exactly on it
+        # kappa1 * f(delta_max), f(d) the integral of e^(mu_A s) over [0, d],
+        # never exceeds sigma/(1+sigma); for non-contracting dynamics
+        # (mu_A >= 0) it lands exactly on it
         rng = np.random.default_rng(32)
         for _ in range(100):
             mu = rng.uniform(-2.0, 2.0)
@@ -120,7 +137,7 @@ class TestMaxSamplingPeriod:
             kappa1 = max(norm_phi, 1.0)
             d = max_sampling_period(mu, sigma, norm_phi)
             ratio = sigma / (1.0 + sigma)
-            margin = kappa1 * sampling_margin(d, mu, kappa1)
+            margin = kappa1 * (math.exp(mu * d) - 1.0) / mu
             assert margin <= ratio + 1e-9
             if mu >= 0.0:
                 assert margin == pytest.approx(ratio, abs=1e-9)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from doscontrol import benchmark, fit_class_params, generate, GeneratorSpec
+from doscontrol import benchmark, cli, fit_class_params, generate, GeneratorSpec
 from doscontrol.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -250,6 +250,49 @@ class TestConfigErrors:
         assert code == 1
         assert "Traceback" not in err
         assert "plant: expected a JSON object" in err
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("bounds", "noise.d_bound", [1]),
+        ("sim", "noise.d_bound", [1]),
+        ("bounds", "buffer.h", [5]),
+        ("sim", "buffer.h", [5]),
+        ("bounds", "sim.substeps", [10]),
+        ("sim", "sim.substeps", [10]),
+        ("sim", "dos.generator.off_range", 5),
+        ("sim", "sim.divergence_threshold", "x"),
+        ("bounds", "network.b", 2.5),
+        ("sim", "network.b", True),
+        ("bounds", "network.delta_big", float("nan")),
+        ("sim", "buffer.T_c", float("nan")),
+    ])
+    def test_scalar_of_the_wrong_type(self, capsys, tmp_path, command, field, value):
+        cfg = write_config(tmp_path, **{field: value})
+        code, _, err = run(capsys, command, cfg)
+        assert code == 1
+        assert err.startswith(f"config error: {field}: expected")
+        assert "Traceback" not in err
+
+    def test_integral_float_reads_as_integer(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, **{"buffer.h": 5.0, "network.b": 1.0})
+        _, out, _ = run(capsys, "bounds", BENCHMARK_CONFIG)
+        code, out_float, _ = run(capsys, "bounds", cfg)
+        assert code == 0
+        assert out_float == out
+
+    def test_only_sim_builds_the_signal(self, capsys, monkeypatch):
+        calls = []
+
+        def generate_fails(*args):
+            calls.append(args)
+            raise RuntimeError("signal generated")
+
+        monkeypatch.setattr(cli, "generate", generate_fails)
+        code, _, _ = run(capsys, "bounds", BENCHMARK_CONFIG)
+        assert code == 0
+        assert calls == []
+        with pytest.raises(RuntimeError, match="signal generated"):
+            main(["sim", BENCHMARK_CONFIG])
+        assert len(calls) == 1
 
     def test_decay_at_not_a_number(self, capsys, tmp_path):
         cfg = write_config(tmp_path, **{"noise.decay_at": "soon"})

@@ -20,21 +20,21 @@ AD, BD = zoh_discretize(BENCH_A, BENCH_B, 0.1)
 
 class TestColocatedStep:
     def test_equilibrium(self):
-        state = PredictorState.initial(2, 2)
+        state = PredictorState.initial(2)
         state, u = colocated_step(state, BENCH_K, AD, BD, np.zeros(2))
         assert np.all(u == 0.0)
         assert np.all(state.xi == 0.0)
 
     def test_never_measured_stays_at_origin(self):
-        state = PredictorState.initial(2, 2)
+        state = PredictorState.initial(2)
         for _ in range(20):
             state, u = colocated_step(state, BENCH_K, AD, BD, None)
             assert np.all(u == 0.0)
-        assert state.step_index == 20
+        assert np.all(state.xi == 0.0)
 
     def test_single_step_rule(self):
         y = np.array([1.0, -0.5])
-        state, u = colocated_step(PredictorState.initial(2, 2), BENCH_K, AD, BD, y)
+        state, u = colocated_step(PredictorState.initial(2), BENCH_K, AD, BD, y)
         assert np.allclose(u, BENCH_K @ y)
         assert np.allclose(state.xi, AD @ y + BD @ (BENCH_K @ y))
 

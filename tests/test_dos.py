@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -50,6 +52,23 @@ def critical_times(signal, rng):
     return t[(t >= 0.0) & (t <= signal.horizon)]
 
 
+def fit_class_params_loop(signal, tau_D, T):
+    """The O(n^2) scan over every interval pair i <= j: the oracle for the fit."""
+    eta_min = 0.0
+    kappa_min = 0.0
+    iv = signal.intervals
+    durations = [tau for _, tau in iv]
+    for i in range(len(iv)):
+        run = 0.0
+        for j in range(i, len(iv)):
+            run += durations[j]
+            eta_min = max(eta_min, (j - i + 1) - (iv[j][0] - iv[i][0]) / tau_D)
+            kappa_min = max(
+                kappa_min, run - (iv[j][0] + iv[j][1] - iv[i][0]) / T
+            )
+    return eta_min, kappa_min
+
+
 def brute_force_deficits(signal, tau_D, T, windows):
     """Direct evaluation of the two class deficits over explicit windows."""
     eta = 0.0
@@ -92,6 +111,16 @@ class TestSignalConstruction:
     def test_json_round_trip(self):
         s = DoSSignal(intervals=((0.3, 0.0), (1.0, 0.5)), horizon=10.0)
         assert signal_from_dict(signal_to_dict(s)) == s
+
+    def test_immutable_value(self):
+        s = DoSSignal(intervals=((0.3, 0.0), (1.0, 0.5)), horizon=10)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.horizon = 5.0
+        with pytest.raises(ValueError):
+            s.onsets[0] = 0.0
+        twin = pickle.loads(pickle.dumps(s))
+        assert twin == s and hash(twin) == hash(s) and s != s.intervals
+        assert repr(s) == "DoSSignal(intervals=((0.3, 0.0), (1.0, 0.5)), horizon=10.0)"
 
 
 class TestActiveAt:
@@ -196,6 +225,20 @@ class TestFitClassParams:
         eta, _ = fit_class_params(s, 0.1, 2.0)
         assert eta == pytest.approx(1.0, abs=1e-9)
 
+    def test_scan_matches_pairwise_oracle(self):
+        rng = np.random.default_rng(41)
+        signals = [DoSSignal(intervals=(), horizon=10.0)]
+        signals += [random_signal(rng) for _ in range(200)]
+        signals += [generate(seed, GeneratorSpec(), 50.0) for seed in range(20)]
+        signals.append(generate(6128, GeneratorSpec(), 2000.0))
+        assert len(signals[-1].intervals) > 1500
+        for sig in signals:
+            tau_D, T = rng.uniform(0.3, 2.0), rng.uniform(1.1, 3.0)
+            got = fit_class_params(sig, tau_D, T)
+            assert all(type(v) is float for v in got)
+            for scan, loop in zip(got, fit_class_params_loop(sig, tau_D, T)):
+                assert abs(scan - loop) <= 1e-12 * abs(loop)
+
     def test_soundness_against_dense_windows(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
@@ -229,6 +272,17 @@ class TestGenerate:
     def test_rejects_bad_horizon(self, horizon):
         with pytest.raises(ValueError, match="horizon"):
             generate(1, GeneratorSpec(), horizon)
+
+    @pytest.mark.parametrize("off_range", [(0.1, 0.7), (0.0, 0.0), (0.0, 1e-14), (0.0, 0.3)])
+    def test_canonical_like_the_constructor(self, off_range):
+        # zero or rounded-away clear periods leave touching intervals to merge
+        for seed in range(20):
+            sig = generate(seed, GeneratorSpec(off_range=off_range), 50.0)
+            rebuilt = DoSSignal(intervals=sig.intervals, horizon=50.0)
+            assert sig == rebuilt
+            assert np.array_equal(sig.onsets, rebuilt.onsets)
+            assert np.array_equal(sig.ends, rebuilt.ends)
+        assert len(generate(1, GeneratorSpec(off_range=(0.0, 0.0)), 50.0).intervals) == 1
 
     def test_pure_pulses(self):
         spec = GeneratorSpec(off_range=(0.2, 0.4), on_range=(0.0, 0.0))
