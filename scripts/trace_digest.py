@@ -3,14 +3,15 @@
 
 Each run is one closed loop of the bundled two-state plant on a 20 s
 horizon.  The grid crosses the modes (co-located; remote with h = 1, 5 and
-50; remote without buffer), b = 1, 2, 3, computation delays T_c = 0, 0.15
-and 0.25 s, three generator specs and noise that never decays or decays at
-5 or 10 s; the sub-step count cycles through 4, 7 and 10 and the signal
-horizon through 20 and 21 s.  Combinations that SimConfig rejects (a
-computation delay that needs more buffered ticks than the mode holds) are
-left out, which leaves 270 runs.  For every run the script prints one line
-per SimTrace field, one for the trace CSV bytes and one for the metrics
-JSON, each as "<run label> <name> <sha256>".
+50; remote without buffer), b = 1, 2, 3, computation delays T_c = 0, 0.15,
+0.25 and 0.4 s (0.4 s puts skip = h - 1 at h = 5, b = 1, so a packet is
+delivered straight into the hold), three generator specs and noise that
+never decays or decays at 5 or 10 s; the sub-step count cycles through 4,
+7 and 10 and the signal horizon through 20 and 21 s.  Combinations that
+SimConfig rejects (a computation delay that needs more buffered ticks than
+the mode holds) are left out, which leaves 333 runs.  For every run the
+script prints one line per SimTrace field, one for the trace CSV bytes and
+one for the metrics JSON, each as "<run label> <name> <sha256>".
 
 Two checkouts produce bit-identical traces when their outputs match:
 
@@ -46,7 +47,7 @@ HORIZON = 20.0
 MODES = (("colocated", 1), ("remote", 1), ("remote", 5), ("remote", 50),
          ("remote_no_buffer", 1))
 B_VALUES = (1, 2, 3)
-T_C_VALUES = (0.0, 0.15, 0.25)
+T_C_VALUES = (0.0, 0.15, 0.25, 0.4)
 SPECS = {
     "bench": benchmark.GENERATOR,
     "light": GeneratorSpec(off_range=(0.8, 2.0), on_range=(0.05, 0.3)),

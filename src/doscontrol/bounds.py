@@ -128,17 +128,25 @@ def derive_constants(
     mu_a = linalg.log_norm(inputs.plant.A)
     norm_phi = linalg.spectral_norm(phi)
     kappa1 = max(norm_phi, 1.0)
-    rho2 = max(math.exp(mu_a * delta), 1.0)
-    if mu_a > 0.0:
-        rho1 = (1.0 + 1.0 / mu_a) * math.exp(mu_a * (h - 1) * delta)
-    else:
-        # Closed form above degenerates at mu_A <= 0; the defining integral
-        # of the prediction-error propagator is bounded by 1 + (h-1)*delta.
-        rho1 = 1.0 + (h - 1) * delta
-    rho = sigma + rho1 * rho2 * (1.0 + sigma)
-    gamma5 = gamma2 * rho + gamma3
-    gamma6 = gamma5**2 / (2.0 * gamma4)
-    gamma7 = (gamma3 + rho * gamma2) ** 2 / (2.0 * gamma4)
+    try:
+        rho2 = max(math.exp(mu_a * delta), 1.0)
+        if mu_a > 0.0:
+            rho1 = (1.0 + 1.0 / mu_a) * math.exp(mu_a * (h - 1) * delta)
+        else:
+            # Closed form above degenerates at mu_A <= 0; the defining integral
+            # of the prediction-error propagator is bounded by 1 + (h-1)*delta.
+            rho1 = 1.0 + (h - 1) * delta
+        rho = sigma + rho1 * rho2 * (1.0 + sigma)
+        gamma5 = gamma2 * rho + gamma3
+        gamma6 = gamma5**2 / (2.0 * gamma4)
+        gamma7 = (gamma3 + rho * gamma2) ** 2 / (2.0 * gamma4)
+    except OverflowError:
+        gamma6 = gamma7 = math.inf
+    if not (math.isfinite(gamma6) and math.isfinite(gamma7)):
+        raise ValueError(
+            f"h={h} with delta={delta:g} takes the constant chain past the "
+            f"float range (mu_A (h-1) delta = {mu_a * (h - 1) * delta:.6g})"
+        )
     omega1 = gamma4 / (2.0 * alpha2)
     omega2 = gamma2 * (2.0 + sigma) / alpha1
     return DerivedConstants(

@@ -107,13 +107,24 @@ def _number(data: dict, key: str, path: str, default=_REQUIRED) -> float | None:
     value = _ctx(data, key, path, default is _REQUIRED, default)
     if value is None and default is None:
         return None
+    return _finite(value, f"{path}.{key}")
+
+
+def _finite(value, name: str) -> float:
     if (
         isinstance(value, (int, float))
         and not isinstance(value, bool)
         and abs(value) <= sys.float_info.max
     ):
         return float(value)
-    raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
+    raise ConfigError(f"{name}: expected a finite number, got {value!r}")
+
+
+def _vector(value, n: int, name: str) -> np.ndarray:
+    """A JSON list of n finite numbers."""
+    if not (isinstance(value, list) and len(value) == n):
+        raise ConfigError(f"{name}: expected a list of {n} numbers, got {value!r}")
+    return np.array([_finite(v, f"{name}[{i}]") for i, v in enumerate(value)])
 
 
 def _integer(data: dict, key: str, path: str, default=_REQUIRED) -> int:
@@ -170,6 +181,8 @@ class ExperimentConfig:
 
         self.delta_big = _number(net_obj, "delta_big", "network")
         self.b = _integer(net_obj, "b", "network", 1)
+        if self.b < 1:
+            raise ConfigError(f"network.b: expected an integer >= 1, got {self.b}")
         self.h = _integer(buf_obj, "h", "buffer", 1)
         self.T_c = _number(buf_obj, "T_c", "buffer", 0.0)
 
@@ -181,11 +194,7 @@ class ExperimentConfig:
             alt = np.array([(-1.0) ** i for i in range(self.plant.n)])
             self.x0 = alt / np.linalg.norm(alt)
         else:
-            self.x0 = np.asarray(x0_val, dtype=float).reshape(-1)
-            if self.x0.shape != (self.plant.n,):
-                raise ConfigError(
-                    f"sim.x0: expected {self.plant.n} entries, got {len(self.x0)}"
-                )
+            self.x0 = _vector(x0_val, self.plant.n, "sim.x0")
         self.divergence_threshold = _number(
             sim_obj, "divergence_threshold", "sim", None
         )
@@ -234,6 +243,8 @@ class ExperimentConfig:
                 raise ConfigError(f"dos.generator: {exc}")
         if "file" in dos_obj:
             path = dos_obj["file"]
+            if not isinstance(path, str):
+                raise ConfigError(f"dos.file: expected a file path, got {path!r}")
             if self._base_dir is not None and not os.path.isabs(path):
                 path = os.path.join(self._base_dir, path)
             return load_signal_file(path)

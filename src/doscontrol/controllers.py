@@ -1,10 +1,15 @@
-"""The two control laws.
+"""The two control laws as state machines: the reference for ``simulate``.
 
 Co-located: a one-step-ahead state predictor sits next to the actuator and
 substitutes for the measurement whenever the networked sensor channel is
 jammed.  Remote: on every successful transmission the controller ships a
 packet of h predicted inputs; the actuator buffers them, replays one per
 sampling period, and holds the last one once the buffer runs dry.
+
+``simulation.simulate`` runs both as one law and calls none of these
+functions.  They are kept as the tests' reference for that law and because
+the benchmark tracer (``perfbench/tracer.py``) rebinds them by name; they
+go once a benchmark change drops them from its ``TRACED`` table.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,42 +223,45 @@ def simulate(
     preds = np.full((n_rows, plant.n), np.nan)
     depths = np.zeros(n_rows, dtype=int)
 
+    # One law for every mode: u = K alpha, where alpha rolls the model
+    # forward from the last delivered sample y_m one period per tick and
+    # stops at the packet's last entry, h - 1 periods on.  A sample taken at
+    # tick m reaches the actuator at tick m + skip.  Co-located is h = inf
+    # with no skip and no buffer; remote applies zero until the first packet.
     colocated = config.mode == "colocated"
-    pred_state = controllers.PredictorState.initial(plant.n)
-    buf = controllers.ActuatorBuffer(sampling=delta, n_inputs=plant.m)
-    pending: deque[controllers.ControlPacket] = deque()
+    last = math.inf if colocated else config.h - 1
+    stored = 0 if colocated else config.h
+    skip = 0 if colocated else config.skip
+    alpha = np.zeros(plant.n) if colocated else None
+    age = 0
+    pending = []  # (tick, sample) per success, delivered in order
+    delivered = 0
 
     for q in range(n_ticks + 1):
-        t = q * delta
         lo, hi = q * config.substeps, (q + 1) * config.substeps
-        success = success_flags[lo]
-        y = x + next(samples) if success else None
-
-        if colocated:
-            alpha = y if success else pred_state.xi
-            pred_state, u = controllers.colocated_step(pred_state, k_mat, a_d, b_d, y)
-            depth = 0
+        if success_flags[lo]:
+            pending.append((q, x + next(samples)))
+        if delivered < len(pending) and pending[delivered][0] + skip <= q:
+            m, alpha = pending[delivered]
+            delivered += 1
+            for _ in range(q - m):
+                alpha = a_d @ alpha + b_d @ (k_mat @ alpha)
+            age = q - m
+        if alpha is None:
+            u = np.zeros(plant.m)
         else:
-            if success:
-                pending.append(
-                    controllers.build_packet(
-                        y, k_mat, a_d, b_d, config.h, config.skip, built_at=t
-                    )
-                )
-            while pending and pending[0].built_at + pending[0].skip * delta <= t + 1e-9 * delta:
-                pkt = pending.popleft()
-                buf = controllers.deliver_packet(buf, pkt, pkt.built_at)
-            u = controllers.buffer_output(buf, t)
-            depth = controllers.buffer_depth(buf, t) if buf.packet is not None else 0
-            alpha = controllers.buffer_prediction(buf, t)
-
-        us[lo:hi] = u
-        if alpha is not None:
+            u = k_mat @ alpha
             preds[lo:hi] = alpha
-        depths[lo:hi] = depth
+            depths[lo:hi] = max(stored - age, 0)
+        us[lo:hi] = u
+        bu = b_s @ u
         for r in range(lo, min(hi, n_rows - 1)):
             xs[r] = x
-            x = a_s @ x + b_s @ u + e_s @ dist[r]
+            x = a_s @ x + bu + e_s @ dist[r]
+        if alpha is not None:
+            if age < last:
+                alpha = a_d @ alpha + b_d @ u
+            age += 1
     xs[-1] = x
 
     v = np.einsum("ij,jk,ik->i", xs, p_mat, xs)

@@ -81,6 +81,12 @@ class TestDeriveConstants:
             )
             assert mu * rho1(mu) == pytest.approx(1.0, rel=2.0 * mu)
 
+    @pytest.mark.parametrize("h", [3000, 10000])
+    def test_chain_past_the_float_range_names_h(self, bench_inputs, h):
+        # mu_A (h-1) delta = 450 overflows gamma5**2, 1500 the exp in rho1
+        with pytest.raises(ValueError, match=f"h={h} with delta=0.1"):
+            derive_constants(bench_inputs, h=h, delta=0.1)
+
     def test_sigma_at_supremum_is_infeasible(self):
         plant = LtiPlant(A=[[0.0]], B=[[1.0]])
         inputs = DesignInputs(

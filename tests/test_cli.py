@@ -272,6 +272,31 @@ class TestConfigErrors:
         assert err.startswith(f"config error: {field}: expected")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, overrides, field", [
+        ("bounds", {"sim.x0": {}}, "sim.x0"),
+        ("sim", {"sim.x0": {}}, "sim.x0"),
+        ("sim", {"dos.generator": None, "dos.file": 5}, "dos.file"),
+        ("bounds", {"network.b": 0}, "network.b"),
+        ("sim", {"network.b": 0}, "network.b"),
+        ("bounds", {"network.b": -1}, "network.b"),
+        ("sim", {"network.b": -1}, "network.b"),
+    ])
+    def test_field_of_the_wrong_shape_or_range(self, capsys, tmp_path, command,
+                                               overrides, field):
+        cfg = write_config(tmp_path, **overrides)
+        code, _, err = run(capsys, command, cfg)
+        assert code == 1
+        assert err.startswith(f"config error: {field}: expected")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["bounds", "sim"])
+    def test_buffer_past_the_float_range(self, capsys, tmp_path, command):
+        cfg = write_config(tmp_path, **{"buffer.h": 10000})
+        code, _, err = run(capsys, command, cfg)
+        assert code == 1
+        assert err.startswith("error: h=10000 with delta=0.1")
+        assert "Traceback" not in err
+
     def test_integral_float_reads_as_integer(self, capsys, tmp_path):
         cfg = write_config(tmp_path, **{"buffer.h": 5.0, "network.b": 1.0})
         _, out, _ = run(capsys, "bounds", BENCHMARK_CONFIG)

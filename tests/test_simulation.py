@@ -2,12 +2,14 @@ import csv
 import dataclasses
 import io
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
 from doscontrol import (
     DoSSignal,
+    controllers,
     GeneratorSpec,
     NoiseSpec,
     SimConfig,
@@ -18,6 +20,7 @@ from doscontrol import (
     dos,
     fit_class_params,
     generate,
+    linalg,
     min_prediction_horizon,
     simulate,
     success_gap_bound,
@@ -182,6 +185,125 @@ class TestSimulate:
                 bench_sim(bench_plant, mode=mode, dos_signal=sig, noise=zero).x,
                 bench_sim(bench_plant, mode=mode, dos_signal=sig).x,
             )
+
+
+def state_machine_loop(plant, K, config, dos_signal, noise, x0):
+    """Oracle: the closed loop driven by the controllers state machines.
+
+    Same grid, noise streams and plant update as simulate, with the input
+    taken from colocated_step, or from build_packet and the actuator buffer.
+    Returns x, u, prediction and buffer_depth.
+    """
+    k_mat = np.asarray(K, dtype=float)
+    x = np.asarray(x0, dtype=float)
+    delta = config.delta
+    n_ticks = int(round(config.horizon / delta))
+    sub_dt = delta / config.substeps
+    a_d, b_d = linalg.zoh_discretize(plant.A, plant.B, delta)
+    a_s, be_s = linalg.zoh_discretize(
+        plant.A, np.hstack([plant.B, np.eye(plant.n)]), sub_dt
+    )
+    b_s, e_s = be_s[:, : plant.m], be_s[:, plant.m :]
+    n_rows = n_ticks * config.substeps + 1
+    rows = np.arange(n_rows)
+    times = rows // config.substeps * delta + rows % config.substeps * sub_dt
+    dos_flags = dos.active_mask(dos_signal, np.minimum(times, dos_signal.horizon))
+    success_flags = (rows % (config.b * config.substeps) == 0) & ~dos_flags
+    d_seq, n_seq = np.random.SeedSequence(noise.seed).spawn(2)
+    dist = np.random.default_rng(d_seq).uniform(
+        -noise.d_bound, noise.d_bound, size=(n_rows - 1, plant.n)
+    )
+    meas = np.random.default_rng(n_seq).uniform(
+        -noise.n_bound, noise.n_bound, size=(int(success_flags.sum()), plant.n)
+    )
+    samples = iter(meas)
+
+    xs = np.empty((n_rows, plant.n))
+    us = np.empty((n_rows, plant.m))
+    preds = np.full((n_rows, plant.n), np.nan)
+    depths = np.zeros(n_rows, dtype=int)
+
+    colocated = config.mode == "colocated"
+    pred_state = controllers.PredictorState.initial(plant.n)
+    buf = controllers.ActuatorBuffer(sampling=delta, n_inputs=plant.m)
+    pending = deque()
+
+    for q in range(n_ticks + 1):
+        t = q * delta
+        lo, hi = q * config.substeps, (q + 1) * config.substeps
+        success = success_flags[lo]
+        y = x + next(samples) if success else None
+
+        if colocated:
+            alpha = y if success else pred_state.xi
+            pred_state, u = controllers.colocated_step(pred_state, k_mat, a_d, b_d, y)
+            depth = 0
+        else:
+            if success:
+                pending.append(
+                    controllers.build_packet(
+                        y, k_mat, a_d, b_d, config.h, config.skip, built_at=t
+                    )
+                )
+            while pending and pending[0].built_at + pending[0].skip * delta <= t + 1e-9 * delta:
+                pkt = pending.popleft()
+                buf = controllers.deliver_packet(buf, pkt, pkt.built_at)
+            u = controllers.buffer_output(buf, t)
+            depth = controllers.buffer_depth(buf, t) if buf.packet is not None else 0
+            alpha = controllers.buffer_prediction(buf, t)
+
+        us[lo:hi] = u
+        if alpha is not None:
+            preds[lo:hi] = alpha
+        depths[lo:hi] = depth
+        for r in range(lo, min(hi, n_rows - 1)):
+            xs[r] = x
+            x = a_s @ x + b_s @ u + e_s @ dist[r]
+    xs[-1] = x
+    return xs, us, preds, depths
+
+
+def law_cases():
+    """(mode, h, skip) triples: every mode, and skip from 0 to h - 1."""
+    yield "colocated", 1, 0
+    yield "colocated", 1, 3  # co-located ignores the computation delay
+    yield "remote_no_buffer", 1, 0
+    for h in (1, 2, 5, 50):
+        for skip in sorted({0, 1, h // 2, h - 1} & set(range(h))):
+            yield "remote", h, skip
+
+
+class TestOneLaw:
+    SIGNALS = {
+        "pulses": lambda seed: generate(
+            seed, GeneratorSpec(off_range=(0.05, 0.4), on_range=(0.0, 0.05)), 7.0),
+        "touching": lambda seed: generate(
+            seed, GeneratorSpec(off_range=(0.0, 0.3), on_range=(0.05, 0.6)), 7.0),
+        "empty": lambda seed: DoSSignal(intervals=(), horizon=7.0),
+    }
+
+    @pytest.mark.parametrize("mode, h, skip", list(law_cases()))
+    def test_matches_the_state_machines_bit_for_bit(self, bench_plant, mode, h, skip):
+        for i, (b, name) in enumerate(
+            (b, name) for b in (1, 2, 3) for name in self.SIGNALS
+        ):
+            delta = 0.1 / b
+            # half a period short of skip periods still rounds up to skip
+            t_c = skip * delta if i % 2 else max(skip - 0.5, 0.0) * delta
+            config = SimConfig(delta_big=0.1, horizon=6.0, b=b, h=h,
+                               substeps=(4, 10)[i % 2], mode=mode, T_c=t_c)
+            assert config.skip == skip
+            sig = self.SIGNALS[name](100 * h + 10 * skip + i)
+            noise = NoiseSpec(d_bound=0.02, n_bound=0.02, seed=h + skip + i)
+            trace = simulate(bench_plant, BENCH_K, config, sig, noise, X0)
+            x, u, pred, depth = state_machine_loop(
+                bench_plant, BENCH_K, config, sig, noise, X0
+            )
+            where = f"b={b} signal={name}"
+            assert np.array_equal(trace.x, x), where
+            assert np.array_equal(trace.u, u), where
+            assert np.array_equal(trace.prediction, pred, equal_nan=True), where
+            assert np.array_equal(trace.buffer_depth, depth), where
 
 
 class TestLyapunovTrace:
