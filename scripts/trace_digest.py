@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print a SHA-256 of every simulation output over a fixed grid of runs.
+"""Save every simulation output over a fixed grid of runs; compare two saves.
 
 Each run is one closed loop of the bundled two-state plant on a 20 s
 horizon.  The grid crosses the modes (co-located; remote with h = 1, 5 and
@@ -9,25 +9,30 @@ delivered straight into the hold), three generator specs and noise that
 never decays or decays at 5 or 10 s; the sub-step count cycles through 4,
 7 and 10 and the signal horizon through 20 and 21 s.  Combinations that
 SimConfig rejects (a computation delay that needs more buffered ticks than
-the mode holds) are left out, which leaves 333 runs.  For every run the
-script prints one line per SimTrace field, one for the trace CSV bytes and
-one for the metrics JSON, each as "<run label> <name> <sha256>".
+the mode holds) are left out, which leaves 333 runs.
 
-Two checkouts produce bit-identical traces when their outputs match:
+    PYTHONPATH=<checkout A>/src python3 scripts/trace_digest.py save a.npz
+    PYTHONPATH=<checkout B>/src python3 scripts/trace_digest.py save b.npz
+    PYTHONPATH=src python3 scripts/trace_digest.py compare a.npz b.npz
 
-    PYTHONPATH=<checkout A>/src python3 scripts/trace_digest.py > a.txt
-    PYTHONPATH=<checkout B>/src python3 scripts/trace_digest.py > b.txt
-    diff a.txt b.txt
-
-A field that exists in only one checkout shows up as a one-sided line.
+``save`` writes, per run, every SimTrace field, every metric and the CSV's
+first two lines and flag columns to one .npz, as entries "<run>/<name>".
+``compare`` holds exact the flags, times, z, buffer_depth, the scalar
+SimTrace fields, failure_fraction, max_gap, the verdicts and the CSV
+lines it keeps.  It holds x, u, prediction and V row by row within TOL
+times the running maximum row norm (NaN positions exact), and the two state
+norms within TOL times max_state_norm, the running maximum at the last row.  It prints the largest scaled deviation per
+field, then every mismatch, including a run or field that only one save
+has, and exits 1 on any mismatch.
 """
 
+import argparse
 import dataclasses
-import hashlib
 import itertools
-import json
 import os
+import sys
 import tempfile
+import zipfile
 
 import numpy as np
 
@@ -38,7 +43,6 @@ from doscontrol import (
     benchmark,
     compute_metrics,
     generate,
-    metrics_to_dict,
     simulate,
     trace_to_csv,
 )
@@ -57,6 +61,10 @@ DECAY_AT = (None, 5.0, 10.0)
 SUBSTEPS = (4, 7, 10)
 SIGNAL_HORIZONS = (20.0, 21.0)
 P = np.array([[2.0, 0.3], [0.3, 1.0]])
+
+TOL = 1e-12
+ROWS = ("x", "u", "prediction", "V")
+NORMS = ("max_state_norm", "final_state_norm")
 
 
 def grid():
@@ -77,38 +85,120 @@ def grid():
         yield label, config, (i, SPECS[spec], sig_horizon), noise
 
 
-def digest(value) -> str:
-    h = hashlib.sha256()
-    if isinstance(value, np.ndarray):
-        h.update(f"{value.dtype.str}{value.shape}".encode())
-        h.update(np.ascontiguousarray(value).tobytes())
-    else:
-        h.update(f"{type(value).__name__}:{value!r}".encode())
-    return h.hexdigest()
+def as_array(value) -> np.ndarray:
+    """A field as an array that np.load reads back; None becomes NaN."""
+    return np.asarray(np.nan if value is None else value)
 
 
-def run(label, config, signal_args, noise, csv_path):
+def record(config, signal_args, noise, csv_path) -> dict:
+    """Every output of one run, by name."""
     seed, spec, sig_horizon = signal_args
     sig = generate(seed, spec, sig_horizon)
     trace = simulate(benchmark.plant(), benchmark.K, config, sig, noise,
                      benchmark.X0, P=P)
-    lines = [f"{label} {f.name} {digest(getattr(trace, f.name))}"
-             for f in dataclasses.fields(trace)]
+    out = {f.name: as_array(getattr(trace, f.name)) for f in dataclasses.fields(trace)}
+    metrics = compute_metrics(trace)
+    out.update({f.name: as_array(getattr(metrics, f.name))
+                for f in dataclasses.fields(metrics)})
     trace_to_csv(trace, csv_path)
     with open(csv_path, "rb") as fh:
-        lines.append(f"{label} csv {hashlib.sha256(fh.read()).hexdigest()}")
-    metrics = json.dumps(metrics_to_dict(compute_metrics(trace)), sort_keys=True)
-    lines.append(f"{label} metrics {hashlib.sha256(metrics.encode()).hexdigest()}")
-    return lines
+        lines = fh.read().split(b"\n", 2)
+    out["csv_head"] = np.frombuffer(b"\n".join(lines[:2]), dtype=np.uint8)
+    # dos_active, attempt, success and buffer_depth: the last four columns
+    flags = b"".join(b",".join(row.rsplit(b",", 4)[1:]) for row in lines[2].splitlines())
+    out["csv_flags"] = np.frombuffer(flags, dtype=np.uint8)
+    return out
 
 
-def main():
+def write(path, records) -> None:
+    """Write (label, {name: array}) pairs, one run in memory at a time."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+        for label, arrays in records:
+            for name, array in arrays.items():
+                with zf.open(f"{label}/{name}.npy", "w", force_zip64=True) as fh:
+                    np.lib.format.write_array(fh, array, allow_pickle=False)
+
+
+def save(path, runs) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = os.path.join(tmp, "trace.csv")
-        for label, config, signal_args, noise in grid():
-            for line in run(label, config, signal_args, noise, csv_path):
-                print(line)
+        write(path, ((label, record(config, sig, noise, csv_path))
+                     for label, config, sig, noise in runs))
+
+
+def row_deviation(a, b) -> float:
+    """Largest row deviation over the running maximum row norm of a and b."""
+    a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
+    nan = np.isnan(a)
+    if not np.array_equal(nan, np.isnan(b)):
+        return np.inf
+    a, b = np.where(nan, 0.0, a), np.where(nan, 0.0, b)
+    scale = np.maximum.accumulate(
+        np.maximum(np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))
+    )
+    err = np.linalg.norm(a - b, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(err == 0.0, 0.0, err / scale)
+    return float(np.max(ratio, initial=0.0))
+
+
+def deviation(name, a, b, scale) -> float:
+    """0 when equal, else how far apart in the units TOL applies to.
+
+    scale, the larger max_state_norm of the run's two saves, is what the
+    state norms are measured against.
+    """
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return np.inf
+    if a.tobytes() == b.tobytes():
+        return 0.0
+    if name in ROWS:
+        return row_deviation(a, b)
+    if name in NORMS:
+        dev = float(abs(a - b) / scale)
+        return dev if np.isfinite(dev) else np.inf
+    return np.inf
+
+
+def compare(path_a, path_b):
+    """(mismatches, worst scaled deviation per field) between two saves."""
+    problems, worst = [], {}
+    with np.load(path_a) as za, np.load(path_b) as zb:
+        keys_a, keys_b = set(za.files), set(zb.files)
+        for key in sorted(keys_a ^ keys_b):
+            problems.append(f"{key}: only in {path_a if key in keys_a else path_b}")
+        for key in sorted(keys_a & keys_b):
+            label, name = key.rsplit("/", 1)
+            scale = None
+            if name in NORMS:
+                scale = max(abs(z[f"{label}/max_state_norm"]) for z in (za, zb))
+            dev = deviation(name, za[key], zb[key], scale)
+            worst[name] = max(worst.get(name, 0.0), dev)
+            if not dev <= (TOL if name in ROWS + NORMS else 0.0):
+                problems.append(f"{key}: deviation {dev:.3g}")
+    return problems, worst
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_save = sub.add_parser("save", help="run the grid and save every output")
+    p_save.add_argument("output", help=".npz file to write")
+    p_cmp = sub.add_parser("compare", help="compare two saves")
+    p_cmp.add_argument("a")
+    p_cmp.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "save":
+        save(args.output, grid())
+        return 0
+    problems, worst = compare(args.a, args.b)
+    for name, dev in sorted(worst.items()):
+        print(f"{name:<18} {dev:.3g}")
+    for line in problems:
+        print(f"MISMATCH {line}")
+    print(f"{'FAIL' if problems else 'PASS'} at tolerance {TOL:g}")
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -47,6 +47,7 @@ from .dos import (
 from .linalg import StabilityCertificationError
 from .plant import LtiPlant
 from .simulation import (
+    MAX_ROWS,
     NoiseSpec,
     SimConfig,
     check_envelope,
@@ -188,6 +189,16 @@ class ExperimentConfig:
 
         self.horizon = _number(sim_obj, "horizon", "sim")
         self.substeps = _integer(sim_obj, "substeps", "sim", 10)
+        # the row limit SimConfig enforces, checked before anything is built
+        delta = self.delta_big / self.b
+        if delta > 0.0 and self.substeps >= 1:
+            rows = round(self.horizon / delta) * self.substeps
+            if rows > MAX_ROWS:
+                raise ConfigError(
+                    f"sim.horizon: {self.horizon} s in periods of {delta} s with "
+                    f"{self.substeps} substeps is {rows:.3g} rows, above the "
+                    f"limit of {MAX_ROWS}"
+                )
         self.mode = sim_obj.get("mode", "remote")
         x0_val = sim_obj.get("x0")
         if x0_val is None:
@@ -300,7 +311,7 @@ def load_signal_file(path) -> DoSSignal:
 
 
 def _dump(obj, stream=None) -> None:
-    json.dump(obj, stream or sys.stdout, indent=2, sort_keys=True)
+    json.dump(obj, stream or sys.stdout, indent=2, sort_keys=True, allow_nan=False)
     (stream or sys.stdout).write("\n")
 
 

@@ -17,6 +17,11 @@ from dataclasses import FrozenInstanceError, dataclass
 import numpy as np
 
 
+# Most intervals, in expectation, that generate draws for one signal; the
+# 500 s benchmark signal has ~380.
+MAX_INTERVALS = 1_000_000
+
+
 class InfeasibleDoSClassError(ValueError):
     """The class constants leave no guaranteed transmission window.
 
@@ -272,10 +277,18 @@ def generate(seed: int, spec: GeneratorSpec, horizon: float) -> DoSSignal:
 
     Uses numpy's PCG64 generator seeded with ``seed``, so identical inputs
     reproduce the identical interval list on every platform.  The signal
-    starts with an off period and is truncated at the horizon.
+    starts with an off period and is truncated at the horizon.  A horizon
+    that spans more than MAX_INTERVALS mean off/on cycles is refused before
+    anything is drawn.
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
+    cycle = (sum(spec.off_range) + sum(spec.on_range)) / 2.0
+    if horizon > MAX_INTERVALS * cycle:
+        raise ValueError(
+            f"horizon {horizon} spans {horizon / cycle:.3g} mean off/on cycles "
+            f"of {cycle:.3g} s, above the limit of {MAX_INTERVALS} intervals"
+        )
     rng = np.random.default_rng(seed)
     onsets: list[float] = []
     durations: list[float] = []

@@ -27,6 +27,14 @@ METRICS_FORMAT_VERSION = 1
 # Rows per tolist() call: a whole 500 s trace at once adds ~35 MiB of peak RSS.
 CSV_BLOCK_ROWS = 512
 
+# Ticks per block of the row fill in simulate, to bound its temporaries.
+FILL_BLOCK_TICKS = 512
+
+# Most sub-step rows (periods x substeps) one run may have.  simulate peaks
+# at ~120 B per row of a two-state plant, so the limit keeps a run near
+# 1.2 GB; the 500 s benchmark run has 50 000 rows.
+MAX_ROWS = 10_000_000
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -86,6 +94,13 @@ class SimConfig:
             raise ValueError(
                 f"horizon {self.horizon} shorter than one period {self.delta_big}"
             )
+        rows = round(self.horizon / self.delta) * self.substeps
+        if rows > MAX_ROWS:
+            raise ValueError(
+                f"horizon {self.horizon} at delta {self.delta} with "
+                f"{self.substeps} substeps is {rows:.3g} rows, above the "
+                f"limit of {MAX_ROWS}"
+            )
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "remote_no_buffer":
@@ -138,14 +153,19 @@ class SimTrace:
 
 @dataclass(frozen=True)
 class SimMetrics:
+    """Summary of one run.  A state norm past the float range reads None."""
+
     failure_fraction: float
-    max_state_norm: float
-    final_state_norm: float
+    max_state_norm: float | None
+    final_state_norm: float | None
     max_gap: float
     envelope_ok: bool | None
     stable_verdict: bool
 
 
+# An unstable loop may leave the float range; its trace then carries inf or
+# NaN, which compute_metrics reports as divergence, not as a warning.
+@np.errstate(over="ignore", invalid="ignore")
 def simulate(
     plant: LtiPlant,
     K,
@@ -187,30 +207,29 @@ def simulate(
         if p_mat.shape != (plant.n, plant.n):
             raise ValueError(f"P must be {plant.n}x{plant.n}, got {p_mat.shape}")
 
-    sub_dt = delta / config.substeps
+    n, m, substeps = plant.n, plant.m, config.substeps
+    sub_dt = delta / substeps
     a_d, b_d = linalg.zoh_discretize(plant.A, plant.B, delta)
-    a_s, be_s = linalg.zoh_discretize(
-        plant.A, np.hstack([plant.B, np.eye(plant.n)]), sub_dt
-    )
-    b_s, e_s = be_s[:, : plant.m], be_s[:, plant.m :]
+    a_s, be_s = linalg.zoh_discretize(plant.A, np.hstack([plant.B, np.eye(n)]), sub_dt)
+    b_s, e_s = be_s[:, :m], be_s[:, m:]
 
     # Row r sits at tick r // substeps, sub-step r % substeps; the last row
     # is the final tick alone.  Attempts fall on every b-th tick.
-    n_rows = n_ticks * config.substeps + 1
+    n_rows = n_ticks * substeps + 1
     rows = np.arange(n_rows)
-    times = rows // config.substeps * delta + rows % config.substeps * sub_dt
+    times = rows // substeps * delta + rows % substeps * sub_dt
     dos_flags = dos.active_mask(dos_signal, np.minimum(times, dos_signal.horizon))
-    attempt_flags = rows % (config.b * config.substeps) == 0
+    attempt_flags = rows % (config.b * substeps) == 0
     success_flags = attempt_flags & ~dos_flags
 
     # One disturbance per sub-step (held from its row to the next) and one
     # measurement noise per successful sample, each stream drawn in order.
     d_seq, n_seq = np.random.SeedSequence(noise.seed).spawn(2)
     dist = np.random.default_rng(d_seq).uniform(
-        -noise.d_bound, noise.d_bound, size=(n_rows - 1, plant.n)
+        -noise.d_bound, noise.d_bound, size=(n_rows - 1, n)
     )
     meas = np.random.default_rng(n_seq).uniform(
-        -noise.n_bound, noise.n_bound, size=(int(success_flags.sum()), plant.n)
+        -noise.n_bound, noise.n_bound, size=(int(success_flags.sum()), n)
     )
     if noise.decay_at is not None:
         late = times >= noise.decay_at
@@ -218,63 +237,90 @@ def simulate(
         meas[late[success_flags]] = 0.0
     samples = iter(meas)
 
-    xs = np.empty((n_rows, plant.n))
-    us = np.empty((n_rows, plant.m))
-    preds = np.full((n_rows, plant.n), np.nan)
-    depths = np.zeros(n_rows, dtype=int)
-
     # One law for every mode: u = K alpha, where alpha rolls the model
-    # forward from the last delivered sample y_m one period per tick and
-    # stops at the packet's last entry, h - 1 periods on.  A sample taken at
-    # tick m reaches the actuator at tick m + skip.  Co-located is h = inf
-    # with no skip and no buffer; remote applies zero until the first packet.
+    # forward from the last delivered sample y_m one period per tick,
+    # alpha = Phi_d^(q - m) y_m with Phi_d = A_d + B_d K, and stops at the
+    # packet's last entry, h - 1 periods on.  A sample taken at tick m
+    # reaches the actuator at tick m + skip.  Co-located is h = inf with no
+    # skip and no buffer; remote applies zero until the first packet.
     colocated = config.mode == "colocated"
     last = math.inf if colocated else config.h - 1
     stored = 0 if colocated else config.h
     skip = 0 if colocated else config.skip
-    alpha = np.zeros(plant.n) if colocated else None
-    age = 0
+    phi_d = a_d + b_d @ k_mat
+
+    # Sub-step j = 0..S of tick q is A_s^j x_q + W_j u_q + (G d_q)_j with
+    # W_j = sum_{i<j} A_s^i B_s and G the block lower-triangular map of the
+    # tick's S disturbances, (G d_q)_j = sum_{i<j} A_s^(j-1-i) E_s d_(qS+i).
+    # Row S is the next tick's state, so the loop steps once per tick; the
+    # rows in between get their noise terms now and the rest after the loop.
+    powers, feeds = [np.eye(n)], [np.zeros((n, m))]
+    for _ in range(substeps):
+        feeds.append(a_s @ feeds[-1] + b_s)
+        powers.append(a_s @ powers[-1])
+    spread = [p @ e_s for p in powers]
+    g_map = np.zeros(((substeps + 1) * n, substeps * n))
+    for j in range(1, substeps + 1):
+        for i in range(j):
+            g_map[j * n : (j + 1) * n, i * n : (i + 1) * n] = spread[j - 1 - i]
+    xs = np.empty((n_rows, n))
+    fill = xs[:-1].reshape(n_ticks, substeps * n)
+    dist = dist.reshape(n_ticks, substeps * n)
+    np.matmul(dist, g_map[: substeps * n].T, out=fill)
+    # the tick's noise on [x; alpha]; the final tick takes no sub-step
+    tick_noise = np.zeros((n_ticks + 1, 2 * n))
+    np.matmul(dist, g_map[substeps * n :].T, out=tick_noise[:-1, :n])
+
+    # The loop carries s = [x_q; alpha_q]: x by the tick's map under
+    # u_q = K alpha_q, alpha by Phi_d while its age is below h - 1, else held.
+    roll = np.block([[powers[-1], feeds[-1] @ k_mat], [np.zeros((n, n)), phi_d]])
+    hold = roll.copy()
+    hold[n:, n:] = np.eye(n)
+    s = np.concatenate([x, np.zeros(n)])
+    # remote: nothing delivered yet, so alpha is held at zero and depth is 0
+    m_tick = 0 if colocated else -config.h
+    first = 0 if colocated else n_ticks + 1  # the first tick with a prediction
     pending = []  # (tick, sample) per success, delivered in order
     delivered = 0
-
-    for q in range(n_ticks + 1):
-        lo, hi = q * config.substeps, (q + 1) * config.substeps
-        if success_flags[lo]:
-            pending.append((q, x + next(samples)))
+    states = np.empty((n_ticks + 1, 2 * n))
+    ages = []
+    ticks = zip(success_flags[::substeps].tolist(), tick_noise)
+    for q, (sampled, noise_q) in enumerate(ticks):
+        if sampled:
+            pending.append((q, s[:n] + next(samples)))
         if delivered < len(pending) and pending[delivered][0] + skip <= q:
-            m, alpha = pending[delivered]
+            m_tick, alpha = pending[delivered]
+            first = min(first, q)
             delivered += 1
-            for _ in range(q - m):
-                alpha = a_d @ alpha + b_d @ (k_mat @ alpha)
-            age = q - m
-        if alpha is None:
-            u = np.zeros(plant.m)
-        else:
-            u = k_mat @ alpha
-            preds[lo:hi] = alpha
-            depths[lo:hi] = max(stored - age, 0)
-        us[lo:hi] = u
-        bu = b_s @ u
-        for r in range(lo, min(hi, n_rows - 1)):
-            xs[r] = x
-            x = a_s @ x + bu + e_s @ dist[r]
-        if alpha is not None:
-            if age < last:
-                alpha = a_d @ alpha + b_d @ u
-            age += 1
-    xs[-1] = x
+            for _ in range(q - m_tick):
+                alpha = phi_d @ alpha
+            s[n:] = alpha
+        states[q] = s
+        ages.append(q - m_tick)
+        s = (roll if q - m_tick < last else hold).dot(s) + noise_q
 
-    v = np.einsum("ij,jk,ik->i", xs, p_mat, xs)
+    step = np.hstack([
+        np.vstack(powers[:-1]), np.vstack([w @ k_mat for w in feeds[:-1]])
+    ]).T
+    for lo in range(0, n_ticks, FILL_BLOCK_TICKS):
+        hi = lo + FILL_BLOCK_TICKS
+        fill[lo:hi] += states[:-1][lo:hi] @ step
+    xs[-1] = states[-1, :n]
+    v = np.einsum("ij,ij->i", xs @ p_mat, xs)
+    u_ticks = states[:, n:] @ k_mat.T
+    preds = states[:, n:]
+    preds[:first] = np.nan
+    depths = np.maximum(stored - np.array(ages), 0)
     return SimTrace(
         times=times,
         x=xs,
-        u=us,
+        u=np.repeat(u_ticks, substeps, axis=0)[:n_rows],
         V=v,
-        prediction=preds,
+        prediction=np.repeat(preds, substeps, axis=0)[:n_rows],
         dos_active=dos_flags,
         attempt=attempt_flags,
         success=success_flags,
-        buffer_depth=depths,
+        buffer_depth=np.repeat(depths, substeps)[:n_rows],
         z=times[success_flags],
         delta=delta,
         delta_big=config.delta_big,
@@ -326,24 +372,27 @@ def compute_metrics(
 
     The default divergence threshold is 1000 * max(||x0||, 1).  When the
     noise was configured to decay, stability additionally requires the final
-    state to have shrunk to 1e-3 of that scale.
+    state to have shrunk to 1e-3 of that scale.  A trace whose state norm
+    leaves the float range (an overflowing state, or a NaN from one) has
+    diverged: its verdict is unstable and the norms it cannot state are None.
     """
-    norms = np.linalg.norm(trace.x, axis=1)
-    x0_norm = float(norms[0])
-    scale = max(x0_norm, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(trace.x, axis=1)
+    finite = bool(np.all(np.isfinite(norms)))
+    scale = max(float(norms[0]), 1.0) if finite else math.inf
     if divergence_threshold is None:
         divergence_threshold = 1e3 * scale
     if divergence_threshold <= 0.0:
         raise ValueError("divergence_threshold must be > 0")
     z = trace.z
     max_gap = float(np.max(np.diff(z))) if len(z) > 1 else 0.0
-    stable = bool(np.max(norms) < divergence_threshold)
+    stable = finite and bool(np.max(norms) < divergence_threshold)
     if trace.noise_decay_at is not None:
         stable = stable and float(norms[-1]) <= 1e-3 * scale
     return SimMetrics(
         failure_fraction=1.0 - len(z) / np.count_nonzero(trace.attempt),
-        max_state_norm=float(np.max(norms)),
-        final_state_norm=float(norms[-1]),
+        max_state_norm=float(np.max(norms)) if finite else None,
+        final_state_norm=float(norms[-1]) if math.isfinite(norms[-1]) else None,
         max_gap=max_gap,
         envelope_ok=envelope_ok,
         stable_verdict=stable,

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from doscontrol import benchmark, cli, fit_class_params, generate, GeneratorSpec
+from doscontrol import benchmark, cli, dos, fit_class_params, generate, GeneratorSpec
 from doscontrol.cli import main
+from doscontrol.simulation import MAX_ROWS
 
 REPO = Path(__file__).resolve().parents[1]
 BENCHMARK_CONFIG = str(REPO / "configs" / "benchmark.json")
@@ -181,6 +183,30 @@ class TestSim:
         code, out, _ = run(capsys, "sim", BENCHMARK_CONFIG, "--mode", "colocated")
         assert code == 0
 
+    @pytest.mark.parametrize("x0, mode", [
+        ([1e300, 1e300], "remote"),      # the norm overflows from row 0 on
+        ([1e300, 1e300], "colocated"),
+        ([1e307, -1e307], "remote"),     # the state itself overflows to NaN
+    ])
+    def test_state_past_the_float_range_diverges(self, capsys, tmp_path, x0, mode):
+        cfg = write_config(tmp_path, **{"sim.x0": x0, "sim.mode": mode})
+        metrics = tmp_path / "metrics.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "sim", cfg, "--metrics", str(metrics))
+        assert code == 3
+        assert err == ""
+
+        def no_constant(name):
+            raise AssertionError(f"{name} in the metrics JSON")
+
+        for text in (out, metrics.read_text()):
+            payload = json.loads(text, parse_constant=no_constant)
+            assert payload["stable_verdict"] is False
+            assert payload["max_state_norm"] is None
+            assert payload["final_state_norm"] is None
+            assert payload["format"] == 1
+
 
 class TestRepro:
     def test_full_reproduction(self, capsys):
@@ -296,6 +322,40 @@ class TestConfigErrors:
         assert code == 1
         assert err.startswith("error: h=10000 with delta=0.1")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["bounds", "sim"])
+    @pytest.mark.parametrize("overrides", [
+        {"sim.horizon": 1e9},
+        {"sim.substeps": 10**8},
+        {"network.b": 10**6, "sim.horizon": 100.0},
+    ])
+    def test_run_past_the_row_limit(self, capsys, monkeypatch, tmp_path,
+                                    command, overrides):
+        # refused while the config is read: nothing is generated or simulated
+        def never(*args, **kwargs):
+            raise AssertionError("called past the row limit")
+
+        monkeypatch.setattr(cli, "generate", never)
+        monkeypatch.setattr(cli, "simulate", never)
+        cfg = write_config(tmp_path, **overrides)
+        code, out, err = run(capsys, command, cfg)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("config error: sim.horizon: ")
+        assert f"above the limit of {MAX_ROWS}" in err
+
+    def test_signal_past_the_interval_limit(self, capsys, monkeypatch, tmp_path):
+        # ~5e10 mean cycles of 1 ns in 50 s: refused before the first draw
+        def never(*args, **kwargs):
+            raise AssertionError("drew past the interval limit")
+
+        monkeypatch.setattr(dos.np.random, "default_rng", never)
+        cfg = write_config(tmp_path, **{"dos.generator.off_range": [0.0, 1e-9],
+                                        "dos.generator.on_range": [0.0, 1e-9]})
+        code, out, err = run(capsys, "sim", cfg)
+        assert code == 1
+        assert err.startswith("config error: dos.generator: horizon 50.0 spans")
+        assert f"above the limit of {dos.MAX_INTERVALS} intervals" in err
 
     def test_integral_float_reads_as_integer(self, capsys, tmp_path):
         cfg = write_config(tmp_path, **{"buffer.h": 5.0, "network.b": 1.0})

@@ -21,7 +21,7 @@ from doscontrol import (
     successful_transmissions,
     transitions_count,
 )
-from doscontrol.dos import active_mask
+from doscontrol.dos import MAX_INTERVALS, active_mask
 
 
 def pulse_train(delta, horizon):
@@ -272,6 +272,23 @@ class TestGenerate:
     def test_rejects_bad_horizon(self, horizon):
         with pytest.raises(ValueError, match="horizon"):
             generate(1, GeneratorSpec(), horizon)
+
+    def test_interval_limit(self, monkeypatch):
+        # the check itself: at the limit drawing starts, past it nothing is drawn
+        class Drawing(Exception):
+            pass
+
+        def drawing(seed):
+            raise Drawing
+
+        monkeypatch.setattr(np.random, "default_rng", drawing)
+        spec = GeneratorSpec(off_range=(0.0, 1.0), on_range=(0.5, 1.5))  # mean 1.5 s
+        with pytest.raises(Drawing):
+            generate(1, spec, MAX_INTERVALS * 1.5)
+        with pytest.raises(ValueError, match=f"above the limit of {MAX_INTERVALS}"):
+            generate(1, spec, MAX_INTERVALS * 1.5 * (1 + 1e-12))
+        with pytest.raises(ValueError, match="limit"):
+            generate(1, GeneratorSpec(off_range=(0.0, 1e-9), on_range=(0.0, 0.0)), 50.0)
 
     @pytest.mark.parametrize("off_range", [(0.1, 0.7), (0.0, 0.0), (0.0, 1e-14), (0.0, 0.3)])
     def test_canonical_like_the_constructor(self, off_range):

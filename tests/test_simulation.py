@@ -2,15 +2,15 @@ import csv
 import dataclasses
 import io
 import math
-from collections import deque
+import warnings
 
 import numpy as np
 import pytest
 
 from doscontrol import (
     DoSSignal,
-    controllers,
     GeneratorSpec,
+    LtiPlant,
     NoiseSpec,
     SimConfig,
     check_envelope,
@@ -28,6 +28,7 @@ from doscontrol import (
     trace_to_csv,
 )
 from doscontrol.dos import DoSClassParams
+from doscontrol.simulation import MAX_ROWS
 
 from conftest import BENCH_K
 
@@ -154,6 +155,18 @@ class TestSimulate:
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
 
+    def test_row_limit(self):
+        # the check itself: a config never allocates, so both sides are cheap
+        periods = MAX_ROWS // 10
+        at_limit = SimConfig(delta_big=0.1, horizon=periods * 0.1, substeps=10)
+        assert round(at_limit.horizon / at_limit.delta) * 10 == MAX_ROWS
+        with pytest.raises(ValueError, match=f"above the limit of {MAX_ROWS}"):
+            SimConfig(delta_big=0.1, horizon=(periods + 1) * 0.1, substeps=10)
+        with pytest.raises(ValueError, match="limit"):
+            SimConfig(delta_big=0.1, horizon=1e9)
+        # the longest benchmark run stays far below
+        assert 500.0 / 0.1 * 10 < MAX_ROWS / 100
+
     @pytest.mark.parametrize("decay_at", ["soon", math.inf, math.nan, [5.0]])
     def test_decay_at_must_be_finite_number(self, decay_at):
         with pytest.raises(ValueError, match="decay_at"):
@@ -187,28 +200,31 @@ class TestSimulate:
             )
 
 
-def state_machine_loop(plant, K, config, dos_signal, noise, x0):
-    """Oracle: the closed loop driven by the controllers state machines.
+def literal_law(plant, K, config, dos_signal, noise, x0, P):
+    """Oracle: the control law written out per tick, integrated row by row.
 
-    Same grid, noise streams and plant update as simulate, with the input
-    taken from colocated_step, or from build_packet and the actuator buffer.
-    Returns x, u, prediction and buffer_depth.
+    u_k = K Phi_d^min(k - m_k, h - 1) y_(m_k) with Phi_d = A_d + B_d K and
+    m_k the latest success whose sample has reached the actuator
+    (m + skip <= k).  Co-located is h = inf and skip = 0, and predicts zero
+    before the first sample; remote applies zero and predicts NaN until
+    then.  Same grid and noise streams as simulate.  Returns x, u,
+    prediction, V and buffer_depth.
     """
     k_mat = np.asarray(K, dtype=float)
     x = np.asarray(x0, dtype=float)
-    delta = config.delta
+    delta, substeps = config.delta, config.substeps
     n_ticks = int(round(config.horizon / delta))
-    sub_dt = delta / config.substeps
     a_d, b_d = linalg.zoh_discretize(plant.A, plant.B, delta)
+    phi_d = a_d + b_d @ k_mat
     a_s, be_s = linalg.zoh_discretize(
-        plant.A, np.hstack([plant.B, np.eye(plant.n)]), sub_dt
+        plant.A, np.hstack([plant.B, np.eye(plant.n)]), delta / substeps
     )
     b_s, e_s = be_s[:, : plant.m], be_s[:, plant.m :]
-    n_rows = n_ticks * config.substeps + 1
+    n_rows = n_ticks * substeps + 1
     rows = np.arange(n_rows)
-    times = rows // config.substeps * delta + rows % config.substeps * sub_dt
+    times = rows // substeps * delta + rows % substeps * (delta / substeps)
     dos_flags = dos.active_mask(dos_signal, np.minimum(times, dos_signal.horizon))
-    success_flags = (rows % (config.b * config.substeps) == 0) & ~dos_flags
+    success_flags = (rows % (config.b * substeps) == 0) & ~dos_flags
     d_seq, n_seq = np.random.SeedSequence(noise.seed).spawn(2)
     dist = np.random.default_rng(d_seq).uniform(
         -noise.d_bound, noise.d_bound, size=(n_rows - 1, plant.n)
@@ -216,51 +232,73 @@ def state_machine_loop(plant, K, config, dos_signal, noise, x0):
     meas = np.random.default_rng(n_seq).uniform(
         -noise.n_bound, noise.n_bound, size=(int(success_flags.sum()), plant.n)
     )
-    samples = iter(meas)
-
-    xs = np.empty((n_rows, plant.n))
-    us = np.empty((n_rows, plant.m))
-    preds = np.full((n_rows, plant.n), np.nan)
-    depths = np.zeros(n_rows, dtype=int)
+    if noise.decay_at is not None:
+        late = times >= noise.decay_at
+        dist[late[:-1]] = 0.0
+        meas[late[success_flags]] = 0.0
 
     colocated = config.mode == "colocated"
-    pred_state = controllers.PredictorState.initial(plant.n)
-    buf = controllers.ActuatorBuffer(sampling=delta, n_inputs=plant.m)
-    pending = deque()
-
-    for q in range(n_ticks + 1):
-        t = q * delta
-        lo, hi = q * config.substeps, (q + 1) * config.substeps
-        success = success_flags[lo]
-        y = x + next(samples) if success else None
-
-        if colocated:
-            alpha = y if success else pred_state.xi
-            pred_state, u = controllers.colocated_step(pred_state, k_mat, a_d, b_d, y)
-            depth = 0
+    h = math.inf if colocated else config.h
+    skip = 0 if colocated else config.skip
+    success_ticks = np.flatnonzero(success_flags[::substeps])
+    samples = {}
+    xs = np.empty((n_rows, plant.n))
+    us = np.empty((n_rows, plant.m))
+    preds = np.empty((n_rows, plant.n))
+    depths = np.empty(n_rows, dtype=int)
+    for k in range(n_ticks + 1):
+        if k in success_ticks:
+            samples[k] = x + meas[len(samples)]
+        due = success_ticks[success_ticks + skip <= k]
+        if len(due):
+            m_k = due[-1]
+            alpha = np.linalg.matrix_power(phi_d, min(k - m_k, h - 1)) @ samples[m_k]
+            u = k_mat @ alpha
+            depth = 0 if colocated else max(h - (k - m_k), 0)
         else:
-            if success:
-                pending.append(
-                    controllers.build_packet(
-                        y, k_mat, a_d, b_d, config.h, config.skip, built_at=t
-                    )
-                )
-            while pending and pending[0].built_at + pending[0].skip * delta <= t + 1e-9 * delta:
-                pkt = pending.popleft()
-                buf = controllers.deliver_packet(buf, pkt, pkt.built_at)
-            u = controllers.buffer_output(buf, t)
-            depth = controllers.buffer_depth(buf, t) if buf.packet is not None else 0
-            alpha = controllers.buffer_prediction(buf, t)
+            alpha = np.full(plant.n, 0.0 if colocated else np.nan)
+            u = np.zeros(plant.m)
+            depth = 0
+        for r in range(k * substeps, min((k + 1) * substeps, n_rows)):
+            xs[r], us[r], preds[r], depths[r] = x, u, alpha, depth
+            if r < n_rows - 1:
+                x = a_s @ x + b_s @ u + e_s @ dist[r]
+    v = np.array([row @ P @ row for row in xs])
+    return xs, us, preds, v, depths
 
-        us[lo:hi] = u
-        if alpha is not None:
-            preds[lo:hi] = alpha
-        depths[lo:hi] = depth
-        for r in range(lo, min(hi, n_rows - 1)):
-            xs[r] = x
-            x = a_s @ x + b_s @ u + e_s @ dist[r]
-    xs[-1] = x
-    return xs, us, preds, depths
+
+def assert_rows_close(actual, expected, where, rtol=1e-12):
+    """Row by row within rtol x the running maximum row norm; NaNs exact."""
+    actual = actual.reshape(len(actual), -1)
+    expected = expected.reshape(len(expected), -1)
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(actual), nan), where
+    actual, expected = np.where(nan, 0.0, actual), np.where(nan, 0.0, expected)
+    scale = np.maximum.accumulate(np.linalg.norm(expected, axis=1))
+    err = np.linalg.norm(actual - expected, axis=1)
+    assert np.all(err <= rtol * scale), (where, float(np.max(err - rtol * scale)))
+
+
+def assert_follows_the_law(plant, K, config, sig, noise, x0, P, where):
+    """simulate against the literal law, plus the grid's own invariants."""
+    trace = simulate(plant, K, config, sig, noise, x0, P=P)
+    x, u, pred, v, depth = literal_law(plant, K, config, sig, noise, x0, P)
+    for name, expected in (("x", x), ("u", u), ("prediction", pred), ("V", v)):
+        assert_rows_close(getattr(trace, name), expected, f"{where} {name}")
+    assert np.array_equal(trace.buffer_depth, depth), where
+    n_ticks = int(round(config.horizon / config.delta))
+    assert len(trace.times) == n_ticks * config.substeps + 1
+    assert trace.x.shape == (len(trace.times), plant.n)
+    assert trace.u.shape == (len(trace.times), plant.m)
+    # input, prediction and depth are held over each period
+    for name in ("u", "prediction", "buffer_depth"):
+        held = getattr(trace, name)[:-1].reshape(n_ticks, config.substeps, -1)
+        assert np.array_equal(held, np.repeat(held[:, :1], config.substeps, 1),
+                              equal_nan=True), (where, name)
+    assert np.array_equal(trace.z, trace.times[trace.success])
+    assert np.allclose(trace.V, np.einsum("ij,jk,ik->i", trace.x, P, trace.x),
+                       rtol=1e-12, atol=0.0)
+    return trace
 
 
 def law_cases():
@@ -273,6 +311,13 @@ def law_cases():
             yield "remote", h, skip
 
 
+# A plant with m != n, so a transposed (n, m) block cannot pass unseen.
+CART = LtiPlant(A=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-0.5, -1.0, -0.2]],
+                B=[[0.0], [0.3], [1.0]])
+CART_K = np.array([[-0.4, -1.1, -0.9]])
+P2 = np.array([[2.0, 0.3], [0.3, 1.0]])
+
+
 class TestOneLaw:
     SIGNALS = {
         "pulses": lambda seed: generate(
@@ -282,6 +327,8 @@ class TestOneLaw:
         "empty": lambda seed: DoSSignal(intervals=(), horizon=7.0),
     }
 
+    # The name predates the tolerance; it is kept so that the test ids
+    # quoted in CHANGES.md still resolve.
     @pytest.mark.parametrize("mode, h, skip", list(law_cases()))
     def test_matches_the_state_machines_bit_for_bit(self, bench_plant, mode, h, skip):
         for i, (b, name) in enumerate(
@@ -295,15 +342,79 @@ class TestOneLaw:
             assert config.skip == skip
             sig = self.SIGNALS[name](100 * h + 10 * skip + i)
             noise = NoiseSpec(d_bound=0.02, n_bound=0.02, seed=h + skip + i)
-            trace = simulate(bench_plant, BENCH_K, config, sig, noise, X0)
-            x, u, pred, depth = state_machine_loop(
-                bench_plant, BENCH_K, config, sig, noise, X0
-            )
-            where = f"b={b} signal={name}"
-            assert np.array_equal(trace.x, x), where
-            assert np.array_equal(trace.u, u), where
-            assert np.array_equal(trace.prediction, pred, equal_nan=True), where
-            assert np.array_equal(trace.buffer_depth, depth), where
+            assert_follows_the_law(bench_plant, BENCH_K, config, sig, noise, X0,
+                                   P2, f"b={b} signal={name}")
+
+    @pytest.mark.parametrize("mode, h, skip", [
+        ("colocated", 1, 0), ("remote", 1, 0), ("remote", 4, 2), ("remote", 30, 1),
+    ])
+    def test_input_count_below_state_count(self, mode, h, skip):
+        for b, name in ((1, "pulses"), (2, "touching"), (1, "empty")):
+            config = SimConfig(delta_big=0.1, horizon=6.0, b=b, h=h, substeps=5,
+                               mode=mode, T_c=skip * 0.1 / b)
+            sig = self.SIGNALS[name](7 * h + b)
+            noise = NoiseSpec(d_bound=0.02, n_bound=0.02, seed=h + b)
+            trace = assert_follows_the_law(CART, CART_K, config, sig, noise,
+                                           [1.0, -0.5, 0.25], np.eye(3),
+                                           f"b={b} signal={name}")
+            assert trace.u.shape[1] == 1 and trace.prediction.shape[1] == 3
+
+
+class TestTickGridEdges:
+    """Corners of the per-tick step and the row fill, each against the law."""
+
+    SIG = generate(21, GeneratorSpec(off_range=(0.05, 0.4), on_range=(0.0, 0.3)), 3.0)
+    NOISE = NoiseSpec(d_bound=0.02, n_bound=0.02, seed=17)
+
+    @pytest.mark.parametrize("mode, h", [("colocated", 1), ("remote", 1), ("remote", 5)])
+    def test_one_substep(self, bench_plant, mode, h):
+        config = SimConfig(delta_big=0.1, horizon=3.0, h=h, substeps=1, mode=mode)
+        trace = assert_follows_the_law(bench_plant, BENCH_K, config, self.SIG,
+                                       self.NOISE, X0, P2, mode)
+        assert len(trace.times) == 31
+
+    @pytest.mark.parametrize("mode, h", [("colocated", 1), ("remote", 5)])
+    def test_decay_between_two_ticks(self, bench_plant, mode, h):
+        # 1.23 falls after sub-step 1 of tick 12 (rows at 1.2, 1.21, ...):
+        # that tick's disturbances are zeroed from the fourth one on
+        noise = dataclasses.replace(self.NOISE, decay_at=1.23)
+        config = SimConfig(delta_big=0.1, horizon=3.0, h=h, substeps=10, mode=mode)
+        trace = assert_follows_the_law(bench_plant, BENCH_K, config, self.SIG,
+                                       noise, X0, P2, mode)
+        plain = simulate(bench_plant, BENCH_K, config, self.SIG, self.NOISE, X0)
+        upto = trace.times <= 1.23 + 1e-12
+        assert np.array_equal(trace.x[upto], plain.x[upto])
+        assert not np.array_equal(trace.x[~upto], plain.x[~upto])
+
+    @pytest.mark.parametrize("mode, h", [("colocated", 1), ("remote", 1), ("remote", 3)])
+    def test_horizon_of_one_period(self, bench_plant, mode, h):
+        sig = DoSSignal(intervals=(), horizon=0.1)
+        config = SimConfig(delta_big=0.1, horizon=0.1, h=h, substeps=4, mode=mode)
+        trace = assert_follows_the_law(bench_plant, BENCH_K, config, sig,
+                                       self.NOISE, X0, P2, mode)
+        assert len(trace.times) == 5 and trace.attempt.tolist() == [1, 0, 0, 0, 1]
+
+    def test_noise_free_rows_are_powers_of_the_substep_map(self, bench_plant):
+        # every attempt jammed until the last one (the interval is open on
+        # the right): remote applies zero throughout, so with no disturbance
+        # row r is exactly A_s^r x0
+        sig = DoSSignal(intervals=((0.0, 3.0),), horizon=3.0)
+        config = SimConfig(delta_big=0.1, horizon=3.0, h=5, substeps=4)
+        trace = assert_follows_the_law(bench_plant, BENCH_K, config, sig,
+                                       QUIET, X0, P2, "jammed")
+        assert np.all(trace.u[:-1] == 0.0)
+        assert np.all(np.isnan(trace.prediction[:-1]))
+        a_s = linalg.zoh_discretize(bench_plant.A, bench_plant.B, 0.025)[0]
+        powers = np.array([np.linalg.matrix_power(a_s, r) @ X0
+                           for r in range(len(trace.times))])
+        assert_rows_close(trace.x, powers, "powers")
+
+    @pytest.mark.parametrize("mode, h", [("colocated", 1), ("remote", 5)])
+    def test_zero_disturbance(self, bench_plant, mode, h):
+        noise = NoiseSpec(n_bound=0.02, seed=3)
+        config = SimConfig(delta_big=0.1, horizon=3.0, h=h, substeps=10, mode=mode)
+        assert_follows_the_law(bench_plant, BENCH_K, config, self.SIG, noise,
+                               X0, P2, mode)
 
 
 class TestLyapunovTrace:
@@ -365,6 +476,15 @@ class TestCheckEnvelope:
 
 
 class TestMetrics:
+    def test_non_finite_state_is_divergence(self, bench_plant):
+        for x0 in ([1e300, 1e300], [1e307, -1e307]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                trace = bench_sim(bench_plant, x0=np.array(x0), horizon=20.0)
+                m = compute_metrics(trace)
+            assert not m.stable_verdict
+            assert m.max_state_norm is None and m.final_state_norm is None
+
     def test_all_attempts_succeed(self, bench_plant):
         trace = bench_sim(bench_plant, horizon=5.0)
         m = compute_metrics(trace)

@@ -1,28 +1,89 @@
-"""The bit-identity digest script repeats itself exactly on one run."""
+"""The grid save/compare script: equal saves pass, and each tolerance holds."""
 
 import dataclasses
 import importlib.util
 from pathlib import Path
 
-from doscontrol import SimTrace
+import numpy as np
+import pytest
+
+from doscontrol import SimMetrics, SimTrace
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "trace_digest.py"
 
 
-def load_script():
+@pytest.fixture(scope="module")
+def script():
     spec = importlib.util.spec_from_file_location("trace_digest", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-def test_one_config_repeats_exactly(tmp_path):
-    script = load_script()
-    csv_path = tmp_path / "trace.csv"
-    first = script.run(*next(script.grid()), csv_path)
-    second = script.run(*next(script.grid()), csv_path)
-    assert first == second
-    names = [line.split()[1] for line in first]
-    assert names == [f.name for f in dataclasses.fields(SimTrace)] + ["csv", "metrics"]
-    assert len({line.split()[0] for line in first}) == 1
-    assert all(len(line.split()[2]) == 64 for line in first)
+@pytest.fixture(scope="module")
+def runs(script, tmp_path_factory):
+    """The first two grid runs, recorded once: [(label, {name: array})]."""
+    csv_path = tmp_path_factory.mktemp("csv") / "trace.csv"
+    grid = script.grid()
+    return [(label, script.record(config, sig, noise, csv_path))
+            for label, config, sig, noise in (next(grid), next(grid))]
+
+
+def compare(script, tmp_path, a, b):
+    script.write(tmp_path / "a.npz", a)
+    script.write(tmp_path / "b.npz", b)
+    return script.compare(tmp_path / "a.npz", tmp_path / "b.npz")
+
+
+def changed(runs, name, edit):
+    """runs with the second run's field replaced by edit(field)."""
+    (label_a, a), (label_b, b) = runs
+    return [(label_a, a), (label_b, {**b, name: edit(b[name].copy())})]
+
+
+def test_one_config_repeats_exactly(script, runs, tmp_path):
+    (label, arrays), _ = runs
+    assert list(arrays) == (
+        [f.name for f in dataclasses.fields(SimTrace)]
+        + [f.name for f in dataclasses.fields(SimMetrics)]
+        + ["csv_head", "csv_flags"]
+    )
+    assert bytes(arrays["csv_head"]).startswith(b"# format: 1\n")
+    again = script.record(*list(script.grid())[0][1:], tmp_path / "trace.csv")
+    problems, worst = compare(script, tmp_path, runs, [(label, again), runs[1]])
+    assert problems == []
+    assert set(worst.values()) == {0.0}
+
+
+def bump_row(rel):
+    def edit(x):
+        x[-1] += rel * np.max(np.linalg.norm(x, axis=1))
+        return x
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, fails", [
+    ("x", bump_row(1e-14), False),
+    ("x", bump_row(1e-10), True),
+    ("V", lambda v: v * (1 + 1e-13), False),
+    ("V", lambda v: v * (1 + 1e-11), True),
+    ("prediction", lambda p: np.where(np.arange(len(p))[:, None] == 3, np.nan, p), True),
+    ("max_state_norm", lambda f: f * (1 + 1e-11), True),
+    # measured against max_state_norm, here ||x0|| = 1
+    ("final_state_norm", lambda f: f + 1e-13, False),
+    ("final_state_norm", lambda f: f + 1e-11, True),
+    ("buffer_depth", lambda d: d + (np.arange(len(d)) == 5), True),
+    ("times", lambda t: t * (1 + 1e-16) + 1e-300, True),
+    ("csv_flags", lambda f: f[::-1], True),
+])
+def test_tolerance_per_field(script, runs, tmp_path, name, edit, fails):
+    problems, worst = compare(script, tmp_path, runs, changed(runs, name, edit))
+    assert bool(problems) == fails
+    assert all(f"/{name}: deviation" in line for line in problems)
+    assert worst[name] > 0.0
+
+
+def test_run_in_one_save_only(script, runs, tmp_path):
+    problems, _ = compare(script, tmp_path, runs, runs[:1])
+    assert len(problems) == len(runs[1][1])
+    assert all(line.startswith(runs[1][0]) for line in problems)
