@@ -15,15 +15,17 @@ the mode holds) are left out, which leaves 333 runs.
     PYTHONPATH=<checkout B>/src python3 scripts/trace_digest.py save b.npz
     PYTHONPATH=src python3 scripts/trace_digest.py compare a.npz b.npz
 
-``save`` writes, per run, every SimTrace field, every metric and the CSV's
-first two lines and flag columns to one .npz, as entries "<run>/<name>".
-``compare`` holds exact the flags, times, z, buffer_depth, the scalar
-SimTrace fields, failure_fraction, max_gap, the verdicts and the CSV
-lines it keeps.  It holds x, u, prediction and V row by row within TOL
-times the running maximum row norm (NaN positions exact), and the two state
-norms within TOL times max_state_norm, the running maximum at the last row.  It prints the largest scaled deviation per
-field, then every mismatch, including a run or field that only one save
-has, and exits 1 on any mismatch.
+``save`` writes, per run, every SimTrace field, every metric, the CSV's
+first two lines and flag columns, and its t, x, u and V cells parsed back to
+float (csv_t, csv_x, csv_u, csv_V) to one .npz, as entries "<run>/<name>".
+``compare`` holds exact the flags, times, csv_t, z, buffer_depth, the
+scalar SimTrace fields, failure_fraction, max_gap, the verdicts and the CSV
+lines it keeps.  It holds x, u, prediction and V, and their CSV cells, row
+by row within TOL times the running maximum row norm (NaN positions exact),
+and the two state norms within TOL times max_state_norm, the running maximum
+at the last row.  It prints the largest scaled deviation per field, then
+every mismatch, including a run or field that only one save has, and exits 1
+on any mismatch.
 """
 
 import argparse
@@ -63,7 +65,7 @@ SIGNAL_HORIZONS = (20.0, 21.0)
 P = np.array([[2.0, 0.3], [0.3, 1.0]])
 
 TOL = 1e-12
-ROWS = ("x", "u", "prediction", "V")
+ROWS = ("x", "u", "prediction", "V", "csv_x", "csv_u", "csv_V")
 NORMS = ("max_state_norm", "final_state_norm")
 
 
@@ -107,6 +109,12 @@ def record(config, signal_args, noise, csv_path) -> dict:
     # dos_active, attempt, success and buffer_depth: the last four columns
     flags = b"".join(b",".join(row.rsplit(b",", 4)[1:]) for row in lines[2].splitlines())
     out["csv_flags"] = np.frombuffer(flags, dtype=np.uint8)
+    n, m = trace.x.shape[1], trace.u.shape[1]
+    cells = np.loadtxt(csv_path, delimiter=",", skiprows=2, ndmin=2)
+    out["csv_t"] = cells[:, 0]
+    out["csv_x"] = cells[:, 1 : 1 + n]
+    out["csv_u"] = cells[:, 1 + n : 1 + n + m]
+    out["csv_V"] = cells[:, 1 + n + m]
     return out
 
 

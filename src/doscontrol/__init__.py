@@ -25,7 +25,6 @@ from .bounds import (
 from .controllers import (
     ActuatorBuffer,
     ControlPacket,
-    DelayExceedsHorizonError,
     PredictorState,
     build_packet,
     buffer_depth,
@@ -63,6 +62,7 @@ from .linalg import (
 )
 from .plant import LtiPlant
 from .simulation import (
+    DelayExceedsHorizonError,
     NoiseSpec,
     SimConfig,
     SimMetrics,

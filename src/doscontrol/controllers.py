@@ -19,9 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-
-class DelayExceedsHorizonError(ValueError):
-    """Computation delay consumes the whole packet (skip >= h)."""
+from .simulation import DelayExceedsHorizonError
 
 
 @dataclass(frozen=True)

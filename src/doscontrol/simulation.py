@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import controllers, dos, linalg
+from . import dos, linalg
 from .bounds import DerivedConstants, EnvelopeConstants
 from .plant import LtiPlant
 
@@ -24,7 +24,8 @@ MODES = ("colocated", "remote", "remote_no_buffer")
 TRACE_FORMAT_VERSION = 1
 METRICS_FORMAT_VERSION = 1
 
-# Rows per tolist() call: a whole 500 s trace at once adds ~35 MiB of peak RSS.
+# Rows per formatted block of the CSV writer, to bound its temporaries: a
+# whole 500 s trace at once adds ~35 MiB of peak RSS.
 CSV_BLOCK_ROWS = 512
 
 # Ticks per block of the row fill in simulate, to bound its temporaries.
@@ -34,6 +35,10 @@ FILL_BLOCK_TICKS = 512
 # at ~120 B per row of a two-state plant, so the limit keeps a run near
 # 1.2 GB; the 500 s benchmark run has 50 000 rows.
 MAX_ROWS = 10_000_000
+
+
+class DelayExceedsHorizonError(ValueError):
+    """Computation delay consumes the whole packet (skip >= h)."""
 
 
 @dataclass(frozen=True)
@@ -110,7 +115,7 @@ class SimConfig:
         if self.T_c < 0.0:
             raise ValueError(f"T_c must be >= 0, got {self.T_c}")
         if self.skip >= self.h and self.mode != "colocated":
-            raise controllers.DelayExceedsHorizonError(
+            raise DelayExceedsHorizonError(
                 f"T_c={self.T_c} consumes {self.skip} of {self.h} packet entries"
             )
 
@@ -404,7 +409,8 @@ def trace_to_csv(trace: SimTrace, path) -> None:
 
     First line is the version comment '# format: 1', then the header
     t,x1..xn,u1..um,V,dos_active,attempt,success,buffer_depth.  The version
-    line ends in LF, the header and every row in CRLF.
+    line ends in LF, the header and every row in CRLF.  t is written with
+    %.12g, the other floats with %.16g and the four flags with %d.
     """
     n = trace.x.shape[1]
     m = trace.u.shape[1]
@@ -414,17 +420,51 @@ def trace_to_csv(trace: SimTrace, path) -> None:
         + [f"u{j + 1}" for j in range(m)]
         + ["V", "dos_active", "attempt", "success", "buffer_depth"]
     )
-    row_fmt = ",".join(["%.12g"] + ["%.16g"] * (n + m + 1) + ["%d"] * 4) + "\r\n"
-    columns = (
-        trace.times, trace.x, trace.u, trace.V,
-        trace.dos_active, trace.attempt, trace.success, trace.buffer_depth,
-    )
+    # u and the flag tail arrive as preformatted strings (_held_text, _flag_text)
+    row_fmt = ",".join(["%.12g"] + ["%.16g"] * n + ["%s", "%.16g", "%s"]) + "\r\n"
+    u_fmt = ",".join(["%.16g"] * m)
+    n_rows = len(trace.times)
+    cells = np.empty((min(n_rows, CSV_BLOCK_ROWS), n + 4), dtype=object)
     with open(path, "w", newline="") as fh:
         fh.write(f"# format: {TRACE_FORMAT_VERSION}\n")
         fh.write(",".join(header) + "\r\n")
-        for lo in range(0, len(trace.times), CSV_BLOCK_ROWS):
-            block = np.column_stack([c[lo : lo + CSV_BLOCK_ROWS] for c in columns])
-            fh.write("".join(row_fmt % tuple(row) for row in block.tolist()))
+        for lo in range(0, n_rows, CSV_BLOCK_ROWS):
+            hi = min(lo + CSV_BLOCK_ROWS, n_rows)
+            block = cells[: hi - lo]
+            block[:, 0] = trace.times[lo:hi]
+            block[:, 1 : n + 1] = trace.x[lo:hi]
+            block[:, n + 1] = _held_text(trace.u[lo:hi], u_fmt)
+            block[:, n + 2] = trace.V[lo:hi]
+            block[:, n + 3] = _flag_text(
+                trace.dos_active[lo:hi], trace.attempt[lo:hi],
+                trace.success[lo:hi], trace.buffer_depth[lo:hi],
+            )
+            fh.write((row_fmt * (hi - lo)) % tuple(block.ravel().tolist()))
+
+
+def _held_text(u, fmt) -> np.ndarray:
+    """fmt % row for every row of u, formatted once per run of equal rows.
+
+    u is held over each controller period, so most rows repeat the one
+    before.  Rows compare by their bits: -0.0 equals 0.0 as a float but
+    prints as -0, and a NaN equals no float, not even itself.
+    """
+    u = np.asarray(u, dtype=float)
+    bits = u.view(np.int64)
+    starts = np.flatnonzero(
+        np.concatenate(([True], np.any(bits[1:] != bits[:-1], axis=1)))
+    )
+    text = np.array([fmt % tuple(row) for row in u[starts].tolist()], dtype=object)
+    return np.repeat(text, np.diff(starts, append=len(u)))
+
+
+def _flag_text(dos_active, attempt, success, depth) -> np.ndarray:
+    """The four-flag tail of every row, formatted once per distinct value."""
+    depth = np.asarray(depth, dtype=np.int64)
+    code = depth * 8 + dos_active * 4 + attempt * 2 + success
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    tails = zip(*(c[first].tolist() for c in (dos_active, attempt, success, depth)))
+    return np.array(["%d,%d,%d,%d" % tail for tail in tails], dtype=object)[inverse]
 
 
 def metrics_to_dict(metrics: SimMetrics) -> dict:

@@ -160,6 +160,14 @@ class TestSim:
         assert lines[1].startswith("t,x1,x2,u1,u2,V,")
         assert len(lines) == 2 + 50 * 10 * 10 + 1
 
+    def test_trace_into_a_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "t.csv"
+        code, _, err = run(capsys, "sim", BENCHMARK_CONFIG, "--trace", str(path))
+        assert code == 1
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert str(path) in err
+        assert "Traceback" not in err
+
     def test_unbuffered_run_is_unstable(self, capsys):
         code, out, _ = run(capsys, "sim", BENCHMARK_CONFIG, "--h", "1")
         assert code == 3

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import doscontrol
 from doscontrol import (
     DoSSignal,
     GeneratorSpec,
@@ -15,6 +16,7 @@ from doscontrol import (
     SimConfig,
     check_envelope,
     compute_metrics,
+    controllers,
     decay_envelope,
     derive_constants,
     dos,
@@ -23,12 +25,13 @@ from doscontrol import (
     linalg,
     min_prediction_horizon,
     simulate,
+    simulation,
     success_gap_bound,
     successful_transmissions,
     trace_to_csv,
 )
 from doscontrol.dos import DoSClassParams
-from doscontrol.simulation import MAX_ROWS
+from doscontrol.simulation import CSV_BLOCK_ROWS, MAX_ROWS
 
 from conftest import BENCH_K
 
@@ -138,6 +141,15 @@ class TestSimulate:
         assert np.all(trace.u[trace.times < 0.2 - 1e-12] == 0.0)
         row = np.argmin(np.abs(trace.times - 0.2))
         assert np.any(trace.u[row] != 0.0)
+
+    def test_delay_past_the_packet_is_one_error_class(self):
+        error = simulation.DelayExceedsHorizonError
+        assert doscontrol.DelayExceedsHorizonError is error
+        assert controllers.DelayExceedsHorizonError is error
+        assert issubclass(error, ValueError)
+        with pytest.raises(error):
+            SimConfig(delta_big=0.1, horizon=1.0, h=2, T_c=0.2)
+        assert SimConfig(delta_big=0.1, horizon=1.0, h=3, T_c=0.2).skip == 2
 
     def test_horizon_validation(self, bench_plant):
         with pytest.raises(ValueError):
@@ -524,33 +536,100 @@ class TestTraceCsv:
         assert float(last[5]) >= 0.0
 
     def test_bytes_match_per_cell_writer(self, bench_plant, tmp_path):
-        # oracle: the csv module's excel dialect with per-cell formatting
+        cases = (self.sixteen_digits, self.three_states_one_input,
+                 self.held_input_across_blocks, self.diverged, self.deep_buffer,
+                 self.strided_input)
+        for case in cases:
+            trace, marks = case(bench_plant)
+            path = tmp_path / f"{case.__name__}.csv"
+            trace_to_csv(trace, path)
+            data = path.read_bytes()
+            assert data == per_cell_csv(trace), case.__name__
+            for mark, count in marks.items():
+                assert data.count(mark) == count, (case.__name__, mark)
+
+    @staticmethod
+    def sixteen_digits(bench_plant):
         sig = generate(3, GeneratorSpec(), 10.0)
         noise = NoiseSpec(d_bound=0.01, n_bound=0.01, seed=2)
         trace = bench_sim(bench_plant, dos_signal=sig, noise=noise, substeps=7)
-        assert len(trace.times) > 512
+        assert len(trace.times) > CSV_BLOCK_ROWS
         x = trace.x.copy()
         x[3, 0] = -0.0
         x[600, 1] = 0.1234567890123456  # needs all 16 significant digits
-        trace = dataclasses.replace(trace, x=x)
-        path = tmp_path / "trace.csv"
-        trace_to_csv(trace, path)
+        return dataclasses.replace(trace, x=x), {
+            b",-0,": 1, b",0.1234567890123456,": 1,
+        }
 
-        expected = io.StringIO(newline="")
-        expected.write("# format: 1\n")
-        writer = csv.writer(expected)
-        writer.writerow(["t", "x1", "x2", "u1", "u2", "V", "dos_active",
-                         "attempt", "success", "buffer_depth"])
-        for i in range(len(trace.times)):
-            writer.writerow(
-                [f"{trace.times[i]:.12g}"]
-                + [f"{v:.16g}" for v in trace.x[i]]
-                + [f"{v:.16g}" for v in trace.u[i]]
-                + [f"{trace.V[i]:.16g}", int(trace.dos_active[i]),
-                   int(trace.attempt[i]), int(trace.success[i]),
-                   int(trace.buffer_depth[i])]
-            )
-        data = path.read_bytes()
-        assert data == expected.getvalue().encode()
-        assert b",-0," in data
-        assert b",0.1234567890123456," in data
+    @staticmethod
+    def three_states_one_input(bench_plant):
+        config = SimConfig(delta_big=0.1, horizon=8.0, h=4, substeps=7)
+        sig = generate(5, GeneratorSpec(), 8.0)
+        noise = NoiseSpec(d_bound=0.01, n_bound=0.01, seed=3)
+        trace = simulate(CART, CART_K, config, sig, noise, [1.0, -0.5, 0.25])
+        assert trace.x.shape[1] == 3 and trace.u.shape[1] == 1
+        return trace, {b"t,x1,x2,x3,u1,V,": 1}
+
+    @staticmethod
+    def held_input_across_blocks(bench_plant):
+        trace = bench_sim(bench_plant, substeps=7)
+        u = trace.u.copy()
+        edge = CSV_BLOCK_ROWS
+        # zeros of either sign, which compare equal as floats, in a row; then
+        # one held value from four rows before a block edge to six after it
+        u[edge - 7 : edge - 4] = [[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0]]
+        u[edge - 4 : edge + 6] = [0.25, -0.0]
+        return dataclasses.replace(trace, u=u), {
+            b",-0,-0,": 1, b",0,-0,": 1, b",0.25,-0,": 10,
+        }
+
+    @staticmethod
+    def diverged(bench_plant):
+        # the sign-flipped gain drives the state past the float range
+        config = SimConfig(delta_big=0.1, horizon=10.0, substeps=7, mode="colocated")
+        trace = simulate(bench_plant, -BENCH_K, config, NO_DOS, QUIET, [1e300, 1e300])
+        for cells in (trace.x, trace.u, trace.V):
+            assert np.isnan(cells).any() and np.isposinf(cells).any()
+        return trace, {}
+
+    @staticmethod
+    def deep_buffer(bench_plant):
+        sig = generate(4, GeneratorSpec(), 20.0)
+        trace = bench_sim(bench_plant, h=50, b=2, horizon=20.0, substeps=3,
+                          dos_signal=sig)
+        assert trace.buffer_depth.max() >= 10
+        # flip some successes, so that no flag follows from the other two
+        success = trace.success ^ (np.arange(len(trace.times)) % 5 == 0)
+        flags = zip(trace.dos_active.tolist(), trace.attempt.tolist(),
+                    success.tolist())
+        assert len(set(flags)) == 8
+        return dataclasses.replace(trace, success=success), {}
+
+    @staticmethod
+    def strided_input(bench_plant):
+        sig = generate(3, GeneratorSpec(), 10.0)
+        trace = bench_sim(bench_plant, dos_signal=sig, substeps=7)
+        u = trace.u[:, ::-1]
+        assert not u.flags.c_contiguous and np.any(u[:, 0] != u[:, 1])
+        return dataclasses.replace(trace, u=u), {}
+
+
+def per_cell_csv(trace) -> bytes:
+    """The trace CSV from the csv module's excel dialect, one cell at a time."""
+    n, m = trace.x.shape[1], trace.u.shape[1]
+    out = io.StringIO(newline="")
+    out.write("# format: 1\n")
+    writer = csv.writer(out)
+    writer.writerow(["t"] + [f"x{i + 1}" for i in range(n)]
+                    + [f"u{j + 1}" for j in range(m)]
+                    + ["V", "dos_active", "attempt", "success", "buffer_depth"])
+    for i in range(len(trace.times)):
+        writer.writerow(
+            [f"{trace.times[i]:.12g}"]
+            + [f"{v:.16g}" for v in trace.x[i]]
+            + [f"{v:.16g}" for v in trace.u[i]]
+            + [f"{trace.V[i]:.16g}", int(trace.dos_active[i]),
+               int(trace.attempt[i]), int(trace.success[i]),
+               int(trace.buffer_depth[i])]
+        )
+    return out.getvalue().encode()

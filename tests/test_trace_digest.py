@@ -46,9 +46,14 @@ def test_one_config_repeats_exactly(script, runs, tmp_path):
     assert list(arrays) == (
         [f.name for f in dataclasses.fields(SimTrace)]
         + [f.name for f in dataclasses.fields(SimMetrics)]
-        + ["csv_head", "csv_flags"]
+        + ["csv_head", "csv_flags", "csv_t", "csv_x", "csv_u", "csv_V"]
     )
     assert bytes(arrays["csv_head"]).startswith(b"# format: 1\n")
+    # the CSV cells read back as the trace's floats, to their printed digits
+    assert arrays["csv_t"].tolist() == [float(f"{t:.12g}") for t in arrays["times"]]
+    for name in ("x", "u", "V"):
+        np.testing.assert_allclose(arrays[f"csv_{name}"], arrays[name],
+                                   rtol=1e-15, atol=0.0)
     again = script.record(*list(script.grid())[0][1:], tmp_path / "trace.csv")
     problems, worst = compare(script, tmp_path, runs, [(label, again), runs[1]])
     assert problems == []
@@ -75,6 +80,13 @@ def bump_row(rel):
     ("buffer_depth", lambda d: d + (np.arange(len(d)) == 5), True),
     ("times", lambda t: t * (1 + 1e-16) + 1e-300, True),
     ("csv_flags", lambda f: f[::-1], True),
+    ("csv_t", lambda t: t + 1e-12 * (np.arange(len(t)) == 4), True),
+    ("csv_x", bump_row(1e-14), False),
+    ("csv_x", bump_row(1e-10), True),
+    ("csv_u", bump_row(1e-14), False),
+    ("csv_u", bump_row(1e-10), True),
+    ("csv_V", lambda v: v * (1 + 1e-13), False),
+    ("csv_V", lambda v: v * (1 + 1e-11), True),
 ])
 def test_tolerance_per_field(script, runs, tmp_path, name, edit, fails):
     problems, worst = compare(script, tmp_path, runs, changed(runs, name, edit))
