@@ -11,6 +11,10 @@ never decays or decays at 5 or 10 s; the sub-step count cycles through 4,
 SimConfig rejects (a computation delay that needs more buffered ticks than
 the mode holds) are left out, which leaves 333 runs.
 
+Beside the runs it saves the bounds layer: every derive_constants output
+(P and each scalar) at h = 1, 5 and 50 and delta = 0.1 s, for the bundled
+design and for seeded random LQR designs of 2, 8 and 24 states.
+
     PYTHONPATH=<checkout A>/src python3 scripts/trace_digest.py save a.npz
     PYTHONPATH=<checkout B>/src python3 scripts/trace_digest.py save b.npz
     PYTHONPATH=src python3 scripts/trace_digest.py compare a.npz b.npz
@@ -23,9 +27,10 @@ scalar SimTrace fields, failure_fraction, max_gap, the verdicts and the CSV
 lines it keeps.  It holds x, u, prediction and V, and their CSV cells, row
 by row within TOL times the running maximum row norm (NaN positions exact),
 and the two state norms within TOL times max_state_norm, the running maximum
-at the last row.  It prints the largest scaled deviation per field, then
-every mismatch, including a run or field that only one save has, and exits 1
-on any mismatch.
+at the last row.  It holds each derive_constants output within TOL times the
+larger absolute entry of the two saves.  It prints the largest scaled
+deviation per field, then every mismatch, including a run or field that
+only one save has, and exits 1 on any mismatch.
 """
 
 import argparse
@@ -37,13 +42,17 @@ import tempfile
 import zipfile
 
 import numpy as np
+import scipy.linalg
 
 from doscontrol import (
+    DesignInputs,
     GeneratorSpec,
+    LtiPlant,
     NoiseSpec,
     SimConfig,
     benchmark,
     compute_metrics,
+    derive_constants,
     generate,
     simulate,
     trace_to_csv,
@@ -63,6 +72,9 @@ DECAY_AT = (None, 5.0, 10.0)
 SUBSTEPS = (4, 7, 10)
 SIGNAL_HORIZONS = (20.0, 21.0)
 P = np.array([[2.0, 0.3], [0.3, 1.0]])
+BOUNDS_H = (1, 5, 50)
+LQR_SIZES = (2, 8, 24)
+BOUNDS = "bounds:"  # label prefix of the derive_constants entries
 
 TOL = 1e-12
 ROWS = ("x", "u", "prediction", "V", "csv_x", "csv_u", "csv_V")
@@ -85,6 +97,32 @@ def grid():
         noise = NoiseSpec(d_bound=0.01, n_bound=0.01, seed=1000 + i,
                           decay_at=decay_at)
         yield label, config, (i, SPECS[spec], sig_horizon), noise
+
+
+def lqr_design(n) -> DesignInputs:
+    """Gaussian (A, B) with n states and n // 2 inputs, and its LQR gain."""
+    rng = np.random.default_rng(n)
+    m = max(1, n // 2)
+    a = rng.standard_normal((n, n))
+    b = rng.standard_normal((n, m))
+    k = -b.T @ scipy.linalg.solve_continuous_are(a, b, np.eye(n), np.eye(m))
+    return DesignInputs(plant=LtiPlant(A=a, B=b), K=k)
+
+
+def bounds_grid():
+    """Yield (label, DesignInputs, h) per saved constant chain."""
+    designs = [("bench", benchmark.design())]
+    designs += [(f"lqr:n={n}", lqr_design(n)) for n in LQR_SIZES]
+    for name, design in designs:
+        for h in BOUNDS_H:
+            yield f"{BOUNDS}{name}:h={h}", design, h
+
+
+def record_bounds(design, h) -> dict:
+    """Every derive_constants output for one design and h, by name."""
+    consts = derive_constants(design, h, benchmark.DELTA)
+    return {f.name: np.asarray(getattr(consts, f.name))
+            for f in dataclasses.fields(consts)}
 
 
 def as_array(value) -> np.ndarray:
@@ -127,11 +165,14 @@ def write(path, records) -> None:
                     np.lib.format.write_array(fh, array, allow_pickle=False)
 
 
-def save(path, runs) -> None:
+def save(path, runs, chains) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = os.path.join(tmp, "trace.csv")
-        write(path, ((label, record(config, sig, noise, csv_path))
-                     for label, config, sig, noise in runs))
+        write(path, itertools.chain(
+            ((label, record(config, sig, noise, csv_path))
+             for label, config, sig, noise in runs),
+            ((label, record_bounds(design, h)) for label, design, h in chains),
+        ))
 
 
 def row_deviation(a, b) -> float:
@@ -164,8 +205,11 @@ def deviation(name, a, b, scale) -> float:
         return row_deviation(a, b)
     if name in NORMS:
         dev = float(abs(a - b) / scale)
-        return dev if np.isfinite(dev) else np.inf
-    return np.inf
+    elif name.startswith(BOUNDS):
+        dev = float(np.max(np.abs(a - b)) / max(np.max(np.abs(a)), np.max(np.abs(b))))
+    else:
+        return np.inf
+    return dev if np.isfinite(dev) else np.inf
 
 
 def compare(path_a, path_b):
@@ -177,12 +221,15 @@ def compare(path_a, path_b):
             problems.append(f"{key}: only in {path_a if key in keys_a else path_b}")
         for key in sorted(keys_a & keys_b):
             label, name = key.rsplit("/", 1)
+            if label.startswith(BOUNDS):
+                name = BOUNDS + name
             scale = None
             if name in NORMS:
                 scale = max(abs(z[f"{label}/max_state_norm"]) for z in (za, zb))
             dev = deviation(name, za[key], zb[key], scale)
             worst[name] = max(worst.get(name, 0.0), dev)
-            if not dev <= (TOL if name in ROWS + NORMS else 0.0):
+            floats = name in ROWS + NORMS or name.startswith(BOUNDS)
+            if not dev <= (TOL if floats else 0.0):
                 problems.append(f"{key}: deviation {dev:.3g}")
     return problems, worst
 
@@ -197,7 +244,7 @@ def main(argv=None) -> int:
     p_cmp.add_argument("b")
     args = parser.parse_args(argv)
     if args.command == "save":
-        save(args.output, grid())
+        save(args.output, grid(), bounds_grid())
         return 0
     problems, worst = compare(args.a, args.b)
     for name, dev in sorted(worst.items()):

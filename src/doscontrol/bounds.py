@@ -8,8 +8,10 @@ and the exponential decay envelope at successful-transmission times.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,9 +34,28 @@ class HorizonTooShortError(ValueError):
     """The prediction horizon h*delta is too short for the requested bound."""
 
 
+class DesignConstants(NamedTuple):
+    """The part of the constant chain that does not depend on h or delta."""
+
+    P: np.ndarray  # read-only
+    alpha1: float
+    alpha2: float
+    gamma1: float
+    gamma2: float
+    gamma3: float
+    sigma: float
+    gamma4: float
+    mu_A: float
+    norm_Phi: float
+
+
 @dataclass(frozen=True)
 class DesignInputs:
-    """Plant, stabilizing gain and Lyapunov weight for constant derivation."""
+    """Plant, stabilizing gain and Lyapunov weight for constant derivation.
+
+    K and M are stored as read-only copies, so the design-only constants,
+    computed on first use, stay those of the stored matrices.
+    """
 
     plant: LtiPlant
     K: np.ndarray
@@ -42,13 +63,13 @@ class DesignInputs:
     sigma_fraction: float = SIGMA_FRACTION_SIM
 
     def __post_init__(self):
-        k = linalg.as_matrix(self.K, "K")
+        k = linalg.frozen_matrix(self.K, "K")
         if k.shape != (self.plant.m, self.plant.n):
             raise ValueError(
                 f"K must be {self.plant.m}x{self.plant.n}, got {k.shape}"
             )
         m = self.M
-        m = np.eye(self.plant.n) if m is None else linalg.as_matrix(m, "M")
+        m = linalg.frozen_matrix(np.eye(self.plant.n) if m is None else m, "M")
         if not 0.0 < self.sigma_fraction <= 1.0:
             raise ValueError(
                 f"sigma_fraction must be in (0, 1], got {self.sigma_fraction}"
@@ -60,6 +81,40 @@ class DesignInputs:
     @property
     def Phi(self) -> np.ndarray:
         return self.plant.A + self.plant.B @ self.K
+
+    @functools.cached_property
+    def design_constants(self) -> DesignConstants:
+        """Lyapunov solution P and every constant that depends on it alone.
+
+        Computed on first access, with one Lyapunov solve, and kept.  Raises
+        SigmaInfeasibleError (on every access, since nothing is kept then)
+        if the sigma fraction erases the strict dissipation margin.
+        """
+        phi = self.Phi
+        p = linalg.solve_lyapunov(phi, self.M)
+        p.setflags(write=False)
+        alpha1, alpha2 = linalg.symmetric_extremes(p)
+        gamma1 = linalg.symmetric_extremes(self.M).min_eig
+        gamma2 = linalg.spectral_norm(2.0 * p @ self.plant.B @ self.K)
+        gamma3 = linalg.spectral_norm(2.0 * p)
+        sigma = self.sigma_fraction * gamma1 / gamma2
+        gamma4 = gamma1 - sigma * gamma2
+        if gamma4 <= 0.0:
+            raise SigmaInfeasibleError(
+                f"sigma={sigma:.6g} gives gamma1 - sigma*gamma2 = {gamma4:.3g} <= 0"
+            )
+        return DesignConstants(
+            P=p,
+            alpha1=alpha1,
+            alpha2=alpha2,
+            gamma1=gamma1,
+            gamma2=gamma2,
+            gamma3=gamma3,
+            sigma=sigma,
+            gamma4=gamma4,
+            mu_A=linalg.log_norm(self.plant.A),
+            norm_Phi=linalg.spectral_norm(phi),
+        )
 
 
 @dataclass(frozen=True)
@@ -105,29 +160,20 @@ def derive_constants(
 ) -> DerivedConstants:
     """Evaluate the whole constant chain for buffer length h and period delta.
 
-    Raises StabilityCertificationError if A + B K is not Hurwitz and
-    SigmaInfeasibleError if the configured sigma fraction erases the strict
-    dissipation margin.
+    The design-only constants come from ``inputs.design_constants``, solved
+    once per design; only the h- and delta-dependent scalars are computed
+    here.  Raises SigmaInfeasibleError if the configured sigma fraction
+    erases the strict dissipation margin, and linalg.LyapunovSolveError if
+    P cannot be certified in floating point.
     """
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
     if delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    phi = linalg.require_hurwitz(inputs.Phi, "A + B K")
-    p = linalg.solve_lyapunov(phi, inputs.M)
-    alpha1, alpha2 = linalg.symmetric_extremes(p)
-    gamma1 = linalg.symmetric_extremes(inputs.M).min_eig
-    gamma2 = linalg.spectral_norm(2.0 * p @ inputs.plant.B @ inputs.K)
-    gamma3 = linalg.spectral_norm(2.0 * p)
-    sigma = inputs.sigma_fraction * gamma1 / gamma2
-    gamma4 = gamma1 - sigma * gamma2
-    if gamma4 <= 0.0:
-        raise SigmaInfeasibleError(
-            f"sigma={sigma:.6g} gives gamma1 - sigma*gamma2 = {gamma4:.3g} <= 0"
-        )
-    mu_a = linalg.log_norm(inputs.plant.A)
-    norm_phi = linalg.spectral_norm(phi)
-    kappa1 = max(norm_phi, 1.0)
+    design = inputs.design_constants
+    mu_a, sigma = design.mu_A, design.sigma
+    gamma2, gamma3, gamma4 = design.gamma2, design.gamma3, design.gamma4
+    kappa1 = max(design.norm_Phi, 1.0)
     try:
         rho2 = max(math.exp(mu_a * delta), 1.0)
         if mu_a > 0.0:
@@ -147,22 +193,13 @@ def derive_constants(
             f"h={h} with delta={delta:g} takes the constant chain past the "
             f"float range (mu_A (h-1) delta = {mu_a * (h - 1) * delta:.6g})"
         )
-    omega1 = gamma4 / (2.0 * alpha2)
-    omega2 = gamma2 * (2.0 + sigma) / alpha1
+    omega1 = gamma4 / (2.0 * design.alpha2)
+    omega2 = gamma2 * (2.0 + sigma) / design.alpha1
     return DerivedConstants(
-        P=p,
-        alpha1=alpha1,
-        alpha2=alpha2,
-        gamma1=gamma1,
-        gamma2=gamma2,
-        gamma3=gamma3,
-        sigma=sigma,
-        gamma4=gamma4,
+        **design._asdict(),
         gamma5=gamma5,
         gamma6=gamma6,
         gamma7=gamma7,
-        mu_A=mu_a,
-        norm_Phi=norm_phi,
         kappa1=kappa1,
         rho1=rho1,
         rho2=rho2,

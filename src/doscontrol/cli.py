@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import json
 import math
@@ -44,7 +45,7 @@ from .dos import (
     success_gap_bound,
     transitions_count,
 )
-from .linalg import StabilityCertificationError
+from .linalg import LyapunovSolveError, StabilityCertificationError
 from .plant import LtiPlant
 from .simulation import (
     MAX_ROWS,
@@ -422,6 +423,15 @@ def cmd_dos_verify(args) -> int:
     return EXIT_OK
 
 
+def _check_output_path(path) -> None:
+    """Raise the OSError that writing ``path`` would, for a missing directory.
+
+    Checked before simulating, so a bad path does not cost a whole run.
+    """
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def cmd_sim(args) -> int:
     cfg = load_config(args.config)
     if args.h is not None:
@@ -436,13 +446,17 @@ def cmd_sim(args) -> int:
     if args.mode is not None:
         cfg.mode = args.mode
 
+    for path in (args.trace, args.metrics):
+        if path:
+            _check_output_path(path)
+
     consts = None
     try:
         inputs = DesignInputs(
             plant=cfg.plant, K=cfg.K, M=cfg.M, sigma_fraction=cfg.sigma_fraction
         )
         consts = derive_constants(inputs, cfg.h, cfg.delta_big / cfg.b)
-    except (StabilityCertificationError, SigmaInfeasibleError):
+    except (StabilityCertificationError, SigmaInfeasibleError, LyapunovSolveError):
         pass  # the loop can still be simulated; V falls back to ||x||^2
 
     trace = simulate(
@@ -641,6 +655,7 @@ def main(argv=None) -> int:
         InfeasibleDoSClassError,
         SigmaInfeasibleError,
         StabilityCertificationError,
+        LyapunovSolveError,
         HorizonTooShortError,
     ) as exc:
         _dump(_structured_error(exc))

@@ -1,9 +1,10 @@
 """Small dense linear-algebra kernels.
 
 Zero-order-hold discretization, Lyapunov solves and the norm helpers the
-rest of the package is built on.  Everything is sized for dense low-order
-systems (state dimension of order ten); there are no sparse or large-scale
-code paths on purpose.
+rest of the package is built on.  Everything is dense and sized for
+low-order systems (state dimension of order ten to a few dozen); the
+Lyapunov solve costs O(n^3) through one real Schur factorization, and there
+are no sparse or large-scale code paths on purpose.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 # Contract tolerances, read by the test suite.
 HURWITZ_TOL = 1e-9  # eigenvalues must satisfy Re(lambda) < -HURWITZ_TOL
@@ -31,6 +33,14 @@ class StabilityCertificationError(ValueError):
             "matrix is not Hurwitz: eigenvalue "
             f"{eigenvalue:.6g} has real part >= {-HURWITZ_TOL:g}"
         )
+
+
+class LyapunovSolveError(ArithmeticError):
+    """A Lyapunov solve came out non-finite, inaccurate or not positive definite.
+
+    Raised for a Hurwitz Phi that is too badly conditioned (say, strongly
+    non-normal) for a solution to be certified in floating point.
+    """
 
 
 class SymmetricSpectrum(NamedTuple):
@@ -55,6 +65,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must have at least one row and one column")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} has non-finite entries")
+    return arr
+
+
+def frozen_matrix(a, name: str = "matrix") -> np.ndarray:
+    """``as_matrix(a)`` as a read-only copy that later writes cannot reach."""
+    arr = np.array(as_matrix(a, name))
+    arr.setflags(write=False)
     return arr
 
 
@@ -119,10 +136,15 @@ def zoh_discretize(a, b, delta: float) -> tuple[np.ndarray, np.ndarray]:
 def solve_lyapunov(phi, m) -> np.ndarray:
     """Solve Phi' P + P Phi + M = 0 for symmetric positive-definite P.
 
-    Phi must be Hurwitz and M symmetric positive definite.  The equation is
-    vectorized into a Kronecker-sum linear solve, which is simple, exact to
-    round-off, and entirely adequate at the matrix sizes in scope.  The
-    residual is verified against LYAPUNOV_RESIDUAL_RTOL before returning.
+    Phi must be Hurwitz and M symmetric positive definite.  Bartels-Stewart:
+    one real Schur form Phi = U T U' turns the equation into
+    T' Y + Y T = U' R U with P = U Y U', which LAPACK trsyl solves by
+    back substitution over T's diagonal blocks, in O(n^3) overall.  The
+    same factorization serves two rounds of iterative refinement on the
+    residual, which recover the digits the plain solve loses on badly
+    conditioned pencils.  The symmetrized P is verified against
+    LYAPUNOV_RESIDUAL_RTOL and for positive definiteness before returning;
+    LyapunovSolveError is raised if either check fails or P is not finite.
     """
     phi_arr = require_hurwitz(phi, "Phi")
     m_arr = _as_symmetric(m, "M")
@@ -132,25 +154,29 @@ def solve_lyapunov(phi, m) -> np.ndarray:
         )
     if np.linalg.eigvalsh(m_arr)[0] <= 0.0:
         raise ValueError("M must be positive definite")
-    n = phi_arr.shape[0]
-    eye = np.eye(n)
-    kron = np.kron(eye, phi_arr.T) + np.kron(phi_arr.T, eye)
-    lu, piv = scipy.linalg.lu_factor(kron)
-    vec = scipy.linalg.lu_solve((lu, piv), -m_arr.reshape(-1))
-    # two rounds of iterative refinement recover the digits the plain solve
-    # loses on badly conditioned pencils
-    for _ in range(2):
-        resid_vec = -m_arr.reshape(-1) - kron @ vec
-        vec = vec + scipy.linalg.lu_solve((lu, piv), resid_vec)
-    p = vec.reshape(n, n)
-    p = 0.5 * (p + p.T)
-    residual = spectral_norm(phi_arr.T @ p + p @ phi_arr + m_arr)
+    t, u = scipy.linalg.schur(phi_arr, output="real")
+
+    def solve(r):
+        # P = U Y U' with T' Y + Y T = U' R U; trsyl returns scale * Y
+        y, scale, _ = scipy.linalg.lapack.dtrsyl(t, t, u.T @ r @ u, trana="T")
+        return u @ (y / scale) @ u.T
+
+    # overflow on a badly conditioned Phi shows up as non-finite P below
+    with np.errstate(all="ignore"):
+        p = solve(-m_arr)
+        for _ in range(2):
+            p = p + solve(-m_arr - (phi_arr.T @ p + p @ phi_arr))
+        p = 0.5 * (p + p.T)
+        resid = phi_arr.T @ p + p @ phi_arr + m_arr
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(resid))):
+        raise LyapunovSolveError("Lyapunov solution is not finite")
+    residual = spectral_norm(resid)
     if residual > LYAPUNOV_RESIDUAL_RTOL * spectral_norm(m_arr):
-        raise ArithmeticError(
+        raise LyapunovSolveError(
             f"Lyapunov solve residual {residual:.3g} exceeds tolerance"
         )
     if np.linalg.eigvalsh(p)[0] <= 0.0:
-        raise ArithmeticError("Lyapunov solution is not positive definite")
+        raise LyapunovSolveError("Lyapunov solution is not positive definite")
     return p
 
 

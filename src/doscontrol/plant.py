@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import frozen_matrix
 
 
 @dataclass(frozen=True)
@@ -14,7 +14,8 @@ class LtiPlant:
     """Plant dx/dt = A x + B u + d with (A, B) stabilizable.
 
     Stabilizability is certified at construction with the PBH rank test on
-    every eigenvalue of A with nonnegative real part.
+    every eigenvalue of A with nonnegative real part.  A and B are stored
+    as read-only copies.
     """
 
     A: np.ndarray
@@ -23,8 +24,8 @@ class LtiPlant:
     m: int = field(init=False)
 
     def __post_init__(self):
-        a = as_matrix(self.A, "A")
-        b = as_matrix(self.B, "B")
+        a = frozen_matrix(self.A, "A")
+        b = frozen_matrix(self.B, "B")
         if a.shape[0] != a.shape[1]:
             raise ValueError(f"A must be square, got shape {a.shape}")
         if b.shape[0] != a.shape[0]:

@@ -14,10 +14,11 @@ from doscontrol import (
     derive_constants,
     max_sampling_period,
     min_prediction_horizon,
+    linalg,
     tolerable_dos_bound,
 )
 
-from conftest import BENCH_K
+from conftest import BENCH_A, BENCH_B, BENCH_K
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +108,82 @@ class TestDeriveConstants:
     def test_non_hurwitz_gain_rejected(self, bench_plant):
         with pytest.raises(StabilityCertificationError):
             DesignInputs(plant=bench_plant, K=np.zeros((2, 2)))
+
+
+def count_lyapunov_solves(monkeypatch) -> list:
+    """Route linalg.solve_lyapunov through a wrapper that logs each call."""
+    calls, solve = [], linalg.solve_lyapunov
+
+    def counted(phi, m):
+        calls.append(1)
+        return solve(phi, m)
+
+    monkeypatch.setattr(linalg, "solve_lyapunov", counted)
+    return calls
+
+
+def assert_bitwise_equal(a, b):
+    for field in dataclasses.fields(a):
+        x, y = np.asarray(getattr(a, field.name)), np.asarray(getattr(b, field.name))
+        assert x.tobytes() == y.tobytes(), field.name
+
+
+class TestDesignConstantsOncePerDesign:
+    M = np.array([[2.0, 0.3], [0.3, 1.0]])
+
+    def test_one_solve_for_every_h(self, bench_plant, monkeypatch):
+        calls = count_lyapunov_solves(monkeypatch)
+        inputs = DesignInputs(plant=bench_plant, K=BENCH_K, M=self.M)
+        chains = {h: derive_constants(inputs, h=h, delta=0.1) for h in (1, 5, 50)}
+        assert len(calls) == 1
+        for h, got in chains.items():
+            fresh = DesignInputs(plant=bench_plant, K=BENCH_K, M=self.M)
+            assert_bitwise_equal(got, derive_constants(fresh, h=h, delta=0.1))
+        assert chains[1].rho1 < chains[5].rho1 < chains[50].rho1
+
+    def test_sigma_fraction_is_per_design(self, bench_plant, monkeypatch):
+        for frac in (0.25, 0.5, 0.75):
+            c = derive_constants(
+                DesignInputs(plant=bench_plant, K=BENCH_K, sigma_fraction=frac),
+                h=5, delta=0.1,
+            )
+            assert c.sigma == frac * c.gamma1 / c.gamma2
+        # nothing is kept from a design that raises: each call solves again
+        calls = count_lyapunov_solves(monkeypatch)
+        inputs = DesignInputs(plant=bench_plant, K=BENCH_K, sigma_fraction=1.0)
+        for h in (1, 5, 50):
+            with pytest.raises(SigmaInfeasibleError):
+                derive_constants(inputs, h=h, delta=0.1)
+        assert len(calls) == 3
+
+    def test_argument_checks_come_first(self, bench_plant, monkeypatch):
+        calls = count_lyapunov_solves(monkeypatch)
+        inputs = DesignInputs(plant=bench_plant, K=BENCH_K, sigma_fraction=1.0)
+        with pytest.raises(ValueError, match="h must be"):
+            derive_constants(inputs, h=0, delta=0.0)
+        with pytest.raises(ValueError, match="delta must be"):
+            derive_constants(inputs, h=1, delta=0.0)
+        assert calls == []
+
+
+class TestImmutableInputs:
+    def test_stored_matrices_are_read_only(self, bench_inputs):
+        for arr in (bench_inputs.K, bench_inputs.M, bench_inputs.plant.A,
+                    bench_inputs.plant.B, bench_inputs.design_constants.P):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    def test_caller_writes_do_not_reach_the_design(self):
+        a, b, k, m = BENCH_A.copy(), BENCH_B.copy(), BENCH_K.copy(), 2.0 * np.eye(2)
+        inputs = DesignInputs(plant=LtiPlant(A=a, B=b), K=k, M=m)
+        expected = derive_constants(
+            DesignInputs(plant=LtiPlant(A=BENCH_A, B=BENCH_B), K=BENCH_K,
+                         M=2.0 * np.eye(2)),
+            h=5, delta=0.1,
+        )
+        for arr in (a, b, k, m):
+            arr[0, 0] += 1.0
+        assert_bitwise_equal(derive_constants(inputs, h=5, delta=0.1), expected)
 
 
 class TestMaxSamplingPeriod:

@@ -5,6 +5,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from doscontrol import benchmark, cli, dos, fit_class_params, generate, GeneratorSpec
@@ -19,6 +20,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def non_normal_overrides():
+    """A Hurwitz design (every eigenvalue -0.05) too non-normal to certify."""
+    rng = np.random.default_rng(16)
+    k = -0.05 * np.eye(10) + 20.0 * np.triu(rng.standard_normal((10, 10)), 1)
+    return {
+        "plant.A": np.zeros((10, 10)).tolist(),
+        "plant.B": np.eye(10).tolist(),
+        "controller.K": k.tolist(),
+        "sim.x0": [0.1] * 10,
+        "sim.horizon": 5.0,
+    }
 
 
 def write_config(tmp_path, **overrides):
@@ -60,6 +74,15 @@ class TestBounds:
         err = json.loads(out)["error"]
         assert err["type"] == "StabilityCertificationError"
         assert err["eigenvalue"][0] >= 1.0 - 1e-9
+
+    def test_uncertifiable_lyapunov_solve_is_infeasible(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, **non_normal_overrides())
+        code, out, err = run(capsys, "bounds", cfg)
+        assert code == 2
+        assert err == ""
+        error = json.loads(out)["error"]
+        assert error["type"] == "LyapunovSolveError"
+        assert "residual" in error["message"]
 
     def test_class_at_threshold_is_infeasible(self, capsys, tmp_path):
         cfg = write_config(
@@ -160,13 +183,36 @@ class TestSim:
         assert lines[1].startswith("t,x1,x2,u1,u2,V,")
         assert len(lines) == 2 + 50 * 10 * 10 + 1
 
-    def test_trace_into_a_missing_directory(self, capsys, tmp_path):
-        path = tmp_path / "missing" / "t.csv"
-        code, _, err = run(capsys, "sim", BENCHMARK_CONFIG, "--trace", str(path))
+    def refused_before_the_run(self, capsys, monkeypatch, tmp_path, flag):
+        def never(*args, **kwargs):
+            raise AssertionError("simulated with an unwritable output path")
+
+        monkeypatch.setattr(cli, "simulate", never)
+        path = tmp_path / "missing" / "out"
+        code, out, err = run(capsys, "sim", BENCHMARK_CONFIG, flag, str(path))
         assert code == 1
+        assert out == ""
         assert err.startswith("i/o error: ") and err.count("\n") == 1
         assert str(path) in err
         assert "Traceback" not in err
+
+    def test_trace_into_a_missing_directory(self, capsys, monkeypatch, tmp_path):
+        self.refused_before_the_run(capsys, monkeypatch, tmp_path, "--trace")
+
+    def test_metrics_into_a_missing_directory(self, capsys, monkeypatch, tmp_path):
+        self.refused_before_the_run(capsys, monkeypatch, tmp_path, "--metrics")
+
+    def test_uncertifiable_design_falls_back_to_the_state_norm(self, capsys,
+                                                               tmp_path):
+        cfg = write_config(tmp_path, **non_normal_overrides())
+        trace = tmp_path / "trace.csv"
+        code, out, err = run(capsys, "sim", cfg, "--trace", str(trace))
+        assert code == 3
+        assert err == ""
+        assert json.loads(out)["stable_verdict"] is False
+        cells = np.loadtxt(trace, delimiter=",", skiprows=2)
+        x, v = cells[:, 1:11], cells[:, 21]
+        np.testing.assert_allclose(v, np.sum(x * x, axis=1), rtol=1e-14)
 
     def test_unbuffered_run_is_unstable(self, capsys):
         code, out, _ = run(capsys, "sim", BENCHMARK_CONFIG, "--h", "1")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.linalg
 
 from doscontrol import linalg
 from doscontrol.linalg import (
+    LyapunovSolveError,
     StabilityCertificationError,
     log_norm,
     solve_lyapunov,
@@ -36,6 +38,43 @@ def random_hurwitz(rng, n_max=5):
 def random_spd(rng, n):
     r = rng.standard_normal((n, n))
     return r @ r.T + 0.1 * np.eye(n)
+
+
+def solve_lyapunov_kron(phi, m) -> np.ndarray:
+    """The Kronecker-sum solve with refinement, the oracle for solve_lyapunov.
+
+    Vectorizes Phi' P + P Phi + M = 0 into an n^2 x n^2 linear system, LU
+    factors it once and refines twice; the guards are those of
+    solve_lyapunov.
+    """
+    phi_arr = linalg.require_hurwitz(phi, "Phi")
+    m_arr = linalg._as_symmetric(m, "M")
+    if m_arr.shape != phi_arr.shape:
+        raise ValueError(
+            f"M shape {m_arr.shape} does not match Phi shape {phi_arr.shape}"
+        )
+    if np.linalg.eigvalsh(m_arr)[0] <= 0.0:
+        raise ValueError("M must be positive definite")
+    n = phi_arr.shape[0]
+    eye = np.eye(n)
+    kron = np.kron(eye, phi_arr.T) + np.kron(phi_arr.T, eye)
+    lu, piv = scipy.linalg.lu_factor(kron)
+    vec = scipy.linalg.lu_solve((lu, piv), -m_arr.reshape(-1))
+    # two rounds of iterative refinement recover the digits the plain solve
+    # loses on badly conditioned pencils
+    for _ in range(2):
+        resid_vec = -m_arr.reshape(-1) - kron @ vec
+        vec = vec + scipy.linalg.lu_solve((lu, piv), resid_vec)
+    p = vec.reshape(n, n)
+    p = 0.5 * (p + p.T)
+    residual = spectral_norm(phi_arr.T @ p + p @ phi_arr + m_arr)
+    if residual > linalg.LYAPUNOV_RESIDUAL_RTOL * spectral_norm(m_arr):
+        raise ArithmeticError(
+            f"Lyapunov solve residual {residual:.3g} exceeds tolerance"
+        )
+    if np.linalg.eigvalsh(p)[0] <= 0.0:
+        raise ArithmeticError("Lyapunov solution is not positive definite")
+    return p
 
 
 def simpson_zoh_input(a, b, delta, panels=200):
@@ -142,10 +181,30 @@ class TestSolveLyapunov:
         assert lo == pytest.approx(0.2779, abs=1e-3)
         assert hi == pytest.approx(0.4497, abs=1e-3)
 
+    def test_matches_kronecker_oracle(self):
+        rng = np.random.default_rng(15)
+        for n in range(1, 25):
+            for _ in range(3):
+                a = rng.standard_normal((n, n))
+                shift = max(np.linalg.eigvals(a).real.max(), 0.0) + rng.uniform(0.2, 1.0)
+                phi = a - shift * np.eye(n)
+                m = random_spd(rng, n)
+                p = solve_lyapunov(phi, m)
+                expected = solve_lyapunov_kron(phi, m)
+                assert spectral_norm(p - expected) <= 1e-9 * spectral_norm(expected)
+
+    def test_solution_near_the_float_range(self):
+        # P ~ 1e292: trsyl returns the solution scaled down to avoid overflow
+        phi = np.array([[-0.01, 0.002], [0.0, -0.02]])
+        m = 1e290 * np.array([[2.0, 0.5], [0.5, 1.0]])
+        p = solve_lyapunov(phi, m)
+        expected = solve_lyapunov_kron(phi, m)
+        assert spectral_norm(p - expected) <= 1e-12 * spectral_norm(expected)
+
     def test_residual_and_rayleigh_invariants(self):
         rng = np.random.default_rng(14)
         for _ in range(200):
-            phi = random_hurwitz(rng)
+            phi = random_hurwitz(rng, n_max=24)
             n = phi.shape[0]
             m = random_spd(rng, n)
             p = solve_lyapunov(phi, m)
@@ -159,6 +218,22 @@ class TestSolveLyapunov:
                 quad = x @ p @ x
                 nx2 = x @ x
                 assert lo * nx2 * (1 - 1e-9) <= quad <= hi * nx2 * (1 + 1e-9)
+
+    def test_strongly_non_normal_is_a_solve_error(self):
+        # Hurwitz (every eigenvalue -0.05), but off-diagonal gains of ~20
+        # put P far past what double precision can certify
+        rng = np.random.default_rng(16)
+        phi = -0.05 * np.eye(10) + 20.0 * np.triu(rng.standard_normal((10, 10)), 1)
+        with pytest.raises(LyapunovSolveError, match="residual"):
+            solve_lyapunov(phi, np.eye(10))
+        assert issubclass(LyapunovSolveError, ArithmeticError)
+
+    def test_solution_past_the_float_range_is_a_solve_error(self):
+        # P = 1e300 / 4e-9 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LyapunovSolveError, match="not finite"):
+                solve_lyapunov([[-2e-9]], [[1e300]])
 
     def test_non_hurwitz_names_eigenvalue(self):
         with pytest.raises(StabilityCertificationError) as exc:

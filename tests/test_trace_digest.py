@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from doscontrol import SimMetrics, SimTrace
+from doscontrol import DerivedConstants, SimMetrics, SimTrace
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "trace_digest.py"
 
@@ -93,6 +93,49 @@ def test_tolerance_per_field(script, runs, tmp_path, name, edit, fails):
     assert bool(problems) == fails
     assert all(f"/{name}: deviation" in line for line in problems)
     assert worst[name] > 0.0
+
+
+@pytest.fixture(scope="module")
+def chains(script):
+    """The bundled design's chains, h = 1 and 5: [(label, {name: array})]."""
+    grid = script.bounds_grid()
+    return [(label, script.record_bounds(design, h))
+            for label, design, h in (next(grid), next(grid))]
+
+
+def test_bounds_grid_covers_each_design_and_h(script, chains):
+    labels = [label for label, _, _ in script.bounds_grid()]
+    assert labels == [
+        f"bounds:{design}:h={h}"
+        for design in ("bench", "lqr:n=2", "lqr:n=8", "lqr:n=24")
+        for h in (1, 5, 50)
+    ]
+    (_, arrays), _ = chains
+    assert list(arrays) == [f.name for f in dataclasses.fields(DerivedConstants)]
+    assert arrays["P"].shape == (2, 2)
+    assert arrays["alpha1"] == pytest.approx(0.2779, abs=1e-3)
+
+
+def test_bounds_repeat_exactly(script, chains, tmp_path):
+    again = [(label, script.record_bounds(design, h))
+             for label, design, h in list(script.bounds_grid())[:2]]
+    problems, worst = compare(script, tmp_path, chains, again)
+    assert problems == []
+    assert set(worst) == {f"bounds:{name}" for name in chains[0][1]}
+    assert set(worst.values()) == {0.0}
+
+
+@pytest.mark.parametrize("name, edit, fails", [
+    ("P", lambda p: p * (1 + 1e-13), False),
+    ("P", lambda p: p + 1e-11 * np.max(np.abs(p)) * np.eye(len(p)), True),
+    ("gamma6", lambda g: g * (1 + 1e-13), False),
+    ("gamma6", lambda g: g * (1 + 1e-11), True),
+])
+def test_bounds_tolerance(script, chains, tmp_path, name, edit, fails):
+    problems, worst = compare(script, tmp_path, chains, changed(chains, name, edit))
+    assert bool(problems) == fails
+    assert all(f"/{name}: deviation" in line for line in problems)
+    assert worst[f"bounds:{name}"] > 0.0
 
 
 def test_run_in_one_save_only(script, runs, tmp_path):
