@@ -7,9 +7,13 @@ horizon.  The grid crosses the modes (co-located; remote with h = 1, 5 and
 0.25 and 0.4 s (0.4 s puts skip = h - 1 at h = 5, b = 1, so a packet is
 delivered straight into the hold), three generator specs and noise that
 never decays or decays at 5 or 10 s; the sub-step count cycles through 4,
-7 and 10 and the signal horizon through 20 and 21 s.  Combinations that
-SimConfig rejects (a computation delay that needs more buffered ticks than
-the mode holds) are left out, which leaves 333 runs.
+7 and 10 and the signal horizon through the run's horizon and 1 s more.
+Combinations that SimConfig rejects (a computation delay that needs more
+buffered ticks than the mode holds) are left out, which leaves 333 runs.
+Then each mode runs once on a 60 s horizon at b = 1 (600 ticks, so the
+run crosses the edge of simulate's first 512-tick solve block), with the
+bench spec, T_c = 0.4 s where the mode holds more than one entry and 0
+elsewhere: 338 runs in all.
 
 Beside the runs it saves the bounds layer: every derive_constants output
 (P and each scalar) at h = 1, 5 and 50 and delta = 0.1 s, for the bundled
@@ -59,6 +63,7 @@ from doscontrol import (
 )
 
 HORIZON = 20.0
+LONG_HORIZON = 60.0
 MODES = (("colocated", 1), ("remote", 1), ("remote", 5), ("remote", 50),
          ("remote_no_buffer", 1))
 B_VALUES = (1, 2, 3)
@@ -70,7 +75,7 @@ SPECS = {
 }
 DECAY_AT = (None, 5.0, 10.0)
 SUBSTEPS = (4, 7, 10)
-SIGNAL_HORIZONS = (20.0, 21.0)
+SIGNAL_EXTRA = (0.0, 1.0)
 P = np.array([[2.0, 0.3], [0.3, 1.0]])
 BOUNDS_H = (1, 5, 50)
 LQR_SIZES = (2, 8, 24)
@@ -83,17 +88,22 @@ NORMS = ("max_state_norm", "final_state_norm")
 
 def grid():
     """Yield (label, SimConfig, signal args, noise) per accepted run."""
-    combos = itertools.product(MODES, B_VALUES, T_C_VALUES, SPECS, DECAY_AT)
-    for i, ((mode, h), b, t_c, spec, decay_at) in enumerate(combos):
+    runs = [(HORIZON, *combo) for combo in itertools.product(
+        MODES, B_VALUES, T_C_VALUES, SPECS, DECAY_AT)]
+    runs += [(LONG_HORIZON, (mode, h), 1, 0.0 if h == 1 else 0.4, "bench", None)
+             for mode, h in MODES]
+    for i, (horizon, (mode, h), b, t_c, spec, decay_at) in enumerate(runs):
         substeps = SUBSTEPS[i % len(SUBSTEPS)]
         try:
-            config = SimConfig(delta_big=0.1, horizon=HORIZON, b=b, h=h,
+            config = SimConfig(delta_big=0.1, horizon=horizon, b=b, h=h,
                                substeps=substeps, mode=mode, T_c=t_c)
         except ValueError:
             continue
-        sig_horizon = SIGNAL_HORIZONS[i % len(SIGNAL_HORIZONS)]
+        sig_horizon = horizon + SIGNAL_EXTRA[i % len(SIGNAL_EXTRA)]
         label = (f"{i:03d}:{mode}:h={h}:b={b}:T_c={t_c}:substeps={substeps}"
                  f":{spec}:decay_at={decay_at}:signal={sig_horizon}")
+        if horizon != HORIZON:
+            label += f":horizon={horizon}"
         noise = NoiseSpec(d_bound=0.01, n_bound=0.01, seed=1000 + i,
                           decay_at=decay_at)
         yield label, config, (i, SPECS[spec], sig_horizon), noise

@@ -14,6 +14,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg.lapack
 
 from . import dos, linalg
 from .bounds import DerivedConstants, EnvelopeConstants
@@ -28,12 +29,15 @@ METRICS_FORMAT_VERSION = 1
 # whole 500 s trace at once adds ~35 MiB of peak RSS.
 CSV_BLOCK_ROWS = 512
 
-# Ticks per block of the row fill in simulate, to bound its temporaries.
+# Most ticks per block that simulate solves and fills at once, and most
+# bytes of one block's band matrix, to bound its temporaries.
 FILL_BLOCK_TICKS = 512
+BAND_BYTES = 2 << 20
 
 # Most sub-step rows (periods x substeps) one run may have.  simulate peaks
-# at ~120 B per row of a two-state plant, so the limit keeps a run near
-# 1.2 GB; the 500 s benchmark run has 50 000 rows.
+# at ~110 B per row of a two-state plant (5.3 MiB under tracemalloc for the
+# 500 s benchmark run, 50 000 rows, at skip 0), so the limit keeps a run
+# near 1.1 GB.
 MAX_ROWS = 10_000_000
 
 
@@ -87,6 +91,10 @@ class SimConfig:
     T_c: float = 0.0
 
     def __post_init__(self):
+        for name in ("b", "h", "substeps"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (math.isfinite(self.delta_big) and self.delta_big > 0.0):
             raise ValueError(f"delta_big must be finite and > 0, got {self.delta_big}")
         if not math.isfinite(self.horizon):
@@ -128,6 +136,24 @@ class SimConfig:
         if self.T_c == 0.0:
             return 0
         return int(math.ceil(self.T_c / self.delta - 1e-9))
+
+
+def solve_blocks(n: int, skip: int) -> tuple[int, int]:
+    """Ticks per solved block of simulate, and its band's lower width.
+
+    A state of a plant with n states has w = 2n unknowns.  Its row reaches
+    w + n - 1 unknowns back, into the tick before; a delivery row reaches
+    (skip + 1) w - 1 back when its sample lies in the same block.  A block is
+    cut to keep its band within BAND_BYTES; once it is no longer than skip,
+    every delivery in it reads an earlier block, and the band narrows.
+    """
+    w = 2 * n
+    kl = max(w + n - 1, (skip + 1) * w - 1)
+    ticks = min(FILL_BLOCK_TICKS, BAND_BYTES // (8 * w * (kl + 1)))
+    if ticks <= skip:
+        kl = w + n - 1
+        ticks = min(FILL_BLOCK_TICKS, skip, BAND_BYTES // (8 * w * (kl + 1)))
+    return max(ticks, 1), kl
 
 
 @dataclass(frozen=True)
@@ -240,7 +266,6 @@ def simulate(
         late = times >= noise.decay_at
         dist[late[:-1]] = 0.0
         meas[late[success_flags]] = 0.0
-    samples = iter(meas)
 
     # One law for every mode: u = K alpha, where alpha rolls the model
     # forward from the last delivered sample y_m one period per tick,
@@ -257,8 +282,8 @@ def simulate(
     # Sub-step j = 0..S of tick q is A_s^j x_q + W_j u_q + (G d_q)_j with
     # W_j = sum_{i<j} A_s^i B_s and G the block lower-triangular map of the
     # tick's S disturbances, (G d_q)_j = sum_{i<j} A_s^(j-1-i) E_s d_(qS+i).
-    # Row S is the next tick's state, so the loop steps once per tick; the
-    # rows in between get their noise terms now and the rest after the loop.
+    # Row S is the next tick's state, so only ticks are solved for; the rows
+    # in between get their noise terms now and the rest once their block is.
     powers, feeds = [np.eye(n)], [np.zeros((n, m))]
     for _ in range(substeps):
         feeds.append(a_s @ feeds[-1] + b_s)
@@ -272,50 +297,80 @@ def simulate(
     fill = xs[:-1].reshape(n_ticks, substeps * n)
     dist = dist.reshape(n_ticks, substeps * n)
     np.matmul(dist, g_map[: substeps * n].T, out=fill)
-    # the tick's noise on [x; alpha]; the final tick takes no sub-step
-    tick_noise = np.zeros((n_ticks + 1, 2 * n))
-    np.matmul(dist, g_map[substeps * n :].T, out=tick_noise[:-1, :n])
 
-    # The loop carries s = [x_q; alpha_q]: x by the tick's map under
-    # u_q = K alpha_q, alpha by Phi_d while its age is below h - 1, else held.
-    roll = np.block([[powers[-1], feeds[-1] @ k_mat], [np.zeros((n, n)), phi_d]])
-    hold = roll.copy()
-    hold[n:, n:] = np.eye(n)
-    s = np.concatenate([x, np.zeros(n)])
+    # The schedule needs no state.  There is at most one success per tick, so
+    # the sample taken at tick m reaches the actuator at tick m + skip, and
+    # m_q, the last sample delivered by tick q, is a running maximum.
+    sampled = np.flatnonzero(success_flags[::substeps])
+    arrive = sampled[sampled + skip <= n_ticks] + skip
     # remote: nothing delivered yet, so alpha is held at zero and depth is 0
-    m_tick = 0 if colocated else -config.h
-    first = 0 if colocated else n_ticks + 1  # the first tick with a prediction
-    pending = []  # (tick, sample) per success, delivered in order
-    delivered = 0
-    states = np.empty((n_ticks + 1, 2 * n))
-    ages = []
-    ticks = zip(success_flags[::substeps].tolist(), tick_noise)
-    for q, (sampled, noise_q) in enumerate(ticks):
-        if sampled:
-            pending.append((q, s[:n] + next(samples)))
-        if delivered < len(pending) and pending[delivered][0] + skip <= q:
-            m_tick, alpha = pending[delivered]
-            first = min(first, q)
-            delivered += 1
-            for _ in range(q - m_tick):
-                alpha = phi_d @ alpha
-            s[n:] = alpha
-        states[q] = s
-        ages.append(q - m_tick)
-        s = (roll if q - m_tick < last else hold).dot(s) + noise_q
+    m_ticks = np.full(n_ticks + 1, 0 if colocated else -config.h)
+    m_ticks[arrive] = arrive - skip
+    ages = np.arange(n_ticks + 1) - np.maximum.accumulate(m_ticks)
+    # the first tick with a prediction
+    first = 0 if colocated else arrive[0] if len(arrive) else n_ticks + 1
 
+    # s_q = [x_q; alpha_q] steps by one of three maps: x by the tick's map
+    # under u_q = K alpha_q; alpha by Phi_d while its age is below h - 1
+    # (kind 0), else held (kind 1), or not at all when the next tick takes a
+    # delivery (kind 2), whose alpha is Phi_d^skip (x_m + n_m) instead.
+    w = 2 * n
+    steps = np.zeros((3, w, w))
+    steps[:, :n, :n] = powers[-1]
+    steps[:, :n, n:] = feeds[-1] @ k_mat
+    steps[0, n:, n:] = phi_d
+    steps[1, n:, n:] = np.eye(n)
+    kinds = (ages >= last).astype(np.intp)
+    kinds[arrive[arrive > 0] - 1] = 2
+    phi_skip = np.linalg.matrix_power(phi_d, skip)
+
+    # All of s_0..s_N solve one unit lower-triangular banded system, block by
+    # block: s_(q+1) - step_q s_q = the tick's noise, and at a delivery
+    # alpha_q - Phi_d^skip x_(q-skip) = Phi_d^skip n_m.  band[p, j, d] holds
+    # the coefficient of unknown p w + j in row p w + j + d (LAPACK's lower
+    # band storage, tick by tick).  A term from an earlier block moves to the
+    # right-hand side, which states holds until its block is solved in place.
+    block, kl = solve_blocks(n, skip)
+    r, j = np.indices((w, w)).reshape(2, -1)
+    d = w + r - j
+    r, j, d = r[d <= kl], j[d <= kl], d[d <= kl]
+    templates = np.zeros((3, w, kl + 1))
+    templates[:, j, d] = -steps[:, r, j]
+    i_n, j_n = np.indices((n, n)).reshape(2, -1)
+    reach = skip * w + n + i_n - j_n
+    states = np.zeros((n_ticks + 1, w))
+    states[0, :n] = x
+    np.matmul(dist, g_map[substeps * n :].T, out=states[1:, :n])
     step = np.hstack([
-        np.vstack(powers[:-1]), np.vstack([w @ k_mat for w in feeds[:-1]])
+        np.vstack(powers[:-1]), np.vstack([f @ k_mat for f in feeds[:-1]])
     ]).T
-    for lo in range(0, n_ticks, FILL_BLOCK_TICKS):
-        hi = lo + FILL_BLOCK_TICKS
+    for lo in range(0, n_ticks + 1, block):
+        hi = min(lo + block, n_ticks + 1)
+        rhs = states[lo:hi]
+        if lo:
+            rhs[0] += steps[kinds[lo - 1]] @ states[lo - 1]
+        due = slice(*np.searchsorted(arrive, (lo, hi)))
+        src = arrive[due] - skip
+        near = src >= lo
+        y = meas[due].copy()
+        y[~near] += states[src[~near], :n]
+        rhs[arrive[due] - lo, n:] = y @ phi_skip.T
+        band = templates[kinds[lo:hi]]
+        band[(src[near] - lo)[:, None], j_n, reach] = -phi_skip[i_n, j_n]
+        solved, info = scipy.linalg.lapack.dtbtrs(
+            band.reshape(-1, kl + 1).T, rhs.reshape(-1, 1), uplo="L", diag="U",
+            overwrite_b=True,
+        )
+        if info != 0:
+            raise RuntimeError(f"dtbtrs failed with info {info}")
+        rhs[:] = solved.reshape(-1, w)
         fill[lo:hi] += states[:-1][lo:hi] @ step
     xs[-1] = states[-1, :n]
     v = np.einsum("ij,ij->i", xs @ p_mat, xs)
     u_ticks = states[:, n:] @ k_mat.T
     preds = states[:, n:]
     preds[:first] = np.nan
-    depths = np.maximum(stored - np.array(ages), 0)
+    depths = np.maximum(stored - ages, 0)
     return SimTrace(
         times=times,
         x=xs,

@@ -240,7 +240,7 @@ class TestSim:
     @pytest.mark.parametrize("x0, mode", [
         ([1e300, 1e300], "remote"),      # the norm overflows from row 0 on
         ([1e300, 1e300], "colocated"),
-        ([1e307, -1e307], "remote"),     # the state itself overflows to NaN
+        ([1e307, -1e307], "remote"),     # the norm overflows, the state stays finite
     ])
     def test_state_past_the_float_range_diverges(self, capsys, tmp_path, x0, mode):
         cfg = write_config(tmp_path, **{"sim.x0": x0, "sim.mode": mode})
@@ -260,6 +260,31 @@ class TestSim:
             assert payload["max_state_norm"] is None
             assert payload["final_state_norm"] is None
             assert payload["format"] == 1
+
+    # On a run that leaves the float range, the first row whose state is not
+    # finite is the one the tick-by-tick recurrence reaches; which later cells
+    # read inf and which nan is not specified.
+    @pytest.mark.parametrize("horizon, x0, first_bad", [
+        (500.0, [1e300, 1e300], 9695),
+        (50.0, [1e307, -1e307], 1478),
+    ])
+    def test_first_non_finite_row_of_a_diverged_run(self, capsys, tmp_path,
+                                                      horizon, x0, first_bad):
+        cfg = write_config(tmp_path, **{"sim.x0": x0, "sim.horizon": horizon,
+                                        "sim.mode": "remote_no_buffer"})
+        trace = tmp_path / "trace.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "sim", cfg, "--trace", str(trace))
+        assert code == 3 and err == ""
+        payload = json.loads(out)
+        assert payload["stable_verdict"] is False
+        assert payload["max_state_norm"] is None
+        assert payload["final_state_norm"] is None
+        x = np.loadtxt(trace, delimiter=",", skiprows=2, usecols=(1, 2))
+        assert len(x) == round(horizon / 0.1) * 10 + 1
+        bad = ~np.all(np.isfinite(x), axis=1)
+        assert np.argmax(bad) == first_bad and bad[first_bad:].all()
 
 
 class TestRepro:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,7 +32,7 @@ from doscontrol import (
     trace_to_csv,
 )
 from doscontrol.dos import DoSClassParams
-from doscontrol.simulation import CSV_BLOCK_ROWS, MAX_ROWS
+from doscontrol.simulation import CSV_BLOCK_ROWS, MAX_ROWS, solve_blocks
 
 from conftest import BENCH_K
 
@@ -178,6 +179,20 @@ class TestSimulate:
             SimConfig(delta_big=0.1, horizon=1e9)
         # the longest benchmark run stays far below
         assert 500.0 / 0.1 * 10 < MAX_ROWS / 100
+
+    @pytest.mark.parametrize("field, value", [
+        ("h", 2.5), ("h", True), ("b", 1.5), ("substeps", 2.5),
+        ("h", np.int64(5)), ("b", np.int64(2)), ("substeps", np.int64(3)),
+    ])
+    def test_counts_must_be_integers(self, bench_plant, field, value):
+        kwargs = {"delta_big": 0.1, "horizon": 1.0, "mode": "remote", field: value}
+        if isinstance(value, np.integer):
+            trace = simulate(bench_plant, BENCH_K, SimConfig(**kwargs), NO_DOS,
+                             QUIET, X0)
+            assert np.all(np.isfinite(trace.x))
+        else:
+            with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                SimConfig(**kwargs)
 
     @pytest.mark.parametrize("decay_at", ["soon", math.inf, math.nan, [5.0]])
     def test_decay_at_must_be_finite_number(self, decay_at):
@@ -371,6 +386,36 @@ class TestOneLaw:
                                            f"b={b} signal={name}")
             assert trace.u.shape[1] == 1 and trace.prediction.shape[1] == 3
 
+    # skip 0 and 1, h - 1 at h = 50, and a skip at or above the block length,
+    # so that a delivery's sample lies in an earlier block
+    @pytest.mark.parametrize("mode, h, skip", [
+        ("colocated", 1, 0), ("remote", 5, 0), ("remote", 5, 1),
+        ("remote", 50, 49), ("remote", 201, 200),
+    ])
+    @pytest.mark.parametrize("plant_name", ["bench", "cart"])
+    def test_across_solve_blocks(self, bench_plant, plant_name, mode, h, skip):
+        plant, k_mat, x0, weight = {
+            "bench": (bench_plant, BENCH_K, X0, P2),
+            "cart": (CART, CART_K, [1.0, -0.5, 0.25], np.eye(3)),
+        }[plant_name]
+        block = solve_blocks(plant.n, skip)[0]
+        if skip == 200:
+            assert block <= skip
+        n_ticks = 3 * block + max(skip, 7)
+        horizon = n_ticks * 0.1
+        config = SimConfig(delta_big=0.1, horizon=horizon, h=h, substeps=4,
+                           mode=mode, T_c=max(skip - 0.5, 0.0) * 0.1)
+        assert config.skip == skip
+        sig = generate(skip + plant.n, GeneratorSpec(off_range=(0.05, 0.4),
+                                                     on_range=(0.0, 0.2)), horizon)
+        trace = assert_follows_the_law(
+            plant, k_mat, config, sig, NoiseSpec(d_bound=0.02, n_bound=0.02, seed=h),
+            x0, weight, plant_name)
+        # samples delivered in a later block than they were taken in
+        sampled = np.flatnonzero(trace.success[::4])
+        crossing = sampled // block != (sampled + skip) // block
+        assert skip == 0 or np.count_nonzero(crossing) >= 2
+
 
 class TestTickGridEdges:
     """Corners of the per-tick step and the row fill, each against the law."""
@@ -427,6 +472,36 @@ class TestTickGridEdges:
         config = SimConfig(delta_big=0.1, horizon=3.0, h=h, substeps=10, mode=mode)
         assert_follows_the_law(bench_plant, BENCH_K, config, self.SIG, noise,
                                X0, P2, mode)
+
+
+class TestMemory:
+    # the tracemalloc peak of a 500 s run (50 000 rows) at skip 0 when its
+    # tick states were stepped one tick at a time in Python
+    SKIP0_PEAK = 5.47 * 2**20
+
+    @staticmethod
+    def peak(plant, h, skip):
+        config = SimConfig(delta_big=0.1, horizon=500.0, h=h,
+                           T_c=max(skip - 0.5, 0.0) * 0.1)
+        assert config.skip == skip
+        sig = generate(3, GeneratorSpec(), 500.0)
+        noise = NoiseSpec(d_bound=0.01, n_bound=0.01, seed=1)
+        simulate(plant, BENCH_K, config, sig, noise, X0)
+        tracemalloc.start()
+        try:
+            simulate(plant, BENCH_K, config, sig, noise, X0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_of_a_long_run(self, bench_plant):
+        at_zero = self.peak(bench_plant, 50, 0)
+        assert at_zero <= 1.1 * self.SKIP0_PEAK
+        # the band of a deep delay is cut to BAND_BYTES per block, and past
+        # the block length it narrows again
+        assert solve_blocks(2, 599)[0] <= 599
+        for h, skip in ((50, 49), (600, 599)):
+            assert self.peak(bench_plant, h, skip) <= 1.5 * at_zero, skip
 
 
 class TestLyapunovTrace:
