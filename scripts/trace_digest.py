@@ -17,7 +17,7 @@ elsewhere: 338 runs in all.
 
 Beside the runs it saves the bounds layer: every derive_constants output
 (P and each scalar) at h = 1, 5 and 50 and delta = 0.1 s, for the bundled
-design and for seeded random LQR designs of 2, 8 and 24 states.
+design and for seeded random LQR designs of 2, 8, 16 and 24 states.
 
     PYTHONPATH=<checkout A>/src python3 scripts/trace_digest.py save a.npz
     PYTHONPATH=<checkout B>/src python3 scripts/trace_digest.py save b.npz
@@ -78,7 +78,7 @@ SUBSTEPS = (4, 7, 10)
 SIGNAL_EXTRA = (0.0, 1.0)
 P = np.array([[2.0, 0.3], [0.3, 1.0]])
 BOUNDS_H = (1, 5, 50)
-LQR_SIZES = (2, 8, 24)
+LQR_SIZES = (2, 8, 16, 24)
 BOUNDS = "bounds:"  # label prefix of the derive_constants entries
 
 TOL = 1e-12

@@ -93,7 +93,9 @@ class DesignInputs:
         phi = self.Phi
         p = linalg.solve_lyapunov(phi, self.M)
         p.setflags(write=False)
-        alpha1, alpha2 = linalg.symmetric_extremes(p)
+        # P comes back exactly symmetric, so it needs no symmetrizing here
+        p_eigs = np.linalg.eigvalsh(p)
+        alpha1, alpha2 = float(p_eigs[0]), float(p_eigs[-1])
         gamma1 = linalg.symmetric_extremes(self.M).min_eig
         gamma2 = linalg.spectral_norm(2.0 * p @ self.plant.B @ self.K)
         gamma3 = linalg.spectral_norm(2.0 * p)

@@ -140,21 +140,29 @@ def solve_lyapunov(phi, m) -> np.ndarray:
     one real Schur form Phi = U T U' turns the equation into
     T' Y + Y T = U' R U with P = U Y U', which LAPACK trsyl solves by
     back substitution over T's diagonal blocks, in O(n^3) overall.  The
-    same factorization serves two rounds of iterative refinement on the
-    residual, which recover the digits the plain solve loses on badly
-    conditioned pencils.  The symmetrized P is verified against
-    LYAPUNOV_RESIDUAL_RTOL and for positive definiteness before returning;
-    LyapunovSolveError is raised if either check fails or P is not finite.
+    Hurwitz check reads the same form: the diagonal of the standardized T
+    holds the real part of every eigenvalue (each 2x2 block repeats its
+    pair's).  Only a Phi that fails it goes on to require_hurwitz, whose
+    verdict then stands and whose StabilityCertificationError names the
+    worst eigenvalue.  The same factorization serves two rounds of
+    iterative refinement on the residual, which recover the digits the
+    plain solve loses on badly conditioned pencils.  The symmetrized P is
+    verified against LYAPUNOV_RESIDUAL_RTOL and for positive definiteness
+    before returning; LyapunovSolveError is raised if either check fails or
+    P is not finite.
     """
-    phi_arr = require_hurwitz(phi, "Phi")
+    phi_arr = _as_square(phi, "Phi")
+    t, u = scipy.linalg.schur(phi_arr, output="real", check_finite=False)
+    if np.max(np.diag(t)) >= -HURWITZ_TOL:
+        require_hurwitz(phi_arr, "Phi")
     m_arr = _as_symmetric(m, "M")
     if m_arr.shape != phi_arr.shape:
         raise ValueError(
             f"M shape {m_arr.shape} does not match Phi shape {phi_arr.shape}"
         )
-    if np.linalg.eigvalsh(m_arr)[0] <= 0.0:
+    m_eigs = np.linalg.eigvalsh(m_arr)
+    if m_eigs[0] <= 0.0:
         raise ValueError("M must be positive definite")
-    t, u = scipy.linalg.schur(phi_arr, output="real")
 
     def solve(r):
         # P = U Y U' with T' Y + Y T = U' R U; trsyl returns scale * Y
@@ -171,7 +179,8 @@ def solve_lyapunov(phi, m) -> np.ndarray:
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(resid))):
         raise LyapunovSolveError("Lyapunov solution is not finite")
     residual = spectral_norm(resid)
-    if residual > LYAPUNOV_RESIDUAL_RTOL * spectral_norm(m_arr):
+    # M is positive definite, so its 2-norm is its largest eigenvalue
+    if residual > LYAPUNOV_RESIDUAL_RTOL * m_eigs[-1]:
         raise LyapunovSolveError(
             f"Lyapunov solve residual {residual:.3g} exceeds tolerance"
         )
@@ -187,8 +196,8 @@ def log_norm(a) -> float:
 
 
 def spectral_norm(m) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(as_matrix(m, "M"), 2))
+    """Largest singular value (what norm(m, 2) computes, without its wrapper)."""
+    return float(np.linalg.svd(as_matrix(m, "M"), compute_uv=False)[0])
 
 
 def symmetric_extremes(s) -> SymmetricSpectrum:

@@ -14,8 +14,11 @@ class LtiPlant:
     """Plant dx/dt = A x + B u + d with (A, B) stabilizable.
 
     Stabilizability is certified at construction with the PBH rank test on
-    every eigenvalue of A with nonnegative real part.  A and B are stored
-    as read-only copies.
+    every eigenvalue of A with nonnegative real part, once per conjugate
+    pair: LAPACK lists the member with positive imaginary part first, and
+    its conjugate's pencil has the same singular values, so only that
+    member is tested (and named if it fails).  A and B are stored as
+    read-only copies.
     """
 
     A: np.ndarray
@@ -33,10 +36,11 @@ class LtiPlant:
                 f"B must have {a.shape[0]} rows to match A, got {b.shape}"
             )
         n = a.shape[0]
+        eye = np.eye(n)
         for lam in np.linalg.eigvals(a):
-            if lam.real < 0.0:
+            if lam.real < 0.0 or lam.imag < 0.0:
                 continue
-            pencil = np.hstack([a - lam * np.eye(n), b])
+            pencil = np.hstack([a - lam * eye, b])
             if np.linalg.matrix_rank(pencil) < n:
                 raise ValueError(
                     f"(A, B) is not stabilizable: eigenvalue {lam:.6g} fails "

@@ -120,8 +120,8 @@ class SimConfig:
             object.__setattr__(self, "h", 1)
         if self.h < 1:
             raise ValueError(f"h must be >= 1, got {self.h}")
-        if self.T_c < 0.0:
-            raise ValueError(f"T_c must be >= 0, got {self.T_c}")
+        if not (math.isfinite(self.T_c) and self.T_c >= 0.0):
+            raise ValueError(f"T_c must be finite and >= 0, got {self.T_c}")
         if self.skip >= self.h and self.mode != "colocated":
             raise DelayExceedsHorizonError(
                 f"T_c={self.T_c} consumes {self.skip} of {self.h} packet entries"

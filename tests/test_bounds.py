@@ -166,6 +166,21 @@ class TestDesignConstantsOncePerDesign:
         assert calls == []
 
 
+class TestOneEigenvalueSolvePerDesign:
+    def test_certifying_a_design_calls_eigvals_once(self, bench_plant, monkeypatch):
+        calls, eigvals = [], np.linalg.eigvals
+
+        def counted(a):
+            calls.append(1)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        inputs = DesignInputs(plant=bench_plant, K=BENCH_K)
+        for h in (1, 5, 50):
+            derive_constants(inputs, h=h, delta=0.1)
+        assert len(calls) == 1
+
+
 class TestImmutableInputs:
     def test_stored_matrices_are_read_only(self, bench_inputs):
         for arr in (bench_inputs.K, bench_inputs.M, bench_inputs.plant.A,

@@ -235,10 +235,48 @@ class TestSolveLyapunov:
             with pytest.raises(LyapunovSolveError, match="not finite"):
                 solve_lyapunov([[-2e-9]], [[1e300]])
 
+    def test_residual_tolerance_scales_with_the_norm_of_m(self):
+        # a residual at round-off of ||M|| = 1 is far above 1e-10 times the
+        # smallest eigenvalue of M, 1e-9
+        rng = np.random.default_rng(18)
+        phi = random_hurwitz(rng, n_max=6)
+        n = phi.shape[0]
+        m = np.diag([1.0] + [1e-9] * (n - 1))
+        p = solve_lyapunov(phi, m)
+        residual = spectral_norm(phi.T @ p + p @ phi + m)
+        assert 1e-10 * 1e-9 < residual <= linalg.LYAPUNOV_RESIDUAL_RTOL
+
     def test_non_hurwitz_names_eigenvalue(self):
         with pytest.raises(StabilityCertificationError) as exc:
             solve_lyapunov(np.array([[0.5, 0.0], [0.0, -1.0]]), np.eye(2))
         assert exc.value.eigenvalue.real == pytest.approx(0.5)
+
+    def test_non_hurwitz_pair_names_positive_member(self):
+        # the pair 0.1 +- 2j, in random coordinates so that the Schur form
+        # has to find it
+        rng = np.random.default_rng(17)
+        block = np.zeros((4, 4))
+        block[:2, :2] = [[0.1, 2.0], [-2.0, 0.1]]
+        block[2:, 2:] = [[-1.0, 0.3], [0.0, -2.0]]
+        t = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
+        phi = t @ block @ np.linalg.inv(t)
+        with pytest.raises(StabilityCertificationError) as exc:
+            solve_lyapunov(phi, np.eye(4))
+        assert exc.value.eigenvalue == pytest.approx(0.1 + 2.0j)
+        assert "0.1+2j" in str(exc.value)
+
+    @pytest.mark.parametrize("scale", [0.999, 1.0])
+    def test_eigenvalue_just_right_of_the_tolerance(self, scale):
+        re = -linalg.HURWITZ_TOL * scale
+        for phi in (np.diag([-1.0, re]), np.array([[re, 1.0], [-1.0, re]])):
+            with pytest.raises(StabilityCertificationError) as exc:
+                solve_lyapunov(phi, np.eye(2))
+            assert exc.value.eigenvalue.real == re
+
+    def test_eigenvalue_just_left_of_the_tolerance(self):
+        re = -linalg.HURWITZ_TOL * 1.001
+        p = solve_lyapunov(np.diag([-1.0, re]), np.eye(2))
+        assert p[1, 1] == pytest.approx(-0.5 / re, rel=1e-12)
 
     def test_rejects_indefinite_weight(self):
         with pytest.raises(ValueError):

@@ -161,11 +161,12 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "field", [{"horizon": math.inf}, {"horizon": math.nan},
-                  {"delta_big": math.inf}, {"delta_big": math.nan}],
+                  {"delta_big": math.inf}, {"delta_big": math.nan},
+                  {"T_c": math.inf}, {"T_c": math.nan}],
     )
     def test_non_finite_timing_rejected(self, field):
-        kwargs = {"delta_big": 0.1, "horizon": 10.0, **field}
-        with pytest.raises(ValueError):
+        kwargs = {"delta_big": 0.1, "horizon": 10.0, "h": 5, **field}
+        with pytest.raises(ValueError, match=f"{next(iter(field))} must be finite"):
             SimConfig(**kwargs)
 
     def test_row_limit(self):

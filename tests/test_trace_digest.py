@@ -107,7 +107,7 @@ def test_bounds_grid_covers_each_design_and_h(script, chains):
     labels = [label for label, _, _ in script.bounds_grid()]
     assert labels == [
         f"bounds:{design}:h={h}"
-        for design in ("bench", "lqr:n=2", "lqr:n=8", "lqr:n=24")
+        for design in ("bench", "lqr:n=2", "lqr:n=8", "lqr:n=16", "lqr:n=24")
         for h in (1, 5, 50)
     ]
     (_, arrays), _ = chains
