@@ -241,6 +241,8 @@ def min_prediction_horizon(
     if delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
     threshold = consts.omega2 / (consts.omega1 + consts.omega2) * (Q + delta_big)
+    if not math.isfinite(threshold / delta):
+        raise ValueError(f"Q={Q:.6g} puts the minimal buffer past the float range")
     return int(math.floor(threshold / delta)) + 1
 
 

@@ -48,10 +48,12 @@ from .dos import (
 from .linalg import LyapunovSolveError, StabilityCertificationError
 from .plant import LtiPlant
 from .simulation import (
-    MAX_ROWS,
+    MODES,
     NoiseSpec,
     SimConfig,
+    check_count,
     check_envelope,
+    check_row_limit,
     compute_metrics,
     metrics_to_dict,
     simulate,
@@ -79,236 +81,236 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _ctx(data: dict, key: str, path: str, required: bool = True, default=None):
-    if key not in data:
-        if required:
-            raise ConfigError(f"{path}.{key}: missing required field")
-        return default
-    return data[key]
+def _checked(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ValueError reported as a config error."""
+    try:
+        return build(*args, **kwargs)
+    except StabilityCertificationError:
+        raise  # a verdict on the design, not a config error
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}")
 
 
-def _section(data: dict, key: str, path: str, required: bool = True) -> dict | None:
-    """The JSON object under key; None when an optional one is absent or null."""
-    value = _ctx(data, key, path, required)
-    if value is None and not required:
-        return None
-    if not isinstance(value, dict):
-        name = f"{path}.{key}" if path else key
-        raise ConfigError(f"{name}: expected a JSON object, got {type(value).__name__}")
-    return value
+# The readers of a field: each takes the JSON value and its path, and
+# returns the value to keep or raises ConfigError naming the path.
+
+def _number(value, path: str) -> float:
+    """A finite JSON number, not a bool."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:
+            return float(value)
+    raise ConfigError(f"{path}: expected a finite number, got {value!r}")
 
 
-_REQUIRED = object()
+def _integer(value, path: str) -> int:
+    """An integral JSON number, such as 5 or 5.0, in the float range."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max and float(value).is_integer():
+            return int(value)
+    raise ConfigError(f"{path}: expected an integer, got {value!r}")
 
 
-def _number(data: dict, key: str, path: str, default=_REQUIRED) -> float | None:
-    """The finite JSON number (not a bool) under key, or default when absent.
-
-    A None default makes the field optional: absent or null reads as None.
-    """
-    value = _ctx(data, key, path, default is _REQUIRED, default)
-    if value is None and default is None:
-        return None
-    return _finite(value, f"{path}.{key}")
-
-
-def _finite(value, name: str) -> float:
-    if (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
-    ):
-        return float(value)
-    raise ConfigError(f"{name}: expected a finite number, got {value!r}")
-
-
-def _vector(value, n: int, name: str) -> np.ndarray:
-    """A JSON list of n finite numbers."""
-    if not (isinstance(value, list) and len(value) == n):
-        raise ConfigError(f"{name}: expected a list of {n} numbers, got {value!r}")
-    return np.array([_finite(v, f"{name}[{i}]") for i, v in enumerate(value)])
-
-
-def _integer(data: dict, key: str, path: str, default=_REQUIRED) -> int:
-    """The JSON integer under key (an integral float such as 5.0 counts)."""
-    value = _ctx(data, key, path, default is _REQUIRED, default)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
+def _count(value, path: str) -> int:
+    """An integer >= 1, by the rule SimConfig applies to b, h and substeps."""
+    count = _integer(value, path)
+    try:
+        check_count(path, count)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    return count
 
 
 def _matrix(value, path: str) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: not a numeric matrix ({exc})")
     if arr.ndim != 2:
         raise ConfigError(f"{path}: expected a 2-D array, got {arr.ndim}-D")
     return arr
 
 
+def _numbers(value, path: str, n: int | None = None) -> tuple[float, ...]:
+    """A JSON list of finite numbers, n of them when n is given."""
+    if not isinstance(value, list) or n not in (None, len(value)):
+        count = "" if n is None else f"{n} "
+        raise ConfigError(f"{path}: expected a list of {count}numbers, got {value!r}")
+    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _mode(value, path: str) -> str:
+    if value not in MODES:
+        raise ConfigError(f"{path}: expected one of {MODES}, got {value!r}")
+    return value
+
+
+def _file(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a file path, got {value!r}")
+    return value
+
+
+def _raw(value, path: str):
+    """Kept as given: ``dos.signal`` is read only where ``sim`` builds it."""
+    return value
+
+
+def _format(value, path: str) -> int:
+    if value != CONFIG_FORMAT_VERSION:
+        raise ConfigError(
+            f"{path}: unsupported config version {value!r} "
+            f"(this build reads version {CONFIG_FORMAT_VERSION})"
+        )
+    return value
+
+
+_REQUIRED = object()  # the key must be given
+_OPTIONAL = object()  # a section that, absent or null, reads as its defaults
+
+
+class _Section(dict):
+    """A JSON object's fields: name -> (reader, default).
+
+    A default is a value, _REQUIRED or, for a section, _OPTIONAL; a None
+    default reads null as absent too.  A section is itself a reader, so
+    one table describes the whole document, and any other key is refused.
+    """
+
+    def __call__(self, data, path: str) -> dict:
+        if not isinstance(data, dict):
+            raise ConfigError(
+                f"{path or 'top level'}: expected a JSON object, "
+                f"got {type(data).__name__}"
+            )
+        prefix = f"{path}." if path else ""
+        for key in data:
+            if key not in self:
+                raise ConfigError(f"{prefix}{key}: unknown field")
+        values = {}
+        for key, (reader, default) in self.items():
+            name = prefix + key
+            value = data.get(key)
+            if key not in data or (value is None and default in (None, _OPTIONAL)):
+                if default is _REQUIRED:
+                    raise ConfigError(f"{name}: missing required field")
+                values[key] = reader({}, name) if default is _OPTIONAL else default
+            else:
+                values[key] = reader(value, name)
+        return values
+
+
+# Every field of a config document, also listed in the README.  Range rules
+# stay with the constructors and rules the values feed.
+SCHEMA = _Section(
+    format=(_format, CONFIG_FORMAT_VERSION),
+    plant=(_Section(A=(_matrix, _REQUIRED), B=(_matrix, _REQUIRED)), _REQUIRED),
+    controller=(_Section(
+        K=(_matrix, _REQUIRED), M=(_matrix, None), sigma_fraction=(_number, 0.5),
+    ), _REQUIRED),
+    network=(_Section(delta_big=(_number, _REQUIRED), b=(_count, 1)), _REQUIRED),
+    buffer=(_Section(h=(_count, 1), T_c=(_number, 0.0)), _OPTIONAL),
+    dos=(_Section(
+        signal=(_raw, None),
+        generator=(_Section(
+            seed=(_integer, _REQUIRED),
+            off_range=(functools.partial(_numbers, n=2), GeneratorSpec.off_range),
+            on_range=(functools.partial(_numbers, n=2), GeneratorSpec.on_range),
+        ), None),
+        file=(_file, None),
+    ), None),
+    dos_class=(_Section(
+        eta=(_number, _REQUIRED), tau_D=(_number, _REQUIRED),
+        kappa=(_number, _REQUIRED), T=(_number, _REQUIRED), mu=(_count, 1),
+    ), None),
+    noise=(_Section(
+        d_bound=(_number, 0.0), n_bound=(_number, 0.0),
+        seed=(_integer, 0), decay_at=(_number, None),
+    ), _OPTIONAL),
+    sim=(_Section(
+        horizon=(_number, _REQUIRED), substeps=(_count, 10), x0=(_numbers, None),
+        mode=(_mode, "remote"), divergence_threshold=(_number, None),
+    ), _REQUIRED),
+)
+
+
 class ExperimentConfig:
-    """Validated experiment description parsed from one JSON document."""
+    """Validated experiment description parsed from one JSON document.
+
+    The fields of ``controller``, ``network``, ``buffer`` and ``sim`` are
+    attributes under their own names.
+    """
 
     def __init__(self, data: dict, base_dir=None):
-        if not isinstance(data, dict):
-            raise ConfigError("top level: expected a JSON object")
-        fmt = data.get("format", CONFIG_FORMAT_VERSION)
-        if fmt != CONFIG_FORMAT_VERSION:
-            raise ConfigError(
-                f"format: unsupported config version {fmt!r} "
-                f"(this build reads version {CONFIG_FORMAT_VERSION})"
-            )
-        plant_obj = _section(data, "plant", "")
-        ctrl_obj = _section(data, "controller", "")
-        net_obj = _section(data, "network", "")
-        sim_obj = _section(data, "sim", "")
-        buf_obj = _section(data, "buffer", "", required=False) or {}
-        noise_obj = _section(data, "noise", "", required=False) or {}
-        cls_obj = _section(data, "dos_class", "", required=False)
-
-        try:
-            self.plant = LtiPlant(
-                A=_matrix(_ctx(plant_obj, "A", "plant"), "plant.A"),
-                B=_matrix(_ctx(plant_obj, "B", "plant"), "plant.B"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"plant: {exc}")
-        self.K = _matrix(_ctx(ctrl_obj, "K", "controller"), "controller.K")
-        m_val = ctrl_obj.get("M")
-        self.M = None if m_val is None else _matrix(m_val, "controller.M")
-        self.sigma_fraction = _number(ctrl_obj, "sigma_fraction", "controller", 0.5)
-
-        self.delta_big = _number(net_obj, "delta_big", "network")
-        self.b = _integer(net_obj, "b", "network", 1)
-        if self.b < 1:
-            raise ConfigError(f"network.b: expected an integer >= 1, got {self.b}")
-        self.h = _integer(buf_obj, "h", "buffer", 1)
-        self.T_c = _number(buf_obj, "T_c", "buffer", 0.0)
-
-        self.horizon = _number(sim_obj, "horizon", "sim")
-        self.substeps = _integer(sim_obj, "substeps", "sim", 10)
-        # the row limit SimConfig enforces, checked before anything is built
-        delta = self.delta_big / self.b
-        if delta > 0.0 and self.substeps >= 1:
-            rows = round(self.horizon / delta) * self.substeps
-            if rows > MAX_ROWS:
-                raise ConfigError(
-                    f"sim.horizon: {self.horizon} s in periods of {delta} s with "
-                    f"{self.substeps} substeps is {rows:.3g} rows, above the "
-                    f"limit of {MAX_ROWS}"
-                )
-        self.mode = sim_obj.get("mode", "remote")
-        x0_val = sim_obj.get("x0")
-        if x0_val is None:
+        cfg = SCHEMA(data, "")
+        self.plant = _checked("plant", LtiPlant, **cfg["plant"])
+        for section in ("controller", "network", "buffer", "sim"):
+            vars(self).update(cfg[section])
+        if self.delta_big > 0.0:
+            _checked("sim.horizon", check_row_limit,
+                     self.horizon, self.delta_big / self.b, self.substeps)
+        if self.x0 is None:
             alt = np.array([(-1.0) ** i for i in range(self.plant.n)])
             self.x0 = alt / np.linalg.norm(alt)
         else:
-            self.x0 = _vector(x0_val, self.plant.n, "sim.x0")
-        self.divergence_threshold = _number(
-            sim_obj, "divergence_threshold", "sim", None
-        )
+            self.x0 = np.array(_numbers(list(self.x0), "sim.x0", self.plant.n))
+        self.noise = _checked("noise", NoiseSpec, **cfg["noise"])
 
-        noise = {
-            "d_bound": _number(noise_obj, "d_bound", "noise", 0.0),
-            "n_bound": _number(noise_obj, "n_bound", "noise", 0.0),
-            "seed": _integer(noise_obj, "seed", "noise", 0),
-            "decay_at": _number(noise_obj, "decay_at", "noise", None),
-        }
-        try:
-            self.noise = NoiseSpec(**noise)
-        except ValueError as exc:
-            raise ConfigError(f"noise: {exc}")
-
-        self._dos_obj = _section(data, "dos", "", required=False)
+        cls = cfg["dos_class"]
+        self.mu = 1 if cls is None else cls.pop("mu")
+        self.dos_class = cls and _checked("dos_class", DoSClassParams, **cls)
+        dos = self._dos = cfg["dos"]
+        if dos is not None and sum(value is not None for value in dos.values()) != 1:
+            raise ConfigError("dos: expected exactly one of signal, generator, file")
+        gen = dos and dos["generator"]
+        if gen is not None:
+            seed = gen.pop("seed")
+            dos["generator"] = seed, _checked("dos.generator", GeneratorSpec, **gen)
         self._base_dir = base_dir
-        self.dos_class = self._parse_class(cls_obj)
-        self.mu = 1 if cls_obj is None else _integer(cls_obj, "mu", "dos_class", 1)
 
     @functools.cached_property
     def dos_signal(self) -> DoSSignal:
-        """The DoS signal, parsed on first use: only ``sim`` reads it."""
-        dos_obj = self._dos_obj
-        if dos_obj is None:
+        """The DoS signal, built on first use: only ``sim`` reads it."""
+        dos = self._dos
+        if dos is None:
             return DoSSignal(intervals=(), horizon=self.horizon)
-        if "signal" in dos_obj:
-            try:
-                return signal_from_dict(dos_obj["signal"])
-            except ValueError as exc:
-                raise ConfigError(f"dos.signal: {exc}")
-        if "generator" in dos_obj:
-            gen = _section(dos_obj, "generator", "dos")
-            seed = _integer(gen, "seed", "dos.generator")
-            ranges = {}
-            for key in ("off_range", "on_range"):
-                pair = gen.get(key, getattr(GeneratorSpec(), key))
-                path = f"dos.generator.{key}"
-                if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-                    raise ConfigError(f"{path}: expected [lo, hi], got {pair!r}")
-                lo_hi = dict(zip(("lo", "hi"), pair))
-                ranges[key] = (_number(lo_hi, "lo", path), _number(lo_hi, "hi", path))
-            try:
-                return generate(seed, GeneratorSpec(**ranges), self.horizon)
-            except ValueError as exc:
-                raise ConfigError(f"dos.generator: {exc}")
-        if "file" in dos_obj:
-            path = dos_obj["file"]
-            if not isinstance(path, str):
-                raise ConfigError(f"dos.file: expected a file path, got {path!r}")
-            if self._base_dir is not None and not os.path.isabs(path):
-                path = os.path.join(self._base_dir, path)
-            return load_signal_file(path)
-        raise ConfigError("dos: expected one of 'signal', 'generator', 'file'")
+        if dos["signal"] is not None:
+            return _checked("dos.signal", signal_from_dict, dos["signal"])
+        if dos["generator"] is not None:
+            seed, spec = dos["generator"]
+            return _checked("dos.generator", generate, seed, spec, self.horizon)
+        path = dos["file"]
+        if self._base_dir is not None and not os.path.isabs(path):
+            path = os.path.join(self._base_dir, path)
+        return load_signal_file(path)
 
-    def _parse_class(self, cls_obj) -> DoSClassParams | None:
-        if cls_obj is None:
-            return None
-        values = {
-            key: _number(cls_obj, key, "dos_class")
-            for key in ("eta", "tau_D", "kappa", "T")
-        }
-        try:
-            return DoSClassParams(**values)
-        except ValueError as exc:
-            raise ConfigError(f"dos_class: {exc}")
+    def design_inputs(self) -> DesignInputs:
+        return _checked("controller", DesignInputs, self.plant, self.K, self.M,
+                        self.sigma_fraction)
 
     def sim_config(self) -> SimConfig:
-        return SimConfig(
-            delta_big=self.delta_big,
-            horizon=self.horizon,
-            b=self.b,
-            h=self.h,
-            substeps=self.substeps,
-            mode=self.mode,
-            T_c=self.T_c,
-        )
+        """The run's timing, from the attributes named as its fields."""
+        fields = dataclasses.fields(SimConfig)
+        return SimConfig(**{f.name: getattr(self, f.name) for f in fields})
+
+
+def _load_json(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}")
+    except RecursionError:
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply")
 
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}")
-    return ExperimentConfig(data, base_dir=os.path.dirname(os.path.abspath(path)))
+    return ExperimentConfig(_load_json(path), os.path.dirname(os.path.abspath(path)))
 
 
 def load_signal_file(path) -> DoSSignal:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}")
-    try:
-        return signal_from_dict(data)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}")
+    return _checked(path, signal_from_dict, _load_json(path))
 
 
 def _dump(obj, stream=None) -> None:
@@ -319,7 +321,7 @@ def _dump(obj, stream=None) -> None:
 def _structured_error(exc) -> dict:
     err: dict = {"type": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, InfeasibleDoSClassError):
-        err["rate"] = exc.rate
+        err["rate"] = exc.rate if math.isfinite(exc.rate) else None
     if isinstance(exc, StabilityCertificationError):
         err["eigenvalue"] = [exc.eigenvalue.real, exc.eigenvalue.imag]
     return {"error": err}
@@ -327,11 +329,8 @@ def _structured_error(exc) -> dict:
 
 def cmd_bounds(args) -> int:
     cfg = load_config(args.config)
-    inputs = DesignInputs(
-        plant=cfg.plant, K=cfg.K, M=cfg.M, sigma_fraction=cfg.sigma_fraction
-    )
     delta = cfg.delta_big / cfg.b
-    consts = derive_constants(inputs, cfg.h, delta)
+    consts = derive_constants(cfg.design_inputs(), cfg.h, delta)
     sigma_sup = consts.gamma1 / consts.gamma2
     record = {f.name: getattr(consts, f.name) for f in dataclasses.fields(consts)}
     record.update({
@@ -437,12 +436,7 @@ def cmd_sim(args) -> int:
     if args.h is not None:
         cfg.h = args.h
     if args.seed is not None:
-        cfg.noise = NoiseSpec(
-            d_bound=cfg.noise.d_bound,
-            n_bound=cfg.noise.n_bound,
-            seed=args.seed,
-            decay_at=cfg.noise.decay_at,
-        )
+        cfg.noise = dataclasses.replace(cfg.noise, seed=args.seed)
     if args.mode is not None:
         cfg.mode = args.mode
 
@@ -452,10 +446,7 @@ def cmd_sim(args) -> int:
 
     consts = None
     try:
-        inputs = DesignInputs(
-            plant=cfg.plant, K=cfg.K, M=cfg.M, sigma_fraction=cfg.sigma_fraction
-        )
-        consts = derive_constants(inputs, cfg.h, cfg.delta_big / cfg.b)
+        consts = derive_constants(cfg.design_inputs(), cfg.h, cfg.delta_big / cfg.b)
     except (StabilityCertificationError, SigmaInfeasibleError, LyapunovSolveError):
         pass  # the loop can still be simulated; V falls back to ||x||^2
 

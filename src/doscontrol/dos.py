@@ -399,11 +399,10 @@ def signal_to_dict(signal: DoSSignal) -> dict:
 def signal_from_dict(data: dict) -> DoSSignal:
     """Inverse of signal_to_dict, with validation via the constructor."""
     try:
-        horizon = data["horizon"]
-        intervals = data["intervals"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"signal object needs 'horizon' and 'intervals': {exc}")
-    return DoSSignal(
-        intervals=tuple((float(h), float(tau)) for h, tau in intervals),
-        horizon=float(horizon),
-    )
+        horizon = float(data["horizon"])
+        intervals = np.array(data["intervals"], dtype=float)
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"signal object needs a 'horizon' and 'intervals': {exc}")
+    if intervals.size and (intervals.ndim != 2 or intervals.shape[1] != 2):
+        raise ValueError("intervals: expected a list of [onset, duration] pairs")
+    return DoSSignal(intervals=intervals.reshape(-1, 2), horizon=horizon)

@@ -45,6 +45,23 @@ class DelayExceedsHorizonError(ValueError):
     """Computation delay consumes the whole packet (skip >= h)."""
 
 
+def check_count(name: str, value: int) -> None:
+    """The rule on b, h and substeps, and on the config's other counts."""
+    if value < 1:
+        raise ValueError(f"{name}: expected an integer >= 1, got {value}")
+
+
+def check_row_limit(horizon: float, delta: float, substeps: int) -> None:
+    """Refuse a run of more than MAX_ROWS sub-step rows before it allocates."""
+    periods = horizon / delta if delta > 0.0 else math.inf
+    rows = math.inf if math.isinf(periods) else float(round(periods)) * substeps
+    if rows > MAX_ROWS:
+        raise ValueError(
+            f"a run of {horizon} s in periods of {delta} s with {substeps} "
+            f"substeps is {rows:.3g} rows, above the limit of {MAX_ROWS}"
+        )
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Per-component uniform noise in [-bound, bound], reproducible by seed.
@@ -59,10 +76,11 @@ class NoiseSpec:
     decay_at: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.d_bound) and self.d_bound >= 0.0):
-            raise ValueError(f"d_bound must be finite and >= 0, got {self.d_bound}")
-        if not (math.isfinite(self.n_bound) and self.n_bound >= 0.0):
-            raise ValueError(f"n_bound must be finite and >= 0, got {self.n_bound}")
+        for name in ("d_bound", "n_bound"):
+            bound = getattr(self, name)
+            # noise is drawn from [-bound, bound], whose width must be finite
+            if not (math.isfinite(2.0 * bound) and bound >= 0.0):
+                raise ValueError(f"{name} must be >= 0, 2*{name} finite, got {bound}")
         if self.decay_at is not None and not (
             isinstance(self.decay_at, numbers.Real) and math.isfinite(self.decay_at)
         ):
@@ -95,33 +113,22 @@ class SimConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_count(name, value)
         if not (math.isfinite(self.delta_big) and self.delta_big > 0.0):
             raise ValueError(f"delta_big must be finite and > 0, got {self.delta_big}")
         if not math.isfinite(self.horizon):
             raise ValueError(f"horizon must be finite, got {self.horizon}")
-        if self.b < 1:
-            raise ValueError(f"b must be >= 1, got {self.b}")
-        if self.substeps < 1:
-            raise ValueError(f"substeps must be >= 1, got {self.substeps}")
         if self.horizon < self.delta_big:
             raise ValueError(
                 f"horizon {self.horizon} shorter than one period {self.delta_big}"
             )
-        rows = round(self.horizon / self.delta) * self.substeps
-        if rows > MAX_ROWS:
-            raise ValueError(
-                f"horizon {self.horizon} at delta {self.delta} with "
-                f"{self.substeps} substeps is {rows:.3g} rows, above the "
-                f"limit of {MAX_ROWS}"
-            )
+        check_row_limit(self.horizon, self.delta, self.substeps)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "remote_no_buffer":
             object.__setattr__(self, "h", 1)
-        if self.h < 1:
-            raise ValueError(f"h must be >= 1, got {self.h}")
-        if not (math.isfinite(self.T_c) and self.T_c >= 0.0):
-            raise ValueError(f"T_c must be finite and >= 0, got {self.T_c}")
+        if not (math.isfinite(self.T_c / self.delta) and self.T_c >= 0.0):
+            raise ValueError(f"T_c must be finite and >= 0 in periods, got {self.T_c}")
         if self.skip >= self.h and self.mode != "colocated":
             raise DelayExceedsHorizonError(
                 f"T_c={self.T_c} consumes {self.skip} of {self.h} packet entries"

@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doscontrol import benchmark, cli, dos, fit_class_params, generate, GeneratorSpec
 from doscontrol.cli import main
@@ -95,12 +101,35 @@ class TestBounds:
         assert err["type"] == "InfeasibleDoSClassError"
         assert err["rate"] == pytest.approx(1.0)
 
+    def test_class_rate_past_the_float_range(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, **{"dos_class.tau_D": 5e-324})
+        code, out, _ = run(capsys, "bounds", cfg)
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "InfeasibleDoSClassError"
+        assert err["rate"] is None
+
+    @pytest.mark.parametrize("field", ["dos_class.eta", "dos_class.kappa"])
+    def test_minimal_buffer_past_the_float_range(self, capsys, tmp_path, field):
+        cfg = write_config(tmp_path, **{field: 1e308})
+        code, out, err = run(capsys, "bounds", cfg)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: Q=") and "past the float range" in err
+
     def test_malformed_config(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\n  \"plant\": [,]\n}")
         code, _, err = run(capsys, "bounds", str(bad))
         assert code == 1
         assert "2" in err  # line number of the offending token
+
+    def test_config_nested_past_the_parser(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"plant": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run(capsys, "bounds", str(deep))
+        assert code == 1
+        assert err == f"config error: {deep}: invalid JSON: nested too deeply\n"
 
     def test_missing_field_named(self, capsys, tmp_path):
         cfg = write_config(tmp_path, **{"network.delta_big": None})
@@ -385,6 +414,13 @@ class TestConfigErrors:
         ("sim", {"network.b": 0}, "network.b"),
         ("bounds", {"network.b": -1}, "network.b"),
         ("sim", {"network.b": -1}, "network.b"),
+        ("bounds", {"dos_class.mu": 0}, "dos_class.mu"),
+        ("sim", {"dos_class.mu": 0}, "dos_class.mu"),
+        ("bounds", {"sim.mode": 5}, "sim.mode"),
+        ("bounds", {"dos.file": "sig.json"}, "dos"),
+        ("sim", {"dos.signal": {"horizon": 50.0, "intervals": []}}, "dos"),
+        ("bounds", {"dos": {}}, "dos"),
+        ("sim", {"sim.x0": [0.1, 0.2, 0.3]}, "sim.x0"),
     ])
     def test_field_of_the_wrong_shape_or_range(self, capsys, tmp_path, command,
                                                overrides, field):
@@ -458,12 +494,171 @@ class TestConfigErrors:
             main(["sim", BENCHMARK_CONFIG])
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("command", ["bounds", "sim"])
+    @pytest.mark.parametrize("field", [
+        "extra", "sim.substep", "buffer.hh", "dos.generator.offrange",
+        "dos_class.Mu",
+    ])
+    def test_unknown_field(self, capsys, tmp_path, command, field):
+        cfg = write_config(tmp_path, **{field: 1})
+        code, out, err = run(capsys, command, cfg)
+        assert code == 1
+        assert out == ""
+        assert err == f"config error: {field}: unknown field\n"
+
+    @pytest.mark.parametrize("command", ["bounds", "sim"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("plant.A", "x", "config error: plant.A: not a numeric matrix"),
+        ("plant.A", 10**400, "config error: plant.A: not a numeric matrix"),
+        ("plant.B", [[1.0, 0.0], [0.0, 0.0]], "config error: plant: (A, B) is not"),
+        ("controller.K", [[1.0]], "config error: controller: K must be 2x2"),
+        ("controller.sigma_fraction", 2, "config error: controller: sigma_fraction"),
+        ("noise.d_bound", -1, "config error: noise: d_bound"),
+        ("noise.n_bound", 1e308, "config error: noise: n_bound"),  # 2x overflows
+        ("dos_class.T", 0.5, "config error: dos_class: T must be > 1"),
+        ("dos.generator.on_range", [2, 1], "config error: dos.generator: on_range"),
+    ])
+    def test_constructor_error_named_once(self, capsys, tmp_path, command, field,
+                                          value, message):
+        cfg = write_config(tmp_path, **{field: value})
+        code, out, err = run(capsys, command, cfg)
+        assert code == 1
+        assert err.startswith(message)
+        assert err.count(field.split(".")[0]) == 1
+
+    @pytest.mark.parametrize("intervals", [5, [5], [[1.0, 2.0, 3.0]], [{"a": 1}]])
+    def test_malformed_signal_intervals(self, capsys, tmp_path, intervals):
+        cfg = write_config(
+            tmp_path, dos={"signal": {"horizon": 50.0, "intervals": intervals}}
+        )
+        code, out, err = run(capsys, "sim", cfg)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("config error: dos.signal: ")
+        assert run(capsys, "bounds", cfg)[0] == 0  # bounds never builds it
+
     def test_decay_at_not_a_number(self, capsys, tmp_path):
         cfg = write_config(tmp_path, **{"noise.decay_at": "soon"})
         code, _, err = run(capsys, "sim", cfg)
         assert code == 1
         assert "Traceback" not in err
         assert "decay_at" in err
+
+
+def schema_fields(section=cli.SCHEMA, prefix=()):
+    """(path, reader) of every field and section in the config table."""
+    for key, (reader, _) in section.items():
+        yield prefix + (key,), reader
+        if isinstance(reader, dict):
+            yield from schema_fields(reader, prefix + (key,))
+
+
+def leaf_paths(tree, prefix=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from leaf_paths(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+class TestSchemaTable:
+    def readme(self):
+        return (REPO / "README.md").read_text()
+
+    def test_readme_block_lists_the_table(self):
+        text = self.readme()
+        block = text.split("### Config schema (format 1)")[1]
+        block = block.split("```jsonc")[1].split("```")[0]
+        example = json.loads(re.sub(r"//.*", "", block).replace("...", ""))
+        table = {".".join(path) for path, reader in schema_fields()
+                 if not isinstance(reader, dict)}
+        assert set(leaf_paths(example)) == table
+
+    def test_readme_lists_the_integer_fields(self):
+        sentence = re.search(r"The integer fields are (.*?);", self.readme(), re.S)
+        listed = re.findall(r"`([\w.]+)`", sentence.group(1))
+        table = [".".join(path) for path, reader in schema_fields()
+                 if reader in (cli._integer, cli._count)]
+        assert sorted(listed) == sorted(table)
+
+
+FUZZ_PATHS = [path for path, _ in schema_fields()]
+FUZZ_VALUES = [
+    None, "x", True, [], {}, [[1.0]], [1.0, 2.0],
+    -1, 0, 0.5, 2.5, 3, 1e-300, 5e-324, 1e300, -1e300, 1e308, 10**400,
+]
+
+
+def mutated_config(path, mutation, value):
+    """The bundled config with one field changed; see test_config_fuzz."""
+    cfg = json.loads(Path(BENCHMARK_CONFIG).read_text())
+    parent = cfg
+    for key in path[:-1]:
+        node = parent.get(key)
+        parent[key] = node = node if isinstance(node, dict) else {}
+        parent = node
+    key = path[-1]
+    if mutation == "replace":
+        parent[key] = value
+    elif mutation == "element":  # the first number inside a list value
+        node = parent.get(key)
+        if not isinstance(node, list) or not node:
+            parent[key] = value
+        else:
+            while isinstance(node[0], list) and node[0]:
+                node = node[0]
+            node[0] = value
+    elif mutation == "missing":
+        parent.pop(key, None)
+    elif mutation == "unknown":
+        parent["zz_" + key] = parent.get(key, 1)
+    elif mutation == "nest":
+        parent[key] = {key: parent.get(key, value)}
+    elif mutation == "hoist" and len(path) > 1:
+        grand = cfg
+        for step in path[:-2]:
+            grand = grand[step]
+        grand[key] = parent.pop(key, value)
+    return cfg
+
+
+class TestConfigFuzz:
+    """Each mutation of one field of the bundled config ends in an exit code.
+
+    The drawn numbers keep any run the mutation leaves valid short: none
+    makes a horizon, a period or a generator range that passes the row and
+    interval limits and still takes long.
+    """
+
+    @settings(max_examples=200, deadline=timedelta(seconds=5), derandomize=True,
+              database=None)
+    @given(
+        path=st.sampled_from(FUZZ_PATHS),
+        mutation=st.sampled_from(
+            ["replace", "element", "missing", "unknown", "nest", "hoist"]
+        ),
+        value=st.sampled_from(FUZZ_VALUES),
+    )
+    def test_config_fuzz(self, path, mutation, value):
+        cfg = mutated_config(path, mutation, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            config_path = os.path.join(tmp, "config.json")
+            with open(config_path, "w") as fh:
+                json.dump(cfg, fh)
+            for command in ("bounds", "sim"):
+                out, err = io.StringIO(), io.StringIO()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    with contextlib.redirect_stdout(out), \
+                            contextlib.redirect_stderr(err):
+                        code = main([command, config_path])
+                assert code in (0, 1, 2, 3), (command, err.getvalue())
+                assert "Traceback" not in err.getvalue()
+                if mutation == "unknown":
+                    name = ".".join(path[:-1] + ("zz_" + path[-1],))
+                    assert (code, err.getvalue()) == (
+                        1, f"config error: {name}: unknown field\n"
+                    )
 
 
 class TestUsage:

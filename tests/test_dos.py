@@ -112,6 +112,22 @@ class TestSignalConstruction:
         s = DoSSignal(intervals=((0.3, 0.0), (1.0, 0.5)), horizon=10.0)
         assert signal_from_dict(signal_to_dict(s)) == s
 
+    @pytest.mark.parametrize("data", [
+        {"horizon": 50.0, "intervals": 5},
+        {"horizon": 50.0, "intervals": [5]},
+        {"horizon": 50.0, "intervals": [[1.0]]},
+        {"horizon": 50.0, "intervals": [[1.0, 2.0, 3.0]]},
+        {"horizon": 50.0, "intervals": [[[1.0, 2.0]]]},
+        {"horizon": 50.0, "intervals": [{"a": 1, "b": 2}]},
+        {"horizon": 50.0, "intervals": [[1.0, 10**400]]},
+        {"horizon": None, "intervals": []},
+        {"horizon": 50.0},
+        [],
+    ])
+    def test_malformed_dict_is_a_value_error(self, data):
+        with pytest.raises(ValueError):
+            signal_from_dict(data)
+
     def test_immutable_value(self):
         s = DoSSignal(intervals=((0.3, 0.0), (1.0, 0.5)), horizon=10)
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -162,7 +162,7 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "field", [{"horizon": math.inf}, {"horizon": math.nan},
                   {"delta_big": math.inf}, {"delta_big": math.nan},
-                  {"T_c": math.inf}, {"T_c": math.nan}],
+                  {"T_c": math.inf}, {"T_c": math.nan}, {"T_c": 1e308}],
     )
     def test_non_finite_timing_rejected(self, field):
         kwargs = {"delta_big": 0.1, "horizon": 10.0, "h": 5, **field}
