@@ -15,6 +15,11 @@ run crosses the edge of simulate's first 512-tick solve block), with the
 bench spec, T_c = 0.4 s where the mode holds more than one entry and 0
 elsewhere: 338 runs in all.
 
+With each run it saves the run's generated DoS signal, its onsets and
+ends, and the signal's gap audit (check_gap_bound) at Delta = 0.1 s against
+the class fitted to it: tau_D and T from its transition count and blocked
+time over its horizon, eta and kappa from fit_class_params.
+
 Beside the runs it saves the bounds layer: every derive_constants output
 (P and each scalar) at h = 1, 5 and 50 and delta = 0.1 s, for the bundled
 design and for seeded random LQR designs of 2, 8, 16 and 24 states.
@@ -24,17 +29,19 @@ design and for seeded random LQR designs of 2, 8, 16 and 24 states.
     PYTHONPATH=src python3 scripts/trace_digest.py compare a.npz b.npz
 
 ``save`` writes, per run, every SimTrace field, every metric, the CSV's
-first two lines and flag columns, and its t, x, u and V cells parsed back to
-float (csv_t, csv_x, csv_u, csv_V) to one .npz, as entries "<run>/<name>".
+first two lines and flag columns, its t, x, u and V cells parsed back to
+float (csv_t, csv_x, csv_u, csv_V), the signal's dos_onsets and dos_ends and
+each audit field as gap_<field> to one .npz, as entries "<run>/<name>".
 ``compare`` holds exact the flags, times, csv_t, z, buffer_depth, the
-scalar SimTrace fields, failure_fraction, max_gap, the verdicts and the CSV
-lines it keeps.  It holds x, u, prediction and V, and their CSV cells, row
-by row within TOL times the running maximum row norm (NaN positions exact),
-and the two state norms within TOL times max_state_norm, the running maximum
-at the last row.  It holds each derive_constants output within TOL times the
-larger absolute entry of the two saves.  It prints the largest scaled
-deviation per field, then every mismatch, including a run or field that
-only one save has, and exits 1 on any mismatch.
+scalar SimTrace fields, failure_fraction, max_gap, the verdicts, the CSV
+lines it keeps, the signal arrays and the audit.  It holds x, u, prediction
+and V, and their CSV cells, row by row within TOL times the running maximum
+row norm (NaN positions exact), and the two state norms within TOL times
+max_state_norm, the running maximum at the last row.  It holds each
+derive_constants output within TOL times the larger absolute entry of the
+two saves.  It prints the largest scaled deviation per field, then every
+mismatch, including a run or field that only one save has, and exits 1 on
+any mismatch.
 """
 
 import argparse
@@ -50,16 +57,21 @@ import scipy.linalg
 
 from doscontrol import (
     DesignInputs,
+    DoSClassParams,
     GeneratorSpec,
     LtiPlant,
     NoiseSpec,
     SimConfig,
     benchmark,
+    check_gap_bound,
     compute_metrics,
     derive_constants,
+    dos_measure,
+    fit_class_params,
     generate,
     simulate,
     trace_to_csv,
+    transitions_count,
 )
 
 HORIZON = 20.0
@@ -140,6 +152,20 @@ def as_array(value) -> np.ndarray:
     return np.asarray(np.nan if value is None else value)
 
 
+def record_signal(sig) -> dict:
+    """The signal's onsets and ends, and its audit against its fitted class."""
+    horizon = sig.horizon
+    tau_d = horizon / transitions_count(sig, 0.0, horizon)
+    big_t = horizon / dos_measure(sig, 0.0, horizon)
+    eta, kappa = fit_class_params(sig, tau_d, big_t)
+    verdict = check_gap_bound(sig, 0.1, DoSClassParams(eta, tau_d, kappa, big_t),
+                              horizon)
+    out = {"dos_onsets": sig.onsets, "dos_ends": sig.ends}
+    out.update({f"gap_{f.name}": as_array(getattr(verdict, f.name))
+                for f in dataclasses.fields(verdict)})
+    return out
+
+
 def record(config, signal_args, noise, csv_path) -> dict:
     """Every output of one run, by name."""
     seed, spec, sig_horizon = signal_args
@@ -163,6 +189,7 @@ def record(config, signal_args, noise, csv_path) -> dict:
     out["csv_x"] = cells[:, 1 : 1 + n]
     out["csv_u"] = cells[:, 1 + n : 1 + n + m]
     out["csv_V"] = cells[:, 1 + n + m]
+    out.update(record_signal(sig))
     return out
 
 

@@ -127,6 +127,8 @@ def _matrix(value, path: str) -> np.ndarray:
         raise ConfigError(f"{path}: not a numeric matrix ({exc})")
     if arr.ndim != 2:
         raise ConfigError(f"{path}: expected a 2-D array, got {arr.ndim}-D")
+    for i, row in enumerate(value):  # numpy would read "1" and true as numbers
+        _numbers(row, f"{path}[{i}]")
     return arr
 
 
@@ -156,10 +158,10 @@ def _raw(value, path: str):
 
 
 def _format(value, path: str) -> int:
-    if value != CONFIG_FORMAT_VERSION:
+    if isinstance(value, bool) or value != CONFIG_FORMAT_VERSION:
         raise ConfigError(
-            f"{path}: unsupported config version {value!r} "
-            f"(this build reads version {CONFIG_FORMAT_VERSION})"
+            f"{path}: expected config version {CONFIG_FORMAT_VERSION}, "
+            f"got {value!r} (unsupported)"
         )
     return value
 
@@ -314,8 +316,20 @@ def load_signal_file(path) -> DoSSignal:
 
 
 def _dump(obj, stream=None) -> None:
-    json.dump(obj, stream or sys.stdout, indent=2, sort_keys=True, allow_nan=False)
-    (stream or sys.stdout).write("\n")
+    """Write obj as JSON; serialized first, so a failure writes nothing."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    (stream or sys.stdout).write(text + "\n")
+
+
+def _finite(text: str) -> float:
+    """The argparse type of the ``dos`` flags: a float, neither inf nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _structured_error(exc) -> dict:
@@ -599,19 +613,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = dos_sub.add_parser("gen", help="generate a random signal")
     p_gen.add_argument("--seed", type=int, required=True)
-    p_gen.add_argument("--horizon", type=float, required=True)
-    p_gen.add_argument("--off-lo", type=float, default=GeneratorSpec().off_range[0])
-    p_gen.add_argument("--off-hi", type=float, default=GeneratorSpec().off_range[1])
-    p_gen.add_argument("--on-lo", type=float, default=GeneratorSpec().on_range[0])
-    p_gen.add_argument("--on-hi", type=float, default=GeneratorSpec().on_range[1])
+    p_gen.add_argument("--horizon", type=_finite, required=True)
+    p_gen.add_argument("--off-lo", type=_finite, default=GeneratorSpec().off_range[0])
+    p_gen.add_argument("--off-hi", type=_finite, default=GeneratorSpec().off_range[1])
+    p_gen.add_argument("--on-lo", type=_finite, default=GeneratorSpec().on_range[0])
+    p_gen.add_argument("--on-hi", type=_finite, default=GeneratorSpec().on_range[1])
     p_gen.add_argument("-o", "--output", help="write to this file instead of stdout")
     p_gen.set_defaults(func=cmd_dos_gen)
 
     p_ver = dos_sub.add_parser("verify", help="fit and audit a signal file")
     p_ver.add_argument("signal", help="signal JSON file")
-    p_ver.add_argument("--tau-d", type=float, required=True, dest="tau_d")
-    p_ver.add_argument("--big-t", type=float, required=True, dest="big_t")
-    p_ver.add_argument("--delta-big", type=float, required=True, dest="delta_big")
+    p_ver.add_argument("--tau-d", type=_finite, required=True, dest="tau_d")
+    p_ver.add_argument("--big-t", type=_finite, required=True, dest="big_t")
+    p_ver.add_argument("--delta-big", type=_finite, required=True, dest="delta_big")
     p_ver.set_defaults(func=cmd_dos_verify)
 
     p_sim = sub.add_parser("sim", help="run one closed-loop simulation")

@@ -20,6 +20,8 @@ import numpy as np
 # Most intervals, in expectation, that generate draws for one signal; the
 # 500 s benchmark signal has ~380.
 MAX_INTERVALS = 1_000_000
+# Most attempts successful_transmissions puts on one grid.
+MAX_ATTEMPTS = 10_000_000
 
 
 class InfeasibleDoSClassError(ValueError):
@@ -37,75 +39,61 @@ class InfeasibleDoSClassError(ValueError):
         )
 
 
-def _canonical_intervals(
-    intervals, horizon: float
-) -> tuple[tuple[float, float], ...]:
-    """Sort, validate, clip to [0, horizon] and merge overlapping intervals.
-
-    Merging respects the half-open semantics: [a, b[ followed by [b, c[ fuses
-    into [a, c[, but a pulse sitting exactly at an open right endpoint stays
-    separate because the union would be closed on the right.
-    """
-    cleaned: list[tuple[float, float]] = []
-    for item in intervals:
-        h, tau = (float(item[0]), float(item[1]))
-        if not (math.isfinite(h) and math.isfinite(tau)):
-            raise ValueError(f"non-finite DoS interval ({h}, {tau})")
-        if h < 0.0 or tau < 0.0:
-            raise ValueError(f"negative onset or duration in ({h}, {tau})")
-        if h > horizon:
-            continue
-        cleaned.append((h, min(tau, horizon - h)))
-    cleaned.sort()
-    merged: list[tuple[float, float]] = []
-    for h, tau in cleaned:
-        if merged:
-            h0, tau0 = merged[-1]
-            end0 = h0 + tau0
-            if h < end0 or (h == end0 and (tau > 0.0 or h == h0)):
-                merged[-1] = (h0, max(end0, h + tau) - h0)
-                continue
-        merged.append((h, tau))
-    return tuple(merged)
-
-
 class DoSSignal:
-    """Explicit list of DoS intervals (onset, duration) within [0, horizon].
+    """DoS intervals (onset, duration) within [0, horizon], from any (k, 2) array-like.
 
-    Overlapping or touching input intervals are merged on construction, so
-    the stored representation is canonical: onsets strictly increase and
-    consecutive intervals are disjoint.  The signal is held as read-only
-    arrays ``onsets`` and ``ends``; ``intervals``, the same list as
-    (onset, duration) pairs, is built on first use, so a generated signal
-    that is only queried creates no object per interval.  Equality,
-    hashing and the JSON form use ``intervals`` and ``horizon`` only.
-    Instances are immutable.
+    An empty sequence is the empty signal; any other shape is refused.
+    Onsets past the horizon are dropped, durations clipped to it, and
+    overlapping or touching intervals merged, so onsets strictly increase
+    and consecutive intervals are disjoint.  Merging respects the half-open
+    semantics: [a, b[ followed by [b, c[ fuses into [a, c[, but a pulse
+    sitting exactly at an open right endpoint stays separate because the
+    union would be closed on the right.  The signal is held as read-only
+    arrays ``onsets`` and ``ends``; ``intervals``, the same list as pairs,
+    is built on first use.  Equality, hashing and the JSON form use
+    ``intervals`` and ``horizon`` only.  Instances are immutable.
     """
 
     def __init__(self, intervals, horizon: float):
         horizon = float(horizon)
         if not math.isfinite(horizon) or horizon <= 0.0:
             raise ValueError(f"horizon must be finite and > 0, got {horizon}")
-        intervals = _canonical_intervals(intervals, horizon)
-        self._store(*np.array(intervals, dtype=float).reshape(-1, 2).T, horizon)
-        self.__dict__["intervals"] = intervals
-
-    @classmethod
-    def _from_canonical(cls, onsets, durations, horizon: float) -> DoSSignal:
-        """A signal from intervals already sorted, disjoint and clipped."""
-        signal = cls.__new__(cls)
-        signal._store(onsets, durations, horizon)
-        return signal
-
-    def _store(self, onsets, durations, horizon: float) -> None:
-        onsets = np.array(onsets, dtype=float)
-        durations = np.array(durations, dtype=float)
-        ends = onsets + durations
-        for array in (onsets, durations, ends):
-            array.flags.writeable = False
-        self.__dict__.update(
-            horizon=horizon, onsets=onsets, ends=ends, _durations=durations
+        pairs = np.array(intervals, dtype=float)
+        if pairs.shape == (0,):
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("intervals: expected a list of [onset, duration] pairs")
+        bad = ~np.isfinite(pairs).all(axis=1) | (pairs < 0.0).any(axis=1)
+        if bad.any():  # the first offender, in input order
+            h, tau = pairs[bad.argmax()].tolist()
+            if not (math.isfinite(h) and math.isfinite(tau)):
+                raise ValueError(f"non-finite DoS interval ({h}, {tau})")
+            raise ValueError(f"negative onset or duration in ({h}, {tau})")
+        h, tau = pairs[pairs[:, 0] <= horizon].T
+        # min(tau, room) as Python takes it: a -0.0 duration stays -0.0.
+        room = horizon - h
+        tau = np.where(room < tau, room, tau)
+        order = np.lexsort((tau, h))  # stable, like sorting (h, tau) tuples
+        h, tau = h[order], tau[order]
+        end = h + tau
+        joins = (h[1:] < end[:-1]) | (
+            (h[1:] == end[:-1]) & ((tau[1:] > 0.0) | (h[1:] == h[:-1]))
         )
+        if joins.any():  # merge only when some neighbours overlap or touch
+            merged: list[tuple[float, float]] = []
+            for h1, tau1 in zip(h.tolist(), tau.tolist()):
+                if merged:
+                    h0, tau0 = merged[-1]
+                    end0 = h0 + tau0
+                    if h1 < end0 or (h1 == end0 and (tau1 > 0.0 or h1 == h0)):
+                        merged[-1] = (h0, max(end0, h1 + tau1) - h0)
+                        continue
+                merged.append((h1, tau1))
+            h, tau = map(np.array, zip(*merged))
+            end = h + tau
+        for array in (h, tau, end):
+            array.flags.writeable = False
+        self.__dict__.update(horizon=horizon, onsets=h, ends=end, _durations=tau)
 
     @functools.cached_property
     def intervals(self) -> tuple[tuple[float, float], ...]:
@@ -162,19 +150,21 @@ class GeneratorSpec:
     def __post_init__(self):
         for name, (lo, hi) in (("off_range", self.off_range),
                                ("on_range", self.on_range)):
-            if lo < 0.0 or hi < lo:
-                raise ValueError(f"{name} must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
+            if not 0.0 <= lo <= hi < math.inf:
+                raise ValueError(
+                    f"{name} must be finite with 0 <= lo <= hi, got ({lo}, {hi})"
+                )
         if self.off_range[1] + self.on_range[1] <= 0.0:
             raise ValueError("ranges admit no forward progress (both pinned at 0)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransmissionSchedule:
-    """Periodic attempt grid and the subset that got through."""
+    """Periodic attempt grid and the subset that got through, as read-only arrays."""
 
     delta_big: float
-    attempts: tuple[float, ...]
-    successes: tuple[float, ...]
+    attempts: np.ndarray
+    successes: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -272,6 +262,15 @@ def fit_class_params(
     return float(eta_min), float(kappa_min)
 
 
+def _batch_rows(cycles: float) -> int:
+    """Rows per draw batch for a horizon of this many mean off/on cycles.
+
+    One cycle's spread is at most 1/sqrt(3) of its mean, so a second batch
+    is rare.
+    """
+    return int(cycles + 4.0 * math.sqrt(cycles)) + 16
+
+
 def generate(seed: int, spec: GeneratorSpec, horizon: float) -> DoSSignal:
     """Generate a random off/on signal: durations drawn uniformly per range.
 
@@ -290,45 +289,48 @@ def generate(seed: int, spec: GeneratorSpec, horizon: float) -> DoSSignal:
             f"of {cycle:.3g} s, above the limit of {MAX_INTERVALS} intervals"
         )
     rng = np.random.default_rng(seed)
-    onsets: list[float] = []
-    durations: list[float] = []
-    t = 0.0
-    while True:
-        off = rng.uniform(spec.off_range[0], spec.off_range[1])
-        onset = t + off
-        if onset > horizon:
-            break
-        on = rng.uniform(spec.on_range[0], spec.on_range[1])
-        onsets.append(onset)
-        durations.append(min(on, horizon - onset))
-        t = onset + on
-        if t > horizon:
-            break
-    onsets, durations = np.array(onsets), np.array(durations)
-    if np.all(onsets[1:] > (onsets + durations)[:-1]):
-        # every clear period is long enough to separate its neighbours
-        return DoSSignal._from_canonical(onsets, durations, float(horizon))
-    intervals = tuple(zip(onsets.tolist(), durations.tolist()))
-    return DoSSignal(intervals=intervals, horizon=horizon)
+    # Draws (off, on) rows in batches, one PCG64 stream as drawn one by one,
+    # and sums them left to right into onset, end, onset, ... marks.
+    size = (_batch_rows(horizon / cycle), 2)
+    low, high = zip(spec.off_range, spec.on_range)
+    draws, marks = [], [np.zeros(1)]
+    while marks[-1][-1] <= horizon:
+        draws.append(rng.uniform(low, high, size).ravel())
+        with np.errstate(over="ignore"):  # a sum past the float range ends it too
+            marks.append(np.cumsum(np.concatenate((marks[-1][-1:], draws[-1])))[1:])
+    onsets, ends = np.concatenate(marks[1:]).reshape(-1, 2).T
+    # Up to the first end past the horizon: the constructor drops that
+    # interval if its onset is past the horizon too, else clips it.
+    n = int(np.searchsorted(ends, horizon, side="right")) + 1
+    on = np.concatenate(draws)[1::2]
+    return DoSSignal(np.column_stack((onsets[:n], on[:n])), horizon)
 
 
 def successful_transmissions(
     signal: DoSSignal, delta_big: float, horizon: float
 ) -> TransmissionSchedule:
-    """Attempt grid k*Delta up to the horizon and its DoS-free subset."""
-    if delta_big <= 0.0:
+    """Attempt grid k*Delta up to the horizon and its DoS-free subset.
+
+    A grid of more than MAX_ATTEMPTS attempts is refused before it is built.
+    """
+    if not delta_big > 0.0:
         raise ValueError(f"delta_big must be > 0, got {delta_big}")
     if horizon > signal.horizon:
         raise ValueError(
             f"horizon {horizon} exceeds signal horizon {signal.horizon}"
         )
-    n_attempts = int(math.floor(horizon / delta_big + 1e-9))
-    # k*Delta can land one ulp past the horizon; clamp it back inside.
-    attempts = tuple(
-        min(k * delta_big, horizon) for k in range(n_attempts + 1)
-    )
-    blocked = active_mask(signal, attempts)
-    successes = tuple(t for t, jammed in zip(attempts, blocked) if not jammed)
+    periods = horizon / delta_big + 1e-9
+    if not periods < MAX_ATTEMPTS:
+        raise ValueError(
+            f"an attempt grid over {horizon} s in periods of {delta_big} s is "
+            f"{periods + 1:.3g} attempts, above the limit of {MAX_ATTEMPTS}"
+        )
+    grid = np.arange(math.floor(periods) + 1) * delta_big
+    # k*Delta can land one ulp past the horizon; clamp it back inside, as
+    # min(k*Delta, horizon) would (np.minimum may flip the sign of a zero).
+    attempts = np.where(horizon < grid, horizon, grid)
+    successes = attempts[~active_mask(signal, attempts)]
+    attempts.flags.writeable = successes.flags.writeable = False
     return TransmissionSchedule(
         delta_big=delta_big, attempts=attempts, successes=successes
     )
@@ -370,14 +372,8 @@ def check_gap_bound(
     bound = success_gap_bound(params, delta_big)
     schedule = successful_transmissions(signal, delta_big, horizon)
     z = schedule.successes
-    if not z:
-        z0 = math.inf
-        max_gap = math.inf
-    else:
-        z0 = z[0]
-        max_gap = max(
-            (b - a for a, b in zip(z, z[1:])), default=0.0
-        )
+    z0 = float(z[0]) if z.size else math.inf
+    max_gap = float(np.max(np.diff(z), initial=0.0)) if z.size else math.inf
     return GapBoundVerdict(
         z0=z0,
         max_gap=max_gap,
@@ -400,9 +396,6 @@ def signal_from_dict(data: dict) -> DoSSignal:
     """Inverse of signal_to_dict, with validation via the constructor."""
     try:
         horizon = float(data["horizon"])
-        intervals = np.array(data["intervals"], dtype=float)
+        return DoSSignal(intervals=data["intervals"], horizon=horizon)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"signal object needs a 'horizon' and 'intervals': {exc}")
-    if intervals.size and (intervals.ndim != 2 or intervals.shape[1] != 2):
-        raise ValueError("intervals: expected a list of [onset, duration] pairs")
-    return DoSSignal(intervals=intervals.reshape(-1, 2), horizon=horizon)

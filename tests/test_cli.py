@@ -193,6 +193,48 @@ class TestDosCommands:
         assert record["error"]["rate"] >= 1.0
         assert record["gap_check"] is None
 
+    def test_verify_refuses_a_grid_past_the_limit(self, capsys, tmp_path):
+        # 3e10 attempts: refused before the grid is built, not a hang
+        sig_file = tmp_path / "sig.json"
+        run(capsys, "dos", "gen", "--seed", "7", "--horizon", "30", "-o", str(sig_file))
+        code, out, err = run(
+            capsys, "dos", "verify", str(sig_file),
+            "--tau-d", "1.28", "--big-t", "1.44", "--delta-big", "1e-9",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: an attempt grid over 30.0 s in periods of 1e-09 s is 3e+10 "
+            f"attempts, above the limit of {dos.MAX_ATTEMPTS}\n"
+        )
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--horizon", "inf"), ("--off-lo", "nan"), ("--off-hi", "inf"),
+        ("--on-lo", "-inf"), ("--on-hi", "inf"), ("--tau-d", "nan"),
+        ("--tau-d", "inf"), ("--big-t", "inf"), ("--delta-big", "nan"),
+        ("--delta-big", "x"),
+    ])
+    def test_non_finite_flag_is_a_usage_error(self, capsys, tmp_path, flag, value):
+        sig_file = tmp_path / "sig.json"
+        sig_file.write_text(json.dumps({"horizon": 5.0, "intervals": [[1.0, 0.5]]}))
+        argv = {
+            "gen": ["dos", "gen", "--seed", "1", "--horizon", "5"],
+            "verify": ["dos", "verify", str(sig_file), "--tau-d", "1.28",
+                       "--big-t", "1.44", "--delta-big", "0.1"],
+        }["verify" if flag in ("--tau-d", "--big-t", "--delta-big") else "gen"]
+        argv.append(f"{flag}={value}")  # the last of a repeated flag wins
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == (f"usage error: argument {flag}: expected a finite "
+                       f"number, got {value!r}\n")
+
+    def test_failed_dump_writes_nothing(self):
+        stream = io.StringIO()
+        with pytest.raises(ValueError, match="Out of range float"):
+            cli._dump({"a": 1.0, "b": float("inf")}, stream)
+        assert stream.getvalue() == ""
+
 
 class TestSim:
     def test_stable_run_writes_outputs(self, capsys, tmp_path):
@@ -398,6 +440,8 @@ class TestConfigErrors:
         ("sim", "network.b", True),
         ("bounds", "network.delta_big", float("nan")),
         ("sim", "buffer.T_c", float("nan")),
+        ("bounds", "format", True),
+        ("sim", "format", True),
     ])
     def test_scalar_of_the_wrong_type(self, capsys, tmp_path, command, field, value):
         cfg = write_config(tmp_path, **{field: value})
@@ -421,6 +465,12 @@ class TestConfigErrors:
         ("sim", {"dos.signal": {"horizon": 50.0, "intervals": []}}, "dos"),
         ("bounds", {"dos": {}}, "dos"),
         ("sim", {"sim.x0": [0.1, 0.2, 0.3]}, "sim.x0"),
+        ("bounds", {"plant.A": [["1", "1"], ["0", True]]}, "plant.A[0][0]"),
+        ("sim", {"plant.A": [["1", "1"], ["0", True]]}, "plant.A[0][0]"),
+        ("bounds", {"plant.A": [[1.0, 1.0], [0.0, True]]}, "plant.A[1][1]"),
+        ("sim", {"plant.A": [[1.0, 1.0], [0.0, True]]}, "plant.A[1][1]"),
+        ("bounds", {"controller.K": [[-2.0, "0"], [0.0, -2.0]]}, "controller.K[0][1]"),
+        ("sim", {"controller.K": [[-2.0, "0"], [0.0, -2.0]]}, "controller.K[0][1]"),
     ])
     def test_field_of_the_wrong_shape_or_range(self, capsys, tmp_path, command,
                                                overrides, field):

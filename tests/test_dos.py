@@ -1,9 +1,11 @@
 import dataclasses
 import math
 import pickle
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from doscontrol import (
     DoSClassParams,
@@ -21,7 +23,12 @@ from doscontrol import (
     successful_transmissions,
     transitions_count,
 )
-from doscontrol.dos import MAX_INTERVALS, active_mask
+from doscontrol import dos
+from doscontrol.dos import MAX_ATTEMPTS, MAX_INTERVALS, active_mask
+
+# Deterministic property runs that leave no example database behind.
+PROPERTY = settings(max_examples=300, deadline=timedelta(seconds=2),
+                    derandomize=True, database=None)
 
 
 def pulse_train(delta, horizon):
@@ -69,6 +76,103 @@ def fit_class_params_loop(signal, tau_D, T):
     return eta_min, kappa_min
 
 
+def canonical_intervals_loop(intervals, horizon):
+    """The per-item loop the constructor replaced: its oracle.
+
+    Validates, drops onsets past the horizon, clips, sorts the (onset,
+    duration) tuples and merges overlapping or touching neighbours.
+    """
+    cleaned = []
+    for item in intervals:
+        h, tau = (float(item[0]), float(item[1]))
+        if not (math.isfinite(h) and math.isfinite(tau)):
+            raise ValueError(f"non-finite DoS interval ({h}, {tau})")
+        if h < 0.0 or tau < 0.0:
+            raise ValueError(f"negative onset or duration in ({h}, {tau})")
+        if h > horizon:
+            continue
+        cleaned.append((h, min(tau, horizon - h)))
+    cleaned.sort()
+    merged = []
+    for h, tau in cleaned:
+        if merged:
+            h0, tau0 = merged[-1]
+            end0 = h0 + tau0
+            if h < end0 or (h == end0 and (tau > 0.0 or h == h0)):
+                merged[-1] = (h0, max(end0, h + tau) - h0)
+                continue
+        merged.append((h, tau))
+    return tuple(merged)
+
+
+def generate_loop(seed, spec, horizon):
+    """One draw per clear or blocked period: the oracle for generate."""
+    rng = np.random.default_rng(seed)
+    intervals = []
+    t = 0.0
+    while True:
+        onset = t + rng.uniform(spec.off_range[0], spec.off_range[1])
+        if onset > horizon:
+            break
+        on = rng.uniform(spec.on_range[0], spec.on_range[1])
+        intervals.append((onset, min(on, horizon - onset)))
+        t = onset + on
+        if t > horizon:
+            break
+    return canonical_intervals_loop(intervals, horizon)
+
+
+def assert_canonical_as(sig, intervals):
+    """sig holds exactly these canonical intervals, down to the bytes."""
+    onsets = np.array([h for h, _ in intervals], dtype=float)
+    ends = onsets + np.array([tau for _, tau in intervals], dtype=float)
+    assert sig.onsets.tobytes() == onsets.tobytes()
+    assert sig.ends.tobytes() == ends.tobytes()
+    assert repr(sig.intervals) == repr(intervals)
+
+
+def schedule_loop(signal, delta_big, horizon):
+    """Attempt times and successes as tuples, one membership test each."""
+    n = int(math.floor(horizon / delta_big + 1e-9))
+    attempts = tuple(min(k * delta_big, horizon) for k in range(n + 1))
+    successes = tuple(
+        t for t in attempts
+        if not any(t == h or h <= t < h + tau for h, tau in signal.intervals)
+    )
+    return attempts, successes
+
+
+def gap_loop(successes):
+    """(z0, largest gap) of a success tuple, inf for none: the audit's oracle."""
+    if not successes:
+        return math.inf, math.inf
+    return successes[0], max(
+        (b - a for a, b in zip(successes, successes[1:])), default=0.0
+    )
+
+
+@st.composite
+def interval_lists(draw, valid=True):
+    """(intervals, horizon): pulses at the horizon, -0.0 durations, onsets
+    past the horizon, and duplicated, touching and overlapping intervals,
+    shuffled; with valid=False, also non-finite and negative entries."""
+    horizon = draw(st.sampled_from([0.5, 1.0, 7.25]))
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, horizon]),
+        st.floats(0.0, 1.2 * horizon),
+    )
+    if not valid:
+        value = st.one_of(value, st.sampled_from([-1.0, -5e-324, math.inf,
+                                                  -math.inf, math.nan]))
+    pairs = draw(st.lists(st.tuples(value, value), max_size=12))
+    if pairs:
+        # intervals that start where others end, and exact duplicates
+        picked = draw(st.lists(st.sampled_from(pairs), max_size=4))
+        pairs += [(h + tau, draw(value)) for h, tau in picked]
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    return draw(st.permutations(pairs)), horizon
+
+
 def brute_force_deficits(signal, tau_D, T, windows):
     """Direct evaluation of the two class deficits over explicit windows."""
     eta = 0.0
@@ -107,6 +211,43 @@ class TestSignalConstruction:
             DoSSignal(intervals=((1.0, -0.5),), horizon=10.0)
         with pytest.raises(ValueError):
             DoSSignal(intervals=(), horizon=0.0)
+
+    @PROPERTY
+    @given(interval_lists())
+    def test_canonical_like_the_loop(self, case):
+        intervals, horizon = case
+        assert_canonical_as(DoSSignal(intervals, horizon),
+                            canonical_intervals_loop(intervals, horizon))
+
+    @PROPERTY
+    @given(interval_lists(valid=False))
+    def test_first_offender_like_the_loop(self, case):
+        intervals, horizon = case
+        try:
+            want = canonical_intervals_loop(intervals, horizon)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                DoSSignal(intervals, horizon)
+            assert str(got.value) == str(exc)
+        else:
+            assert_canonical_as(DoSSignal(intervals, horizon), want)
+
+    def test_negative_zero_duration_kept(self):
+        # min(-0.0, 0.0) is -0.0 in Python; np.minimum would give 0.0
+        s = DoSSignal(intervals=((10.0, -0.0), (1.0, -0.0)), horizon=10.0)
+        assert repr(s.intervals) == "((1.0, -0.0), (10.0, -0.0))"
+
+    @pytest.mark.parametrize("intervals", [
+        [[1.0, 2.0, 3.0]], [[1.0]], [5], 5, [[[1.0, 2.0]]], [[]], np.empty((0, 3)),
+    ])
+    def test_refuses_other_shapes(self, intervals):
+        with pytest.raises(ValueError, match=r"^intervals: expected a list of \[onset"):
+            DoSSignal(intervals=intervals, horizon=10.0)
+
+    @pytest.mark.parametrize("intervals", [(), [], np.empty((0, 2))])
+    def test_empty_sequence_is_the_empty_signal(self, intervals):
+        s = DoSSignal(intervals=intervals, horizon=10.0)
+        assert s.intervals == () and s.onsets.shape == s.ends.shape == (0,)
 
     def test_json_round_trip(self):
         s = DoSSignal(intervals=((0.3, 0.0), (1.0, 0.5)), horizon=10.0)
@@ -317,6 +458,40 @@ class TestGenerate:
             assert np.array_equal(sig.ends, rebuilt.ends)
         assert len(generate(1, GeneratorSpec(off_range=(0.0, 0.0)), 50.0).intervals) == 1
 
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        off=st.tuples(st.sampled_from([0.0, 0.05, 0.3]) | st.floats(0.0, 1.0),
+                      st.sampled_from([0.0, 0.4]) | st.floats(0.0, 1.5)),
+        on=st.tuples(st.sampled_from([0.0, 0.05, 0.3]) | st.floats(0.0, 1.0),
+                     st.sampled_from([0.0, 1.2]) | st.floats(0.0, 1.5)),
+        horizon=st.sampled_from([0.05, 1.0, 50.0]) | st.floats(1e-3, 60.0),
+        rows=st.sampled_from([None, None, 1, 2, 7]),
+    )
+    def test_matches_the_loop(self, seed, off, on, horizon, rows):
+        # (lo, width) pairs, zero widths included; rows forces small batches,
+        # so that the first batch falls short of the horizon
+        assume(off[0] + off[1] + on[0] + on[1] > 0.0)
+        spec = GeneratorSpec(off_range=(off[0], off[0] + off[1]),
+                             on_range=(on[0], on[0] + on[1]))
+        cycle = (sum(spec.off_range) + sum(spec.on_range)) / 2.0
+        assume(horizon <= 2000.0 * cycle)
+        with pytest.MonkeyPatch.context() as patch:
+            if rows is not None:
+                patch.setattr(dos, "_batch_rows", lambda cycles: rows)
+            sig = generate(seed, spec, horizon)
+        assert_canonical_as(sig, generate_loop(seed, spec, horizon))
+
+    @pytest.mark.parametrize("off_range, on_range", [
+        ((math.nan, 0.7), (0.3, 1.5)),
+        ((0.1, math.inf), (0.3, 1.5)),
+        ((0.1, 0.7), (0.3, math.inf)),
+        ((0.1, 0.7), (math.nan, math.nan)),
+    ])
+    def test_spec_refuses_non_finite_ends(self, off_range, on_range):
+        with pytest.raises(ValueError, match="must be finite"):
+            GeneratorSpec(off_range=off_range, on_range=on_range)
+
     def test_pure_pulses(self):
         spec = GeneratorSpec(off_range=(0.2, 0.4), on_range=(0.0, 0.0))
         sig = generate(7, spec, 10.0)
@@ -338,18 +513,59 @@ class TestSuccessfulTransmissions:
     def test_empty_signal_all_succeed(self):
         s = DoSSignal(intervals=(), horizon=1.0)
         sched = successful_transmissions(s, 0.1, 1.0)
-        assert sched.successes == sched.attempts
+        assert np.array_equal(sched.successes, sched.attempts)
         assert len(sched.attempts) == 11
 
     def test_synchronized_pulse_train_blocks_everything(self):
         s = pulse_train(0.1, 1.0)
         sched = successful_transmissions(s, 0.1, 1.0)
-        assert sched.successes == ()
+        assert sched.successes.size == 0
 
     def test_interval_check(self):
         s = DoSSignal(intervals=((0.05, 0.1),), horizon=0.3)
         sched = successful_transmissions(s, 0.1, 0.3)
-        assert sched.successes == (0.0, 0.2, pytest.approx(0.3))
+        assert sched.successes.tolist() == [0.0, 0.2, pytest.approx(0.3)]
+
+    def test_read_only_float_arrays(self):
+        sched = successful_transmissions(pulse_train(0.3, 1.0), 0.1, 1.0)
+        for times in (sched.attempts, sched.successes):
+            assert times.dtype == np.float64
+            with pytest.raises(ValueError):
+                times[0] = 1.0
+
+    @PROPERTY
+    @given(
+        case=interval_lists(),
+        delta=st.sampled_from([0.1, 0.25, 0.3]) | st.floats(0.05, 2.0),
+        share=st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(0.0, 1.0),
+    )
+    def test_schedule_and_audit_match_the_tuple_loop(self, case, delta, share):
+        intervals, horizon = case
+        sig = DoSSignal(intervals, horizon)
+        horizon *= share
+        attempts, successes = schedule_loop(sig, delta, horizon)
+        sched = successful_transmissions(sig, delta, horizon)
+        assert sched.attempts.tobytes() == np.array(attempts, dtype=float).tobytes()
+        assert sched.successes.tobytes() == np.array(successes, dtype=float).tobytes()
+        params = DoSClassParams(eta=1.0, tau_D=10.0, kappa=1.0, T=2.0)
+        verdict = check_gap_bound(sig, delta, params, horizon)
+        assert repr((verdict.z0, verdict.max_gap)) == repr(gap_loop(successes))
+        types = [type(v) for v in dataclasses.astuple(verdict)]
+        assert types == [float] * 4 + [bool] * 2
+
+    def test_attempt_limit(self, monkeypatch):
+        s = DoSSignal(intervals=(), horizon=50.0)
+        limit = f"above the limit of {MAX_ATTEMPTS}$"
+        with pytest.raises(ValueError, match=f"is 5e\\+10 attempts, {limit}"):
+            successful_transmissions(s, 1e-9, 50.0)
+        with pytest.raises(ValueError, match="is inf attempts"):
+            successful_transmissions(s, 5e-324, 50.0)
+        with pytest.raises(ValueError, match="delta_big must be > 0, got nan"):
+            successful_transmissions(s, math.nan, 50.0)
+        monkeypatch.setattr(dos, "MAX_ATTEMPTS", 11)
+        assert successful_transmissions(s, 0.1, 1.0).attempts.size == 11
+        with pytest.raises(ValueError, match="is 12 attempts, above the limit of 11$"):
+            successful_transmissions(s, 0.1, 1.1)
 
 
 class TestSuccessGapBound:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from doscontrol import DerivedConstants, SimMetrics, SimTrace
+from doscontrol import DerivedConstants, GapBoundVerdict, SimMetrics, SimTrace, generate
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "trace_digest.py"
 
@@ -47,7 +47,14 @@ def test_one_config_repeats_exactly(script, runs, tmp_path):
         [f.name for f in dataclasses.fields(SimTrace)]
         + [f.name for f in dataclasses.fields(SimMetrics)]
         + ["csv_head", "csv_flags", "csv_t", "csv_x", "csv_u", "csv_V"]
+        + ["dos_onsets", "dos_ends"]
+        + [f"gap_{f.name}" for f in dataclasses.fields(GapBoundVerdict)]
     )
+    _, _, (seed, spec, sig_horizon), _ = next(script.grid())
+    sig = generate(seed, spec, sig_horizon)
+    assert arrays["dos_onsets"].tobytes() == sig.onsets.tobytes()
+    assert arrays["dos_ends"].tobytes() == sig.ends.tobytes()
+    assert arrays["gap_z0_ok"].dtype == bool and arrays["gap_z0"].dtype == float
     assert bytes(arrays["csv_head"]).startswith(b"# format: 1\n")
     # the CSV cells read back as the trace's floats, to their printed digits
     assert arrays["csv_t"].tolist() == [float(f"{t:.12g}") for t in arrays["times"]]
@@ -87,6 +94,10 @@ def bump_row(rel):
     ("csv_u", bump_row(1e-10), True),
     ("csv_V", lambda v: v * (1 + 1e-13), False),
     ("csv_V", lambda v: v * (1 + 1e-11), True),
+    ("dos_onsets", lambda o: np.nextafter(o, np.inf), True),
+    ("dos_ends", lambda e: np.where(np.arange(len(e)) == 2, np.nextafter(e, 0), e), True),
+    ("gap_max_gap", lambda g: np.nextafter(g, np.inf), True),
+    ("gap_z0_ok", lambda ok: ~ok, True),
 ])
 def test_tolerance_per_field(script, runs, tmp_path, name, edit, fails):
     problems, worst = compare(script, tmp_path, runs, changed(runs, name, edit))
