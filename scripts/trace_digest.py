@@ -2,18 +2,18 @@
 """Save every simulation output over a fixed grid of runs; compare two saves.
 
 Each run is one closed loop of the bundled two-state plant on a 20 s
-horizon.  The grid crosses the modes (co-located; remote with h = 1, 5 and
-50; remote without buffer), b = 1, 2, 3, computation delays T_c = 0, 0.15,
-0.25 and 0.4 s (0.4 s puts skip = h - 1 at h = 5, b = 1, so a packet is
-delivered straight into the hold), three generator specs and noise that
-never decays or decays at 5 or 10 s; the sub-step count cycles through 4,
-7 and 10 and the signal horizon through the run's horizon and 1 s more.
-Combinations that SimConfig rejects (a computation delay that needs more
-buffered ticks than the mode holds) are left out, which leaves 333 runs.
-Then each mode runs once on a 60 s horizon at b = 1 (600 ticks, so the
-run crosses the edge of simulate's first 512-tick solve block), with the
-bench spec, T_c = 0.4 s where the mode holds more than one entry and 0
-elsewhere: 338 runs in all.
+horizon.  The grid crosses the modes (co-located; remote with h = 1, which
+is remote without buffer, 5 and 50), b = 1, 2, 3, computation delays
+T_c = 0, 0.15, 0.25 and 0.4 s (0.4 s puts skip = h - 1 at h = 5, b = 1, so
+a packet is delivered straight into the hold), three generator specs and
+noise that never decays or decays at 5 or 10 s; the sub-step count cycles
+through 4, 7 and 10 and the signal horizon through the run's horizon and
+1 s more.  Combinations that SimConfig rejects (a computation delay that
+needs more buffered ticks than the mode holds) are left out, which leaves
+306 runs.  Then each mode runs once on a 60 s horizon at b = 1 (600 ticks,
+so the run crosses the edge of simulate's first 512-tick solve block), with
+the bench spec, T_c = 0.4 s where the mode holds more than one entry and 0
+elsewhere: 310 runs in all.
 
 With each run it saves the run's generated DoS signal, its onsets and
 ends, and the signal's gap audit (check_gap_bound) at Delta = 0.1 s against
@@ -76,8 +76,7 @@ from doscontrol import (
 
 HORIZON = 20.0
 LONG_HORIZON = 60.0
-MODES = (("colocated", 1), ("remote", 1), ("remote", 5), ("remote", 50),
-         ("remote_no_buffer", 1))
+MODES = (("colocated", 1), ("remote", 1), ("remote", 5), ("remote", 50))
 B_VALUES = (1, 2, 3)
 T_C_VALUES = (0.0, 0.15, 0.25, 0.4)
 SPECS = {

@@ -51,7 +51,6 @@ from .simulation import (
     MODES,
     NoiseSpec,
     SimConfig,
-    check_count,
     check_envelope,
     check_row_limit,
     compute_metrics,
@@ -102,22 +101,15 @@ def _number(value, path: str) -> float:
     raise ConfigError(f"{path}: expected a finite number, got {value!r}")
 
 
-def _integer(value, path: str) -> int:
-    """An integral JSON number, such as 5 or 5.0, in the float range."""
+def _integer(value, path: str, least: int = 0) -> int:
+    """An integral JSON number >= least, such as 5 or 5.0: a seed by default."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if abs(value) <= sys.float_info.max and float(value).is_integer():
+        if least <= value <= sys.float_info.max and float(value).is_integer():
             return int(value)
-    raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    raise ConfigError(f"{path}: expected an integer >= {least}, got {value!r}")
 
 
-def _count(value, path: str) -> int:
-    """An integer >= 1, by the rule SimConfig applies to b, h and substeps."""
-    count = _integer(value, path)
-    try:
-        check_count(path, count)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    return count
+_count = functools.partial(_integer, least=1)  # b, h, substeps and mu
 
 
 def _matrix(value, path: str) -> np.ndarray:
@@ -238,18 +230,25 @@ SCHEMA = _Section(
 class ExperimentConfig:
     """Validated experiment description parsed from one JSON document.
 
-    The fields of ``controller``, ``network``, ``buffer`` and ``sim`` are
-    attributes under their own names.
+    ``run`` is the run's timing, a SimConfig built from ``network``,
+    ``buffer`` and the timing fields of ``sim``; the fields of
+    ``controller`` and the rest of ``sim`` are attributes under their own
+    names.
     """
 
     def __init__(self, data: dict, base_dir=None):
         cfg = SCHEMA(data, "")
         self.plant = _checked("plant", LtiPlant, **cfg["plant"])
-        for section in ("controller", "network", "buffer", "sim"):
-            vars(self).update(cfg[section])
-        if self.delta_big > 0.0:
+        vars(self).update(cfg["controller"])
+        net, sim = cfg["network"], cfg["sim"]
+        if net["delta_big"] > 0.0:
             _checked("sim.horizon", check_row_limit,
-                     self.horizon, self.delta_big / self.b, self.substeps)
+                     sim["horizon"], net["delta_big"] / net["b"], sim["substeps"])
+        self.run = _checked("sim", SimConfig, **net, **cfg["buffer"],
+                            horizon=sim["horizon"], substeps=sim["substeps"],
+                            mode=sim["mode"])
+        self.divergence_threshold = sim["divergence_threshold"]
+        self.x0 = sim["x0"]
         if self.x0 is None:
             alt = np.array([(-1.0) ** i for i in range(self.plant.n)])
             self.x0 = alt / np.linalg.norm(alt)
@@ -274,12 +273,12 @@ class ExperimentConfig:
         """The DoS signal, built on first use: only ``sim`` reads it."""
         dos = self._dos
         if dos is None:
-            return DoSSignal(intervals=(), horizon=self.horizon)
+            return DoSSignal(intervals=(), horizon=self.run.horizon)
         if dos["signal"] is not None:
             return _checked("dos.signal", signal_from_dict, dos["signal"])
         if dos["generator"] is not None:
             seed, spec = dos["generator"]
-            return _checked("dos.generator", generate, seed, spec, self.horizon)
+            return _checked("dos.generator", generate, seed, spec, self.run.horizon)
         path = dos["file"]
         if self._base_dir is not None and not os.path.isabs(path):
             path = os.path.join(self._base_dir, path)
@@ -288,11 +287,6 @@ class ExperimentConfig:
     def design_inputs(self) -> DesignInputs:
         return _checked("controller", DesignInputs, self.plant, self.K, self.M,
                         self.sigma_fraction)
-
-    def sim_config(self) -> SimConfig:
-        """The run's timing, from the attributes named as its fields."""
-        fields = dataclasses.fields(SimConfig)
-        return SimConfig(**{f.name: getattr(self, f.name) for f in fields})
 
 
 def _load_json(path):
@@ -343,8 +337,8 @@ def _structured_error(exc) -> dict:
 
 def cmd_bounds(args) -> int:
     cfg = load_config(args.config)
-    delta = cfg.delta_big / cfg.b
-    consts = derive_constants(cfg.design_inputs(), cfg.h, delta)
+    run = cfg.run
+    consts = derive_constants(cfg.design_inputs(), run.h, run.delta)
     sigma_sup = consts.gamma1 / consts.gamma2
     record = {f.name: getattr(consts, f.name) for f in dataclasses.fields(consts)}
     record.update({
@@ -359,23 +353,23 @@ def cmd_bounds(args) -> int:
         "beta": None,
         "lambda": None,
         "L": None,
-        "h_delta": cfg.h * delta,
+        "h_delta": run.h * run.delta,
         "warnings": [],
         "formulas": CONSTANT_FORMULAS,
     })
     if cfg.dos_class is not None:
-        q = success_gap_bound(cfg.dos_class, cfg.delta_big, cfg.mu)
+        q = success_gap_bound(cfg.dos_class, run.delta_big, cfg.mu)
         record["Q"] = q
-        record["h_min"] = min_prediction_horizon(consts, q, cfg.delta_big, delta)
+        record["h_min"] = min_prediction_horizon(consts, q, run.delta_big, run.delta)
         try:
             record["gap_rhs"] = tolerable_dos_bound(
-                consts, cfg.h, delta, cfg.delta_big,
+                consts, run.h, run.delta, run.delta_big,
                 cfg.dos_class.kappa, cfg.dos_class.eta,
             )
         except HorizonTooShortError as exc:
             record["warnings"].append(str(exc))
         try:
-            env = decay_envelope(consts, q, cfg.delta_big, cfg.h, delta)
+            env = decay_envelope(consts, q, run.delta_big, run.h, run.delta)
             record["beta"] = env.beta
             record["lambda"] = env.lam
             record["L"] = env.L
@@ -447,12 +441,14 @@ def _check_output_path(path) -> None:
 
 def cmd_sim(args) -> int:
     cfg = load_config(args.config)
-    if args.h is not None:
-        cfg.h = args.h
+    # --h and --mode change a valid run, under the same checks
+    flags = {"h": args.h, "mode": args.mode}
+    run = dataclasses.replace(
+        cfg.run, **{name: value for name, value in flags.items() if value is not None}
+    )
+    noise = cfg.noise
     if args.seed is not None:
-        cfg.noise = dataclasses.replace(cfg.noise, seed=args.seed)
-    if args.mode is not None:
-        cfg.mode = args.mode
+        noise = dataclasses.replace(noise, seed=args.seed)
 
     for path in (args.trace, args.metrics):
         if path:
@@ -460,29 +456,25 @@ def cmd_sim(args) -> int:
 
     consts = None
     try:
-        consts = derive_constants(cfg.design_inputs(), cfg.h, cfg.delta_big / cfg.b)
+        consts = derive_constants(cfg.design_inputs(), run.h, run.delta)
     except (StabilityCertificationError, SigmaInfeasibleError, LyapunovSolveError):
         pass  # the loop can still be simulated; V falls back to ||x||^2
 
     trace = simulate(
         cfg.plant,
         cfg.K,
-        cfg.sim_config(),
+        run,
         cfg.dos_signal,
-        cfg.noise,
+        noise,
         cfg.x0,
         P=None if consts is None else consts.P,
     )
     envelope_ok = None
-    if consts is not None and cfg.dos_class is not None and cfg.mode != "colocated":
+    if consts is not None and cfg.dos_class is not None and run.mode != "colocated":
         try:
-            q = success_gap_bound(cfg.dos_class, cfg.delta_big, cfg.mu)
-            env = decay_envelope(
-                consts, q, cfg.delta_big, cfg.h, cfg.delta_big / cfg.b
-            )
-            w_inf = math.sqrt(
-                cfg.plant.n * (cfg.noise.d_bound**2 + cfg.noise.n_bound**2)
-            )
+            q = success_gap_bound(cfg.dos_class, run.delta_big, cfg.mu)
+            env = decay_envelope(consts, q, run.delta_big, run.h, run.delta)
+            w_inf = math.sqrt(cfg.plant.n * (noise.d_bound**2 + noise.n_bound**2))
             envelope_ok = check_envelope(trace, env, consts, w_inf)
         except (InfeasibleDoSClassError, HorizonTooShortError, ValueError):
             envelope_ok = None

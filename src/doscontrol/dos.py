@@ -244,6 +244,10 @@ def fit_class_params(
     """
     if tau_D <= 0.0:
         raise ValueError(f"tau_D must be > 0, got {tau_D}")
+    if not math.isfinite(signal.horizon / tau_D):  # bounds every onset / tau_D
+        raise ValueError(
+            f"tau_D must leave horizon / tau_D finite, got {signal.horizon} / {tau_D}"
+        )
     if not T > 1.0:
         raise ValueError(f"T must be > 1, got {T}")
     if signal.onsets.size == 0:

@@ -20,7 +20,7 @@ from . import dos, linalg
 from .bounds import DerivedConstants, EnvelopeConstants
 from .plant import LtiPlant
 
-MODES = ("colocated", "remote", "remote_no_buffer")
+MODES = ("colocated", "remote")
 
 TRACE_FORMAT_VERSION = 1
 METRICS_FORMAT_VERSION = 1
@@ -45,10 +45,11 @@ class DelayExceedsHorizonError(ValueError):
     """Computation delay consumes the whole packet (skip >= h)."""
 
 
-def check_count(name: str, value: int) -> None:
-    """The rule on b, h and substeps, and on the config's other counts."""
-    if value < 1:
-        raise ValueError(f"{name}: expected an integer >= 1, got {value}")
+def _check_integer(name: str, value, least: int) -> None:
+    """Refuse all but an integer >= least: numpy integers pass, bool does not."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def check_row_limit(horizon: float, delta: float, substeps: int) -> None:
@@ -76,6 +77,7 @@ class NoiseSpec:
     decay_at: float | None = None
 
     def __post_init__(self):
+        _check_integer("seed", self.seed, 0)
         for name in ("d_bound", "n_bound"):
             bound = getattr(self, name)
             # noise is drawn from [-bound, bound], whose width must be finite
@@ -94,9 +96,9 @@ class SimConfig:
     """Timing and architecture choices for one run.
 
     The controller sampling period is delta = delta_big / b; a transmission
-    is attempted every b-th controller period.  mode "remote_no_buffer" is
-    the remote architecture pinned to h = 1.  T_c models the time the remote
-    unit needs to compute a packet; it is rounded up to whole periods and
+    is attempted every b-th controller period.  Remote control without a
+    buffer is mode "remote" at h = 1.  T_c models the time the remote unit
+    needs to compute a packet; it is rounded up to whole periods and
     consumes the leading packet entries.
     """
 
@@ -110,10 +112,7 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("b", "h", "substeps"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            check_count(name, value)
+            _check_integer(name, getattr(self, name), 1)
         if not (math.isfinite(self.delta_big) and self.delta_big > 0.0):
             raise ValueError(f"delta_big must be finite and > 0, got {self.delta_big}")
         if not math.isfinite(self.horizon):
@@ -125,8 +124,6 @@ class SimConfig:
         check_row_limit(self.horizon, self.delta, self.substeps)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "remote_no_buffer":
-            object.__setattr__(self, "h", 1)
         if not (math.isfinite(self.T_c / self.delta) and self.T_c >= 0.0):
             raise ValueError(f"T_c must be finite and >= 0 in periods, got {self.T_c}")
         if self.skip >= self.h and self.mode != "colocated":

@@ -208,6 +208,20 @@ class TestDosCommands:
             f"attempts, above the limit of {dos.MAX_ATTEMPTS}\n"
         )
 
+    def test_verify_refuses_a_tau_d_past_the_float_range(self, capsys, tmp_path):
+        sig_file = tmp_path / "sig.json"
+        run(capsys, "dos", "gen", "--seed", "42", "--horizon", "50",
+            "-o", str(sig_file))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "dos", "verify", str(sig_file),
+                "--tau-d", "1e-320", "--big-t", "1.44", "--delta-big", "0.1",
+            )
+        assert (code, out) == (1, "")
+        assert err == ("error: tau_D must leave horizon / tau_D finite, "
+                       "got 50.0 / 1e-320\n")
+
     @pytest.mark.parametrize("flag, value", [
         ("--horizon", "inf"), ("--off-lo", "nan"), ("--off-hi", "inf"),
         ("--on-lo", "-inf"), ("--on-hi", "inf"), ("--tau-d", "nan"),
@@ -308,6 +322,37 @@ class TestSim:
         code, out, _ = run(capsys, "sim", BENCHMARK_CONFIG, "--mode", "colocated")
         assert code == 0
 
+    def test_envelope_is_built_for_the_run_h(self, capsys, tmp_path):
+        # h = 60 >= h_min certifies an envelope, which the run at h = 60
+        # keeps; the run at --h 1 diverges, and no envelope exists for it
+        cfg = write_config(tmp_path, **{"buffer.h": 60})
+        code, out, _ = run(capsys, "sim", cfg)
+        assert code == 0 and json.loads(out)["envelope_ok"] is True
+        code, out, _ = run(capsys, "sim", cfg, "--h", "1")
+        assert code == 3 and json.loads(out)["envelope_ok"] is None
+
+    @pytest.mark.parametrize("overrides, flags, message", [
+        ({}, ["--h", "0"], "h must be an integer >= 1, got 0"),
+        ({}, ["--mode", "remote_no_buffer"],
+         "mode must be one of ('colocated', 'remote'), got 'remote_no_buffer'"),
+        ({}, ["--seed", "-3"], "seed must be an integer >= 0, got -3"),
+        ({"buffer.h": 10, "buffer.T_c": 0.5}, ["--h", "4"],
+         "T_c=0.5 consumes 5 of 4 packet entries"),
+    ])
+    def test_flags_pass_the_checks_of_the_file(self, capsys, monkeypatch, tmp_path,
+                                               overrides, flags, message):
+        monkeypatch.setattr(cli, "simulate", None)  # refused before the run
+        cfg = write_config(tmp_path, **overrides)
+        code, out, err = run(capsys, "sim", cfg, *flags)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_a_flag_does_not_mend_the_file(self, capsys, tmp_path):
+        # T_c = 0.5 s needs h > 5: the file at h = 5 is refused, --h 10 or not
+        cfg = write_config(tmp_path, **{"buffer.T_c": 0.5})
+        code, out, err = run(capsys, "sim", cfg, "--h", "10")
+        assert (code, out) == (1, "")
+        assert err == "config error: sim: T_c=0.5 consumes 5 of 5 packet entries\n"
+
     @pytest.mark.parametrize("x0, mode", [
         ([1e300, 1e300], "remote"),      # the norm overflows from row 0 on
         ([1e300, 1e300], "colocated"),
@@ -342,7 +387,7 @@ class TestSim:
     def test_first_non_finite_row_of_a_diverged_run(self, capsys, tmp_path,
                                                       horizon, x0, first_bad):
         cfg = write_config(tmp_path, **{"sim.x0": x0, "sim.horizon": horizon,
-                                        "sim.mode": "remote_no_buffer"})
+                                        "buffer.h": 1})
         trace = tmp_path / "trace.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -356,6 +401,29 @@ class TestSim:
         assert len(x) == round(horizon / 0.1) * 10 + 1
         bad = ~np.all(np.isfinite(x), axis=1)
         assert np.argmax(bad) == first_bad and bad[first_bad:].all()
+
+
+class TestBundledConfig:
+    def test_config_and_module_describe_one_experiment(self):
+        cfg = cli.load_config(BENCHMARK_CONFIG)
+        assert np.array_equal(cfg.plant.A, benchmark.A)
+        assert np.array_equal(cfg.plant.B, benchmark.B)
+        assert np.array_equal(cfg.K, benchmark.K)
+        assert cfg.design_inputs().sigma_fraction == benchmark.design().sigma_fraction
+        # delta_big, b = 1, h = 5 and HORIZON
+        assert cfg.run == benchmark.scenario_config("remote", 5)
+        assert cfg.run.delta == benchmark.DELTA
+        gen = json.loads(Path(BENCHMARK_CONFIG).read_text())["dos"]["generator"]
+        assert gen["seed"] == benchmark.DOS_SEED
+        assert GeneratorSpec(off_range=tuple(gen["off_range"]),
+                             on_range=tuple(gen["on_range"])) == benchmark.GENERATOR
+        assert cfg.dos_class == benchmark.REFERENCE_CLASS and cfg.mu == 1
+        assert cfg.noise == benchmark.NOISE
+        # The file holds the correctly rounded 1/sqrt(2); X0 divides by the
+        # rounded sqrt(2) and lands one ulp below it.  The file is the
+        # benchmark's input, so neither side is changed.
+        ulp = np.spacing(np.abs(benchmark.X0))
+        assert np.all(np.abs(cfg.x0 - benchmark.X0) <= ulp)
 
 
 class TestRepro:
@@ -479,6 +547,24 @@ class TestConfigErrors:
         assert code == 1
         assert err.startswith(f"config error: {field}: expected")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"sim.horizon": 0.05}, "sim: horizon 0.05 shorter than one period 0.1"),
+        ({"buffer.T_c": 0.5}, "sim: T_c=0.5 consumes 5 of 5 packet entries"),
+        ({"buffer.T_c": -1}, "sim: T_c must be finite and >= 0 in periods, got -1.0"),
+        ({"network.delta_big": 0}, "sim: delta_big must be finite and > 0, got 0.0"),
+        ({"sim.mode": "remote_no_buffer"},
+         "sim.mode: expected one of ('colocated', 'remote'), got 'remote_no_buffer'"),
+        ({"noise.seed": -1}, "noise.seed: expected an integer >= 0, got -1"),
+        ({"dos.generator.seed": -1},
+         "dos.generator.seed: expected an integer >= 0, got -1"),
+    ])
+    def test_bounds_and_sim_refuse_the_same_files(self, capsys, tmp_path,
+                                                  overrides, message):
+        cfg = write_config(tmp_path, **overrides)
+        for command in ("bounds", "sim"):
+            code, out, err = run(capsys, command, cfg)
+            assert (code, out, err) == (1, "", f"config error: {message}\n"), command
 
     @pytest.mark.parametrize("command", ["bounds", "sim"])
     def test_buffer_past_the_float_range(self, capsys, tmp_path, command):

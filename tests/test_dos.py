@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import warnings
 from datetime import timedelta
 
 import numpy as np
@@ -370,6 +371,21 @@ class TestFitClassParams:
     def test_empty_signal(self):
         s = DoSSignal(intervals=(), horizon=10.0)
         assert fit_class_params(s, 1.0, 2.0) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("intervals", [(), ((0.1, 0.2), (2.0, 0.5))])
+    @pytest.mark.parametrize("tau_D", [1e-320, 5e-324, math.nan])
+    def test_tau_d_past_the_float_range(self, intervals, tau_D):
+        # horizon / tau_D bounds every onset / tau_D of the scan
+        s = DoSSignal(intervals=intervals, horizon=10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                fit_class_params(s, tau_D, 2.0)
+            assert str(info.value) == (
+                f"tau_D must leave horizon / tau_D finite, got 10.0 / {tau_D}"
+            )
+            eta, kappa = fit_class_params(s, 1e-307, 2.0)  # 1e308: still finite
+        assert math.isfinite(eta) and math.isfinite(kappa)
 
     def test_single_pulse_at_origin(self):
         s = DoSSignal(intervals=((0.0, 0.0),), horizon=10.0)

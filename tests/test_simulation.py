@@ -128,10 +128,6 @@ class TestSimulate:
         assert np.max(np.abs(remote.u - colocated.u)) <= 1e-12
         assert np.max(np.abs(remote.x - colocated.x)) <= 1e-10
 
-    def test_remote_no_buffer_forces_h1(self, bench_plant):
-        trace = bench_sim(bench_plant, mode="remote_no_buffer", h=7, horizon=2.0)
-        assert int(np.max(trace.buffer_depth)) == 1
-
     def test_computation_delay_defers_first_input(self, bench_plant):
         config = SimConfig(
             delta_big=0.1, horizon=1.0, mode="remote", h=5, T_c=0.2
@@ -199,6 +195,12 @@ class TestSimulate:
     def test_decay_at_must_be_finite_number(self, decay_at):
         with pytest.raises(ValueError, match="decay_at"):
             NoiseSpec(decay_at=decay_at)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError) as info:
+            NoiseSpec(seed=seed)
+        assert str(info.value) == f"seed must be an integer >= 0, got {seed!r}"
 
     def test_decay_leaves_earlier_rows_untouched(self, bench_plant):
         # zeroing the noise from T on must not shift either stream before T
@@ -333,7 +335,6 @@ def law_cases():
     """(mode, h, skip) triples: every mode, and skip from 0 to h - 1."""
     yield "colocated", 1, 0
     yield "colocated", 1, 3  # co-located ignores the computation delay
-    yield "remote_no_buffer", 1, 0
     for h in (1, 2, 5, 50):
         for skip in sorted({0, 1, h // 2, h - 1} & set(range(h))):
             yield "remote", h, skip
