@@ -7,8 +7,8 @@ is remote without buffer, 5 and 50), b = 1, 2, 3, computation delays
 T_c = 0, 0.15, 0.25 and 0.4 s (0.4 s puts skip = h - 1 at h = 5, b = 1, so
 a packet is delivered straight into the hold), three generator specs and
 noise that never decays or decays at 5 or 10 s; the sub-step count cycles
-through 4, 7 and 10 and the signal horizon through the run's horizon and
-1 s more.  Combinations that SimConfig rejects (a computation delay that
+through 1, 4, 7, 10 and 40 (the edges of simulate's noise map) and the
+signal horizon through the run's horizon and 1 s more.  Combinations that SimConfig rejects (a computation delay that
 needs more buffered ticks than the mode holds) are left out, which leaves
 306 runs.  Then each mode runs once on a 60 s horizon at b = 1 (600 ticks,
 so the run crosses the edge of simulate's first 512-tick solve block), with
@@ -85,7 +85,7 @@ SPECS = {
     "pulses": GeneratorSpec(off_range=(0.05, 0.4), on_range=(0.0, 0.05)),
 }
 DECAY_AT = (None, 5.0, 10.0)
-SUBSTEPS = (4, 7, 10)
+SUBSTEPS = (1, 4, 7, 10, 40)
 SIGNAL_EXTRA = (0.0, 1.0)
 P = np.array([[2.0, 0.3], [0.3, 1.0]])
 BOUNDS_H = (1, 5, 50)

@@ -51,6 +51,7 @@ from .simulation import (
     MODES,
     NoiseSpec,
     SimConfig,
+    _check_noise_map,
     check_envelope,
     check_row_limit,
     compute_metrics,
@@ -244,6 +245,7 @@ class ExperimentConfig:
         if net["delta_big"] > 0.0:
             _checked("sim.horizon", check_row_limit,
                      sim["horizon"], net["delta_big"] / net["b"], sim["substeps"])
+        _checked("sim.substeps", _check_noise_map, self.plant.n, sim["substeps"])
         self.run = _checked("sim", SimConfig, **net, **cfg["buffer"],
                             horizon=sim["horizon"], substeps=sim["substeps"],
                             mode=sim["mode"])
@@ -397,6 +399,10 @@ def cmd_dos_verify(args) -> int:
     sig = load_signal_file(args.signal)
     eta_min, kappa_min = fit_class_params(sig, args.tau_d, args.big_t)
     rate = 1.0 / args.big_t + args.delta_big / args.tau_d
+    if not math.isfinite(rate):
+        raise ValueError(
+            f"--delta-big / --tau-d must be finite, got {args.delta_big} / {args.tau_d}"
+        )
     out = {
         "format": CONFIG_FORMAT_VERSION,
         "horizon": sig.horizon,

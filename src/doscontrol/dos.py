@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
@@ -396,10 +397,26 @@ def signal_to_dict(signal: DoSSignal) -> dict:
     }
 
 
+def _check_real(value, name: str) -> None:
+    """Refuse all but a real number: numpy reads "1" and true as 1.0."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name}: expected a number, got {value!r}")
+
+
 def signal_from_dict(data: dict) -> DoSSignal:
-    """Inverse of signal_to_dict, with validation via the constructor."""
+    """Inverse of signal_to_dict, with validation via the constructor.
+
+    The horizon and each entry of a listed interval must be a number; a
+    string or a bool is refused by name.
+    """
     try:
-        horizon = float(data["horizon"])
-        return DoSSignal(intervals=data["intervals"], horizon=horizon)
+        horizon, intervals = data["horizon"], data["intervals"]
+        _check_real(horizon, "horizon")
+        rows = intervals if isinstance(intervals, (list, tuple)) else ()
+        for i, pair in enumerate(rows):
+            if isinstance(pair, (list, tuple)):
+                for j, value in enumerate(pair):
+                    _check_real(value, f"intervals[{i}][{j}]")
+        return DoSSignal(intervals=intervals, horizon=float(horizon))
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"signal object needs a 'horizon' and 'intervals': {exc}")

@@ -9,12 +9,14 @@ measurement noise enters only through the samples that actually get through.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg.lapack
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dos, linalg
 from .bounds import DerivedConstants, EnvelopeConstants
@@ -34,11 +36,17 @@ CSV_BLOCK_ROWS = 512
 FILL_BLOCK_TICKS = 512
 BAND_BYTES = 2 << 20
 
-# Most sub-step rows (periods x substeps) one run may have.  simulate peaks
-# at ~110 B per row of a two-state plant (5.3 MiB under tracemalloc for the
-# 500 s benchmark run, 50 000 rows, at skip 0), so the limit keeps a run
-# near 1.1 GB.
+# Most sub-step rows (periods x substeps) one run may have, and most entries
+# of its noise map, (substeps + 1) substeps n^2 of them.  Per row simulate
+# peaks at ~110 B for a two-state plant (5.3 MiB under tracemalloc for the
+# 500 s benchmark run, 50 000 rows, at skip 0), so the rows keep a run near
+# 1.1 GB; the map, 8 B an entry, adds at most 80 MB.
 MAX_ROWS = 10_000_000
+
+# Most tick models (_tick_model) simulate keeps: one per plant, K, delta,
+# substeps and skip, so a sweep of one design over buffer lengths and
+# attack loads needs one entry per computation delay.
+_TICK_MODELS = 16
 
 
 class DelayExceedsHorizonError(ValueError):
@@ -160,6 +168,79 @@ def solve_blocks(n: int, skip: int) -> tuple[int, int]:
     return max(ticks, 1), kl
 
 
+def _check_noise_map(n: int, substeps: int) -> None:
+    """Refuse a noise map of more than MAX_ROWS entries before it allocates."""
+    entries = (substeps + 1) * substeps * n * n
+    if entries > MAX_ROWS:
+        raise ValueError(
+            f"substeps {substeps} give a plant of {n} states a noise map of "
+            f"(substeps + 1) substeps n^2 = {entries} entries, above the limit "
+            f"of {MAX_ROWS}"
+        )
+
+
+@functools.lru_cache(maxsize=_TICK_MODELS)
+def _tick_model(a: bytes, b: bytes, k: bytes, n: int, m: int, delta: float,
+                substeps: int, skip: int) -> tuple:
+    """What simulate builds from the design alone, as read-only arrays.
+
+    A, B and K come by value, as the bytes of their float64 entries, so an
+    equal plant finds its entry and a gain changed in place does not.  The
+    sub-step of length delta / S has A_s, B_s and, for the disturbance, E_s.
+    Returns:
+
+    - steps: the three maps of s_q = [x_q; alpha_q] to s_(q+1).  x steps by
+      [A_s^S, W_S K] with W_j = sum_(i<j) A_s^i B_s; alpha by Phi_d (kind 0),
+      is held (kind 1), or is left to the delivery row (kind 2).  Sub-step
+      j of tick q is then A_s^j x_q + W_j u_q + (G d_q)_j.
+    - step: s_q to the sub-step rows j = 0..S-1 of tick q, [A_s^j, W_j K]
+      stacked by columns and transposed.
+    - spread: A_s^(t-1) E_s at t = 1..S after a zero block at t = 0, so
+      that (G d_q)_j = sum_(i<j) spread[j - i] d_(qS+i).
+    - phi_skip, Phi_d^skip, and solve_blocks(n, skip).
+    - templates: the band of each tick map (see simulate).
+    - reach: the band columns, diagonals and coefficients of a delivery's
+      -Phi_d^skip x_(q-skip) term when its sample lies in the same block.
+    """
+    a_mat, b_mat, k_mat = (
+        np.frombuffer(data).reshape(shape)
+        for data, shape in ((a, (n, n)), (b, (n, m)), (k, (m, n)))
+    )
+    a_d, b_d = linalg.zoh_discretize(a_mat, b_mat, delta)
+    a_s, be_s = linalg.zoh_discretize(a_mat, np.hstack([b_mat, np.eye(n)]),
+                                      delta / substeps)
+    b_s, e_s = be_s[:, :m], be_s[:, m:]
+    phi_d = a_d + b_d @ k_mat
+    powers, feeds = [np.eye(n)], [np.zeros((n, m))]
+    for _ in range(substeps):
+        feeds.append(a_s @ feeds[-1] + b_s)
+        powers.append(a_s @ powers[-1])
+    spread = np.stack([np.zeros((n, n))] + [p @ e_s for p in powers[:-1]])
+    step = np.hstack([
+        np.vstack(powers[:-1]), np.vstack([f @ k_mat for f in feeds[:-1]])
+    ]).T
+
+    w = 2 * n
+    steps = np.zeros((3, w, w))
+    steps[:, :n, :n] = powers[-1]
+    steps[:, :n, n:] = feeds[-1] @ k_mat
+    steps[0, n:, n:] = phi_d
+    steps[1, n:, n:] = np.eye(n)
+    phi_skip = np.linalg.matrix_power(phi_d, skip)
+
+    block, kl = solve_blocks(n, skip)
+    r, j = np.indices((w, w)).reshape(2, -1)
+    d = w + r - j
+    r, j, d = r[d <= kl], j[d <= kl], d[d <= kl]
+    templates = np.zeros((3, w, kl + 1))
+    templates[:, j, d] = -steps[:, r, j]
+    i_n, j_n = np.indices((n, n)).reshape(2, -1)
+    reach = (j_n, skip * w + n + i_n - j_n, -phi_skip[i_n, j_n])
+    for array in (steps, step, spread, phi_skip, templates, *reach):
+        array.flags.writeable = False
+    return steps, step, spread, phi_skip, (block, kl), templates, reach
+
+
 @dataclass(frozen=True)
 class SimTrace:
     """Everything a run produced, on the delta/substeps grid.
@@ -243,11 +324,8 @@ def simulate(
             raise ValueError(f"P must be {plant.n}x{plant.n}, got {p_mat.shape}")
 
     n, m, substeps = plant.n, plant.m, config.substeps
+    _check_noise_map(n, substeps)
     sub_dt = delta / substeps
-    a_d, b_d = linalg.zoh_discretize(plant.A, plant.B, delta)
-    a_s, be_s = linalg.zoh_discretize(plant.A, np.hstack([plant.B, np.eye(n)]), sub_dt)
-    b_s, e_s = be_s[:, :m], be_s[:, m:]
-
     # Row r sits at tick r // substeps, sub-step r % substeps; the last row
     # is the final tick alone.  Attempts fall on every b-th tick.
     n_rows = n_ticks * substeps + 1
@@ -281,22 +359,22 @@ def simulate(
     last = math.inf if colocated else config.h - 1
     stored = 0 if colocated else config.h
     skip = 0 if colocated else config.skip
-    phi_d = a_d + b_d @ k_mat
+    steps, step, spread, phi_skip, (block, kl), templates, reach = _tick_model(
+        plant.A.tobytes(), plant.B.tobytes(), k_mat.tobytes(), n, m, delta,
+        substeps, skip,
+    )
+    reach_cols, reach_diags, reach_coefs = reach
 
-    # Sub-step j = 0..S of tick q is A_s^j x_q + W_j u_q + (G d_q)_j with
-    # W_j = sum_{i<j} A_s^i B_s and G the block lower-triangular map of the
-    # tick's S disturbances, (G d_q)_j = sum_{i<j} A_s^(j-1-i) E_s d_(qS+i).
-    # Row S is the next tick's state, so only ticks are solved for; the rows
-    # in between get their noise terms now and the rest once their block is.
-    powers, feeds = [np.eye(n)], [np.zeros((n, m))]
-    for _ in range(substeps):
-        feeds.append(a_s @ feeds[-1] + b_s)
-        powers.append(a_s @ powers[-1])
-    spread = [p @ e_s for p in powers]
-    g_map = np.zeros(((substeps + 1) * n, substeps * n))
-    for j in range(1, substeps + 1):
-        for i in range(j):
-            g_map[j * n : (j + 1) * n, i * n : (i + 1) * n] = spread[j - 1 - i]
+    # The noise of sub-step j = 0..S of tick q is (G d_q)_j, G the block
+    # lower-triangular map of the tick's S disturbances: block (j, i) is
+    # spread[j - i] below the diagonal and zero elsewhere.  So block row j is
+    # the window at S - j of the stack, led by S - 1 more zero blocks and
+    # read backwards, and G is one copy of the windows.  Row S is the next
+    # tick's state, so only ticks are solved for; the rows in between get
+    # their noise terms now and the rest once their block is.
+    padded = np.concatenate([np.zeros((substeps - 1, n, n)), spread])[::-1]
+    windows = sliding_window_view(padded, substeps, axis=0)[::-1]
+    g_map = windows.transpose(0, 1, 3, 2).reshape((substeps + 1) * n, substeps * n)
     xs = np.empty((n_rows, n))
     fill = xs[:-1].reshape(n_ticks, substeps * n)
     dist = dist.reshape(n_ticks, substeps * n)
@@ -314,19 +392,12 @@ def simulate(
     # the first tick with a prediction
     first = 0 if colocated else arrive[0] if len(arrive) else n_ticks + 1
 
-    # s_q = [x_q; alpha_q] steps by one of three maps: x by the tick's map
-    # under u_q = K alpha_q; alpha by Phi_d while its age is below h - 1
-    # (kind 0), else held (kind 1), or not at all when the next tick takes a
-    # delivery (kind 2), whose alpha is Phi_d^skip (x_m + n_m) instead.
-    w = 2 * n
-    steps = np.zeros((3, w, w))
-    steps[:, :n, :n] = powers[-1]
-    steps[:, :n, n:] = feeds[-1] @ k_mat
-    steps[0, n:, n:] = phi_d
-    steps[1, n:, n:] = np.eye(n)
+    # s_q = [x_q; alpha_q] steps by one of the three maps of _tick_model:
+    # alpha rolls while its age is below h - 1 (kind 0), else is held (kind
+    # 1), or not at all when the next tick takes a delivery (kind 2), whose
+    # alpha is Phi_d^skip (x_m + n_m) instead.
     kinds = (ages >= last).astype(np.intp)
     kinds[arrive[arrive > 0] - 1] = 2
-    phi_skip = np.linalg.matrix_power(phi_d, skip)
 
     # All of s_0..s_N solve one unit lower-triangular banded system, block by
     # block: s_(q+1) - step_q s_q = the tick's noise, and at a delivery
@@ -334,20 +405,10 @@ def simulate(
     # the coefficient of unknown p w + j in row p w + j + d (LAPACK's lower
     # band storage, tick by tick).  A term from an earlier block moves to the
     # right-hand side, which states holds until its block is solved in place.
-    block, kl = solve_blocks(n, skip)
-    r, j = np.indices((w, w)).reshape(2, -1)
-    d = w + r - j
-    r, j, d = r[d <= kl], j[d <= kl], d[d <= kl]
-    templates = np.zeros((3, w, kl + 1))
-    templates[:, j, d] = -steps[:, r, j]
-    i_n, j_n = np.indices((n, n)).reshape(2, -1)
-    reach = skip * w + n + i_n - j_n
+    w = 2 * n
     states = np.zeros((n_ticks + 1, w))
     states[0, :n] = x
     np.matmul(dist, g_map[substeps * n :].T, out=states[1:, :n])
-    step = np.hstack([
-        np.vstack(powers[:-1]), np.vstack([f @ k_mat for f in feeds[:-1]])
-    ]).T
     for lo in range(0, n_ticks + 1, block):
         hi = min(lo + block, n_ticks + 1)
         rhs = states[lo:hi]
@@ -360,7 +421,7 @@ def simulate(
         y[~near] += states[src[~near], :n]
         rhs[arrive[due] - lo, n:] = y @ phi_skip.T
         band = templates[kinds[lo:hi]]
-        band[(src[near] - lo)[:, None], j_n, reach] = -phi_skip[i_n, j_n]
+        band[(src[near] - lo)[:, None], reach_cols, reach_diags] = reach_coefs
         solved, info = scipy.linalg.lapack.dtbtrs(
             band.reshape(-1, kl + 1).T, rhs.reshape(-1, 1), uplo="L", diag="U",
             overwrite_b=True,

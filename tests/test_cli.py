@@ -222,6 +222,40 @@ class TestDosCommands:
         assert err == ("error: tau_D must leave horizon / tau_D finite, "
                        "got 50.0 / 1e-320\n")
 
+    def test_verify_refuses_a_rate_past_the_float_range(self, capsys, tmp_path):
+        # horizon / tau_D stays finite, delta_big / tau_D does not
+        sig_file = tmp_path / "sig.json"
+        run(capsys, "dos", "gen", "--seed", "42", "--horizon", "50",
+            "-o", str(sig_file))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "dos", "verify", str(sig_file),
+                "--tau-d", "3e-307", "--big-t", "1.44", "--delta-big", "100",
+            )
+        assert (code, out) == (1, "")
+        assert err == ("error: --delta-big / --tau-d must be finite, "
+                       "got 100.0 / 3e-307\n")
+
+    @pytest.mark.parametrize("signal, field, value", [
+        ({"horizon": 50.0, "intervals": [["1", True]]}, "intervals[0][0]", "'1'"),
+        ({"horizon": 50.0, "intervals": [[1.0, 0.5], [2.0, True]]},
+         "intervals[1][1]", "True"),
+        ({"horizon": "50", "intervals": []}, "horizon", "'50'"),
+        ({"horizon": True, "intervals": [[1.0, 0.5]]}, "horizon", "True"),
+    ])
+    def test_verify_refuses_a_signal_of_non_numbers(self, capsys, tmp_path, signal,
+                                                    field, value):
+        sig_file = tmp_path / "sig.json"
+        sig_file.write_text(json.dumps({"format": 1, **signal}))
+        code, out, err = run(
+            capsys, "dos", "verify", str(sig_file),
+            "--tau-d", "3", "--big-t", "2", "--delta-big", "0.1",
+        )
+        assert (code, out) == (1, "")
+        assert err == (f"config error: {sig_file}: {field}: expected a number, "
+                       f"got {value}\n")
+
     @pytest.mark.parametrize("flag, value", [
         ("--horizon", "inf"), ("--off-lo", "nan"), ("--off-hi", "inf"),
         ("--on-lo", "-inf"), ("--on-hi", "inf"), ("--tau-d", "nan"),
@@ -595,6 +629,24 @@ class TestConfigErrors:
         assert err.startswith("config error: sim.horizon: ")
         assert f"above the limit of {MAX_ROWS}" in err
 
+    @pytest.mark.parametrize("command", ["bounds", "sim"])
+    @pytest.mark.parametrize("substeps", [1581, 5000])
+    def test_noise_map_past_the_limit(self, capsys, monkeypatch, tmp_path, command,
+                                      substeps):
+        # 50 s at 5000 sub-steps is 2.5e6 rows, inside the row limit, but its
+        # noise map would hold 1e8 entries: refused while the config is read
+        def never(*args, **kwargs):
+            raise AssertionError("called past the noise map limit")
+
+        monkeypatch.setattr(cli, "generate", never)
+        monkeypatch.setattr(cli, "simulate", never)
+        cfg = write_config(tmp_path, **{"sim.substeps": substeps})
+        code, out, err = run(capsys, command, cfg)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"config error: sim.substeps: substeps {substeps} give "
+                              "a plant of 2 states a noise map of ")
+        assert err.endswith(f"above the limit of {MAX_ROWS}\n")
+
     def test_signal_past_the_interval_limit(self, capsys, monkeypatch, tmp_path):
         # ~5e10 mean cycles of 1 ns in 50 s: refused before the first draw
         def never(*args, **kwargs):
@@ -662,7 +714,9 @@ class TestConfigErrors:
         assert err.startswith(message)
         assert err.count(field.split(".")[0]) == 1
 
-    @pytest.mark.parametrize("intervals", [5, [5], [[1.0, 2.0, 3.0]], [{"a": 1}]])
+    @pytest.mark.parametrize("intervals", [
+        5, [5], [[1.0, 2.0, 3.0]], [{"a": 1}], [["1", True]], [[1.0, True]],
+    ])
     def test_malformed_signal_intervals(self, capsys, tmp_path, intervals):
         cfg = write_config(
             tmp_path, dos={"signal": {"horizon": 50.0, "intervals": intervals}}
@@ -672,6 +726,15 @@ class TestConfigErrors:
         assert out == ""
         assert err.startswith("config error: dos.signal: ")
         assert run(capsys, "bounds", cfg)[0] == 0  # bounds never builds it
+
+    def test_signal_file_of_non_numbers(self, capsys, tmp_path):
+        sig_file = tmp_path / "sig.json"
+        sig_file.write_text(json.dumps({"horizon": 50.0, "intervals": [["1", True]]}))
+        cfg = write_config(tmp_path, dos={"file": "sig.json"})
+        code, out, err = run(capsys, "sim", cfg)
+        assert (code, out) == (1, "")
+        assert err == (f"config error: {sig_file}: intervals[0][0]: expected a "
+                       "number, got '1'\n")
 
     def test_decay_at_not_a_number(self, capsys, tmp_path):
         cfg = write_config(tmp_path, **{"noise.decay_at": "soon"})

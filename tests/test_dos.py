@@ -270,6 +270,26 @@ class TestSignalConstruction:
         with pytest.raises(ValueError):
             signal_from_dict(data)
 
+    @pytest.mark.parametrize("data, message", [
+        ({"horizon": 50.0, "intervals": [["1", True]]},
+         "intervals[0][0]: expected a number, got '1'"),
+        ({"horizon": 50.0, "intervals": [[1.0, True]]},
+         "intervals[0][1]: expected a number, got True"),
+        ({"horizon": 50.0, "intervals": ((1.0, 0.5), (2.0, None))},
+         "intervals[1][1]: expected a number, got None"),
+        ({"horizon": "50", "intervals": []}, "horizon: expected a number, got '50'"),
+        ({"horizon": False, "intervals": []}, "horizon: expected a number, got False"),
+    ])
+    def test_non_numbers_are_refused_by_name(self, data, message):
+        # numpy alone would read "1" and true as 1.0
+        with pytest.raises(ValueError) as info:
+            signal_from_dict(data)
+        assert str(info.value) == message
+
+    def test_numpy_numbers_are_numbers(self):
+        data = {"horizon": np.float64(10.0), "intervals": [[np.int64(1), 0.5]]}
+        assert signal_from_dict(data).intervals == ((1.0, 0.5),)
+
     def test_immutable_value(self):
         s = DoSSignal(intervals=((0.3, 0.0), (1.0, 0.5)), horizon=10)
         with pytest.raises(dataclasses.FrozenInstanceError):

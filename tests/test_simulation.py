@@ -34,7 +34,7 @@ from doscontrol import (
 from doscontrol.dos import DoSClassParams
 from doscontrol.simulation import CSV_BLOCK_ROWS, MAX_ROWS, solve_blocks
 
-from conftest import BENCH_K
+from conftest import BENCH_A, BENCH_B, BENCH_K
 
 X0 = np.array([1.0, -1.0]) / math.sqrt(2.0)
 QUIET = NoiseSpec()
@@ -176,6 +176,27 @@ class TestSimulate:
             SimConfig(delta_big=0.1, horizon=1e9)
         # the longest benchmark run stays far below
         assert 500.0 / 0.1 * 10 < MAX_ROWS / 100
+
+    def test_noise_map_limit(self, bench_plant, monkeypatch):
+        # (S + 1) S n^2 entries: 1580 sub-steps of a two-state plant fit,
+        # 1581 do not, and simulate refuses them before it allocates
+        assert 1581 * 1580 * 4 <= MAX_ROWS < 1582 * 1581 * 4
+        simulation._check_noise_map(2, 1580)
+        with pytest.raises(ValueError,
+                           match=f"substeps 1581 .* above the limit of {MAX_ROWS}"):
+            simulation._check_noise_map(2, 1581)
+
+        def never(*args, **kwargs):
+            raise AssertionError("called past the noise map limit")
+
+        monkeypatch.setattr(dos, "active_mask", never)
+        monkeypatch.setattr(linalg, "zoh_discretize", never)
+        for substeps in (1581, 5000):
+            config = SimConfig(delta_big=0.1, horizon=0.1, substeps=substeps)
+            with pytest.raises(ValueError, match=f"substeps {substeps} give"):
+                simulate(bench_plant, BENCH_K, config, NO_DOS, QUIET, X0)
+        # the benchmark's 10 sub-steps stay far below, at up to 24 states
+        assert 11 * 10 * 24**2 < MAX_ROWS / 100
 
     @pytest.mark.parametrize("field, value", [
         ("h", 2.5), ("h", True), ("b", 1.5), ("substeps", 2.5),
@@ -474,6 +495,89 @@ class TestTickGridEdges:
         config = SimConfig(delta_big=0.1, horizon=3.0, h=h, substeps=10, mode=mode)
         assert_follows_the_law(bench_plant, BENCH_K, config, self.SIG, noise,
                                X0, P2, mode)
+
+
+class TestTickModelCache:
+    """simulate builds each design's tick model once and shares it by value."""
+
+    SIG = generate(4, GeneratorSpec(off_range=(0.05, 0.4), on_range=(0.0, 0.3)), 3.0)
+    NOISE = NoiseSpec(d_bound=0.02, n_bound=0.02, seed=5)
+
+    @pytest.fixture
+    def discretizations(self, monkeypatch):
+        """A list that grows by one per linalg.zoh_discretize call."""
+        calls = []
+        original = linalg.zoh_discretize
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "zoh_discretize", counted)
+        simulation._tick_model.cache_clear()
+        return calls
+
+    def run(self, plant, k_mat, **kw):
+        config = SimConfig(**{"delta_big": 0.1, "horizon": 3.0, "h": 5, **kw})
+        return simulate(plant, k_mat, config, self.SIG, self.NOISE, X0, P=P2)
+
+    def test_built_once_per_design(self, bench_plant, discretizations):
+        k_mat = BENCH_K.copy()
+
+        def calls(plant=bench_plant, k=k_mat, **kw):
+            before = len(discretizations)
+            self.run(plant, k, **kw)
+            return len(discretizations) - before
+
+        assert calls() == 2
+        assert calls() == 0
+        # equal values hit: a plant built anew, a copy of K, another h or
+        # mode at the same skip
+        assert calls(LtiPlant(A=BENCH_A, B=BENCH_B), k_mat.copy(), h=50) == 0
+        assert calls(mode="colocated") == 0
+        assert calls(b=2) == 2          # a new delta
+        assert calls(delta_big=0.2) == 2
+        assert calls(substeps=4) == 2
+        assert calls(T_c=0.15) == 2     # skip 2
+        assert calls(T_c=0.15) == 0
+        # K changed in place is a new design, and the run reads the new K
+        before = self.run(bench_plant, k_mat)
+        k_mat[0, 0] += 0.01
+        assert calls() == 2
+        assert not np.array_equal(self.run(bench_plant, k_mat).x, before.x)
+
+    def test_cached_arrays_are_read_only(self, bench_plant, discretizations):
+        self.run(bench_plant, BENCH_K, T_c=0.15)
+        k_mat = linalg.as_matrix(BENCH_K)
+        model = simulation._tick_model(
+            bench_plant.A.tobytes(), bench_plant.B.tobytes(), k_mat.tobytes(),
+            2, 2, 0.1, 10, 2,
+        )
+        assert len(discretizations) == 2  # the entry the run built
+        steps, step, spread, phi_skip, _, templates, reach = model
+        for array in (steps, step, spread, phi_skip, templates, *reach):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+    @pytest.mark.parametrize("mode, h, t_c", [
+        ("colocated", 1, 0.0), ("remote", 1, 0.0), ("remote", 5, 0.15),
+        ("remote", 50, 0.0),
+    ])
+    def test_interleaved_designs_match_fresh_runs(self, bench_plant, mode, h, t_c):
+        # two gains of the same shape, each run alternately with the other
+        other_k = BENCH_K + 0.05
+        runs = [(k_mat, dict(mode=m, h=hh, T_c=tc))
+                for m, hh, tc in ((mode, h, t_c), ("remote", 5, 0.0))
+                for k_mat in (BENCH_K, other_k)]
+        shared = [self.run(bench_plant, k_mat, **kw) for k_mat, kw in runs * 2]
+        for i, (k_mat, kw) in enumerate(runs * 2):
+            simulation._tick_model.cache_clear()
+            fresh = self.run(bench_plant, k_mat, **kw)
+            for field in ("x", "u", "prediction", "V"):
+                assert np.array_equal(getattr(shared[i], field), getattr(fresh, field),
+                                      equal_nan=True), (i, field)
+        assert not np.array_equal(shared[0].x, shared[1].x)
 
 
 class TestMemory:
