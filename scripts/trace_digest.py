@@ -30,18 +30,20 @@ design and for seeded random LQR designs of 2, 8, 16 and 24 states.
 
 ``save`` writes, per run, every SimTrace field, every metric, the CSV's
 first two lines and flag columns, its t, x, u and V cells parsed back to
-float (csv_t, csv_x, csv_u, csv_V), the signal's dos_onsets and dos_ends and
-each audit field as gap_<field> to one .npz, as entries "<run>/<name>".
-``compare`` holds exact the flags, times, csv_t, z, buffer_depth, the
-scalar SimTrace fields, failure_fraction, max_gap, the verdicts, the CSV
-lines it keeps, the signal arrays and the audit.  It holds x, u, prediction
-and V, and their CSV cells, row by row within TOL times the running maximum
-row norm (NaN positions exact), and the two state norms within TOL times
-max_state_norm, the running maximum at the last row.  It holds each
-derive_constants output within TOL times the larger absolute entry of the
-two saves.  It prints the largest scaled deviation per field, then every
-mismatch, including a run or field that only one save has, and exits 1 on
-any mismatch.
+float (csv_t, csv_x, csv_u, csv_V), whether the CSV's bytes equal those of
+the same trace written one '%' call per cell (csv_per_cell), the signal's
+dos_onsets and dos_ends and each audit field as gap_<field> to one .npz, as
+entries "<run>/<name>".  ``compare`` requires csv_per_cell in both saves,
+which holds the parsed cells to their last printed digit.  It holds exact
+the flags, times, csv_t, z, buffer_depth, the scalar SimTrace fields,
+failure_fraction, max_gap, the verdicts, the CSV lines it keeps, the signal
+arrays and the audit.  It holds x, u, prediction and V, and their CSV
+cells, row by row within TOL times the running maximum row norm (NaN
+positions exact), and the two state norms within TOL times max_state_norm,
+the running maximum at the last row.  It holds each derive_constants output
+within TOL times the larger absolute entry of the two saves.  It prints the
+largest scaled deviation per field, then every mismatch, including a run or
+field that only one save has, and exits 1 on any mismatch.
 """
 
 import argparse
@@ -93,6 +95,7 @@ LQR_SIZES = (2, 8, 16, 24)
 BOUNDS = "bounds:"  # label prefix of the derive_constants entries
 
 TOL = 1e-12
+PER_CELL = "csv_per_cell"  # the CSV's bytes equal the per-cell writer's
 ROWS = ("x", "u", "prediction", "V", "csv_x", "csv_u", "csv_V")
 NORMS = ("max_state_norm", "final_state_norm")
 
@@ -165,6 +168,21 @@ def record_signal(sig) -> dict:
     return out
 
 
+def per_cell_csv(trace) -> bytes:
+    """The trace CSV written with one '%' call per cell."""
+    n, m = trace.x.shape[1], trace.u.shape[1]
+    header = (["t"] + [f"x{i + 1}" for i in range(n)] + [f"u{j + 1}" for j in range(m)]
+              + ["V", "dos_active", "attempt", "success", "buffer_depth"])
+    lines = [b"# format: 1\n", ",".join(header).encode() + b"\r\n"]
+    columns = (trace.times, trace.x, trace.u, trace.V, trace.dos_active,
+               trace.attempt, trace.success, trace.buffer_depth)
+    for t, x, u, v, *flags in zip(*(c.tolist() for c in columns)):
+        cells = ([b"%.12g" % t] + [b"%.16g" % c for c in x + u + [v]]
+                 + [b"%d" % f for f in flags])
+        lines.append(b",".join(cells) + b"\r\n")
+    return b"".join(lines)
+
+
 def record(config, signal_args, noise, csv_path) -> dict:
     """Every output of one run, by name."""
     seed, spec, sig_horizon = signal_args
@@ -177,7 +195,8 @@ def record(config, signal_args, noise, csv_path) -> dict:
                 for f in dataclasses.fields(metrics)})
     trace_to_csv(trace, csv_path)
     with open(csv_path, "rb") as fh:
-        lines = fh.read().split(b"\n", 2)
+        data = fh.read()
+    lines = data.split(b"\n", 2)
     out["csv_head"] = np.frombuffer(b"\n".join(lines[:2]), dtype=np.uint8)
     # dos_active, attempt, success and buffer_depth: the last four columns
     flags = b"".join(b",".join(row.rsplit(b",", 4)[1:]) for row in lines[2].splitlines())
@@ -188,6 +207,7 @@ def record(config, signal_args, noise, csv_path) -> dict:
     out["csv_x"] = cells[:, 1 : 1 + n]
     out["csv_u"] = cells[:, 1 + n : 1 + n + m]
     out["csv_V"] = cells[:, 1 + n + m]
+    out[PER_CELL] = np.asarray(data == per_cell_csv(trace))
     out.update(record_signal(sig))
     return out
 
@@ -262,6 +282,9 @@ def compare(path_a, path_b):
             scale = None
             if name in NORMS:
                 scale = max(abs(z[f"{label}/max_state_norm"]) for z in (za, zb))
+            if name == PER_CELL and not (za[key] and zb[key]):
+                problems.append(f"{key}: CSV bytes differ from the per-cell writer's")
+                continue
             dev = deviation(name, za[key], zb[key], scale)
             worst[name] = max(worst.get(name, 0.0), dev)
             floats = name in ROWS + NORMS or name.startswith(BOUNDS)

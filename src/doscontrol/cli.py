@@ -437,12 +437,15 @@ def cmd_dos_verify(args) -> int:
 
 
 def _check_output_path(path) -> None:
-    """Raise the OSError that writing ``path`` would, for a missing directory.
+    """Raise the OSError that writing ``path`` would, for a missing directory
+    or a path that is one.
 
     Checked before simulating, so a bad path does not cost a whole run.
     """
     if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def cmd_sim(args) -> int:

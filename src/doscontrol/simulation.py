@@ -20,6 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dos, linalg
 from .bounds import DerivedConstants, EnvelopeConstants
+from ._tracecsv import csv_rows
 from .plant import LtiPlant
 
 MODES = ("colocated", "remote")
@@ -27,9 +28,12 @@ MODES = ("colocated", "remote")
 TRACE_FORMAT_VERSION = 1
 METRICS_FORMAT_VERSION = 1
 
-# Rows per formatted block of the CSV writer, to bound its temporaries: a
-# whole 500 s trace at once adds ~35 MiB of peak RSS.
-CSV_BLOCK_ROWS = 512
+# Rows per formatted block of the CSV writer, to bound its temporaries: ~1.5
+# MiB at 2048 rows under tracemalloc, for a two-state plant.  Each block
+# also pays ~0.5 ms of fixed array-call costs, so short blocks cost time.  A
+# 500 s run with CSV export peaks at the same RSS as the 512-row per-cell
+# writer did; 4096 rows add ~3 MiB and 8192 rows ~6 MiB.
+CSV_BLOCK_ROWS = 2048
 
 # Most ticks per block that simulate solves and fills at once, and most
 # bytes of one block's band matrix, to bound its temporaries.
@@ -326,13 +330,16 @@ def simulate(
     n, m, substeps = plant.n, plant.m, config.substeps
     _check_noise_map(n, substeps)
     sub_dt = delta / substeps
-    # Row r sits at tick r // substeps, sub-step r % substeps; the last row
-    # is the final tick alone.  Attempts fall on every b-th tick.
+    # Row r sits at tick r // substeps, sub-step r % substeps, at time
+    # tick delta + sub-step sub_dt; the last row is the final tick alone.
+    # Attempts fall on every b-th tick.
     n_rows = n_ticks * substeps + 1
-    rows = np.arange(n_rows)
-    times = rows // substeps * delta + rows % substeps * sub_dt
+    times = (
+        (np.arange(n_ticks + 1) * delta)[:, None] + np.arange(substeps) * sub_dt
+    ).ravel()[:n_rows]
     dos_flags = dos.active_mask(dos_signal, np.minimum(times, dos_signal.horizon))
-    attempt_flags = rows % (config.b * substeps) == 0
+    attempt_flags = np.zeros(n_rows, dtype=bool)
+    attempt_flags[:: config.b * substeps] = True
     success_flags = attempt_flags & ~dos_flags
 
     # One disturbance per sub-step (held from its row to the next) and one
@@ -501,8 +508,13 @@ def compute_metrics(
     leaves the float range (an overflowing state, or a NaN from one) has
     diverged: its verdict is unstable and the norms it cannot state are None.
     """
+    # row norms as a left fold of the squared columns: the sum numpy's
+    # norm takes below 8 columns, without its per-row reduce
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(trace.x, axis=1)
+        squares = trace.x[:, 0] * trace.x[:, 0]
+        for column in trace.x.T[1:]:
+            squares += column * column
+        norms = np.sqrt(squares)
     finite = bool(np.all(np.isfinite(norms)))
     scale = max(float(norms[0]), 1.0) if finite else math.inf
     if divergence_threshold is None:
@@ -529,8 +541,9 @@ def trace_to_csv(trace: SimTrace, path) -> None:
 
     First line is the version comment '# format: 1', then the header
     t,x1..xn,u1..um,V,dos_active,attempt,success,buffer_depth.  The version
-    line ends in LF, the header and every row in CRLF.  t is written with
-    %.12g, the other floats with %.16g and the four flags with %d.
+    line ends in LF, the header and every row in CRLF.  t is written as
+    '%.12g' % t, the other floats as '%.16g' % v and the four flags with %d;
+    the floats are formatted in bulk (_tracecsv) to the same bytes.
     """
     n = trace.x.shape[1]
     m = trace.u.shape[1]
@@ -540,51 +553,11 @@ def trace_to_csv(trace: SimTrace, path) -> None:
         + [f"u{j + 1}" for j in range(m)]
         + ["V", "dos_active", "attempt", "success", "buffer_depth"]
     )
-    # u and the flag tail arrive as preformatted strings (_held_text, _flag_text)
-    row_fmt = ",".join(["%.12g"] + ["%.16g"] * n + ["%s", "%.16g", "%s"]) + "\r\n"
-    u_fmt = ",".join(["%.16g"] * m)
-    n_rows = len(trace.times)
-    cells = np.empty((min(n_rows, CSV_BLOCK_ROWS), n + 4), dtype=object)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# format: {TRACE_FORMAT_VERSION}\n")
-        fh.write(",".join(header) + "\r\n")
-        for lo in range(0, n_rows, CSV_BLOCK_ROWS):
-            hi = min(lo + CSV_BLOCK_ROWS, n_rows)
-            block = cells[: hi - lo]
-            block[:, 0] = trace.times[lo:hi]
-            block[:, 1 : n + 1] = trace.x[lo:hi]
-            block[:, n + 1] = _held_text(trace.u[lo:hi], u_fmt)
-            block[:, n + 2] = trace.V[lo:hi]
-            block[:, n + 3] = _flag_text(
-                trace.dos_active[lo:hi], trace.attempt[lo:hi],
-                trace.success[lo:hi], trace.buffer_depth[lo:hi],
-            )
-            fh.write((row_fmt * (hi - lo)) % tuple(block.ravel().tolist()))
-
-
-def _held_text(u, fmt) -> np.ndarray:
-    """fmt % row for every row of u, formatted once per run of equal rows.
-
-    u is held over each controller period, so most rows repeat the one
-    before.  Rows compare by their bits: -0.0 equals 0.0 as a float but
-    prints as -0, and a NaN equals no float, not even itself.
-    """
-    u = np.asarray(u, dtype=float)
-    bits = u.view(np.int64)
-    starts = np.flatnonzero(
-        np.concatenate(([True], np.any(bits[1:] != bits[:-1], axis=1)))
-    )
-    text = np.array([fmt % tuple(row) for row in u[starts].tolist()], dtype=object)
-    return np.repeat(text, np.diff(starts, append=len(u)))
-
-
-def _flag_text(dos_active, attempt, success, depth) -> np.ndarray:
-    """The four-flag tail of every row, formatted once per distinct value."""
-    depth = np.asarray(depth, dtype=np.int64)
-    code = depth * 8 + dos_active * 4 + attempt * 2 + success
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    tails = zip(*(c[first].tolist() for c in (dos_active, attempt, success, depth)))
-    return np.array(["%d,%d,%d,%d" % tail for tail in tails], dtype=object)[inverse]
+    with open(path, "wb") as fh:
+        fh.write(f"# format: {TRACE_FORMAT_VERSION}\n".encode())
+        fh.write((",".join(header) + "\r\n").encode())
+        for lo in range(0, len(trace.times), CSV_BLOCK_ROWS):
+            fh.write(csv_rows(trace, slice(lo, lo + CSV_BLOCK_ROWS)))
 
 
 def metrics_to_dict(metrics: SimMetrics) -> dict:

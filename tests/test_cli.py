@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -302,24 +303,33 @@ class TestSim:
         assert lines[1].startswith("t,x1,x2,u1,u2,V,")
         assert len(lines) == 2 + 50 * 10 * 10 + 1
 
-    def refused_before_the_run(self, capsys, monkeypatch, tmp_path, flag):
+    def refused_before_the_run(self, capsys, monkeypatch, tmp_path, flag,
+                               path=None):
         def never(*args, **kwargs):
             raise AssertionError("simulated with an unwritable output path")
 
         monkeypatch.setattr(cli, "simulate", never)
-        path = tmp_path / "missing" / "out"
+        path = path or tmp_path / "missing" / "out"
         code, out, err = run(capsys, "sim", BENCHMARK_CONFIG, flag, str(path))
         assert code == 1
         assert out == ""
         assert err.startswith("i/o error: ") and err.count("\n") == 1
         assert str(path) in err
         assert "Traceback" not in err
+        return err
 
     def test_trace_into_a_missing_directory(self, capsys, monkeypatch, tmp_path):
         self.refused_before_the_run(capsys, monkeypatch, tmp_path, "--trace")
 
     def test_metrics_into_a_missing_directory(self, capsys, monkeypatch, tmp_path):
         self.refused_before_the_run(capsys, monkeypatch, tmp_path, "--metrics")
+
+    @pytest.mark.parametrize("flag", ["--trace", "--metrics"])
+    def test_output_path_that_is_a_directory(self, capsys, monkeypatch, tmp_path,
+                                             flag):
+        err = self.refused_before_the_run(capsys, monkeypatch, tmp_path, flag,
+                                          path=tmp_path)
+        assert os.strerror(errno.EISDIR) in err
 
     def test_uncertifiable_design_falls_back_to_the_state_norm(self, capsys,
                                                                tmp_path):

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+from fractions import Fraction
 import math
 import tracemalloc
 import warnings
@@ -31,8 +32,9 @@ from doscontrol import (
     successful_transmissions,
     trace_to_csv,
 )
+from doscontrol import _tracecsv
 from doscontrol.dos import DoSClassParams
-from doscontrol.simulation import CSV_BLOCK_ROWS, MAX_ROWS, solve_blocks
+from doscontrol.simulation import MAX_ROWS, solve_blocks
 
 from conftest import BENCH_A, BENCH_B, BENCH_K
 
@@ -716,10 +718,14 @@ class TestTraceCsv:
         assert float(last[0]) == pytest.approx(1.0)
         assert float(last[5]) >= 0.0
 
-    def test_bytes_match_per_cell_writer(self, bench_plant, tmp_path):
+    # Block edges fall inside the cases' traces at this block length.
+    BLOCK = 512
+
+    def test_bytes_match_per_cell_writer(self, bench_plant, tmp_path, monkeypatch):
+        monkeypatch.setattr(simulation, "CSV_BLOCK_ROWS", self.BLOCK)
         cases = (self.sixteen_digits, self.three_states_one_input,
                  self.held_input_across_blocks, self.diverged, self.deep_buffer,
-                 self.strided_input)
+                 self.strided_input, self.extreme_magnitudes)
         for case in cases:
             trace, marks = case(bench_plant)
             path = tmp_path / f"{case.__name__}.csv"
@@ -734,7 +740,7 @@ class TestTraceCsv:
         sig = generate(3, GeneratorSpec(), 10.0)
         noise = NoiseSpec(d_bound=0.01, n_bound=0.01, seed=2)
         trace = bench_sim(bench_plant, dos_signal=sig, noise=noise, substeps=7)
-        assert len(trace.times) > CSV_BLOCK_ROWS
+        assert len(trace.times) > TestTraceCsv.BLOCK
         x = trace.x.copy()
         x[3, 0] = -0.0
         x[600, 1] = 0.1234567890123456  # needs all 16 significant digits
@@ -755,7 +761,7 @@ class TestTraceCsv:
     def held_input_across_blocks(bench_plant):
         trace = bench_sim(bench_plant, substeps=7)
         u = trace.u.copy()
-        edge = CSV_BLOCK_ROWS
+        edge = TestTraceCsv.BLOCK
         # zeros of either sign, which compare equal as floats, in a row; then
         # one held value from four rows before a block edge to six after it
         u[edge - 7 : edge - 4] = [[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0]]
@@ -793,6 +799,86 @@ class TestTraceCsv:
         u = trace.u[:, ::-1]
         assert not u.flags.c_contiguous and np.any(u[:, 0] != u[:, 1])
         return dataclasses.replace(trace, u=u), {}
+
+    @staticmethod
+    def extreme_magnitudes(bench_plant):
+        # every float column drawn from the formatter's edge cases
+        trace = bench_sim(bench_plant, horizon=2.0, substeps=7)
+        rng = np.random.default_rng(11)
+        columns = {name: rng.choice(EDGE_VALUES, size=getattr(trace, name).shape)
+                   for name in ("times", "x", "u", "V")}
+        return dataclasses.replace(trace, **columns), {}
+
+    def test_formatter_matches_percent(self):
+        rng = np.random.default_rng(3)
+        bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(float)
+        spread = rng.uniform(1.0, 10.0, 50_000) * 10.0 ** rng.integers(-330, 308, 50_000)
+        values = np.concatenate([EDGE_VALUES, bits, spread])
+        for p in (12, 16):
+            got = [bytes(cell).translate(None, b"\0")
+                   for cell in _tracecsv.g_cells(values, p)]
+            want = [b"%.*g" % (p, v) for v in values.tolist()]
+            bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+            assert bad == [], (p, len(bad), bad[:5])
+
+    def test_uncertain_cells_take_the_per_cell_path(self, monkeypatch):
+        seen = []
+
+        def recorded(values, p):
+            seen.extend(values.tolist())
+            return percent(values, p)
+
+        percent = _tracecsv.percent_cells
+        monkeypatch.setattr(_tracecsv, "percent_cells", recorded)
+        # exact ties at 16 digits, a decade edge, zeros and non-finites
+        uncertain = [1234567890123456.5, 1234567890123457.5, 1000.0,
+                     0.0, -0.0, np.inf, -np.inf, np.nan]
+        plain = [0.5, 2.0, -0.125, 3e-300, 123.456, 100000000000.5]
+        values = plain + uncertain
+        cells = _tracecsv.g_cells(values, 16)
+        assert seen[:-1] == uncertain[:-1] and np.isnan(seen[-1])
+        assert [bytes(c).translate(None, b"\0") for c in cells] == [
+            b"%.16g" % v for v in values]
+        seen.clear()
+        # a tie at 12 digits
+        _tracecsv.g_cells([100000000000.5, 0.5], 12)
+        assert seen == [100000000000.5]
+
+    def test_exact_where_long_double_is_a_double(self, monkeypatch):
+        with np.errstate(over="ignore"):
+            powers = 10.0 ** np.arange(_tracecsv._POW10_LOW, len(_tracecsv._POW10)
+                                       + _tracecsv._POW10_LOW).astype(float)
+        monkeypatch.setattr(_tracecsv, "_LD", np.float64)
+        monkeypatch.setattr(_tracecsv, "_POW10", powers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (12, 16):
+                got = [bytes(cell).translate(None, b"\0")
+                       for cell in _tracecsv.g_cells(EDGE_VALUES, p)]
+                assert got == [b"%.*g" % (p, v) for v in EDGE_VALUES.tolist()]
+            assert not _tracecsv.decimal_digits(EDGE_VALUES, 16)[2].any()
+
+    def test_powers_of_ten_within_one_eps(self):
+        eps = Fraction(*np.finfo(np.longdouble).eps.as_integer_ratio())
+        for k, power in enumerate(_tracecsv._POW10, _tracecsv._POW10_LOW):
+            if np.isfinite(power):
+                exact = Fraction(10) ** k
+                assert abs(Fraction(*power.as_integer_ratio()) - exact) <= eps * exact, k
+
+
+# The formatter's edge cases: zeros, subnormals, the extremes, non-finites,
+# powers of ten and their neighbours, the %g switch points at 1e-5, 1e-4,
+# 1e12 and 1e16, exact ties at 16 and 12 digits, and integers near 2^53.
+_TENS = 10.0 ** np.arange(-323, 309)
+EDGE_VALUES = np.concatenate([
+    [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+     1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf, np.nan,
+     1234567890123456.5, 1234567890123457.5, 100000000000.5, -100000000000.5],
+    *[np.nextafter(edge, [0.0, np.inf]) for edge in (1e-5, 1e-4, 1e12, 1e16)],
+    [9.99999999999995e-5, 9.9999999999999995e-5, 999999999999.5, 9999999999999999.0],
+    _TENS, -_TENS, np.nextafter(_TENS, 0.0), np.nextafter(_TENS, np.inf),
+    2.0**53 + np.arange(-20, 21),
+])
 
 
 def per_cell_csv(trace) -> bytes:

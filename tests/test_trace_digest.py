@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from doscontrol import DerivedConstants, GapBoundVerdict, SimMetrics, SimTrace, generate
+from doscontrol import (
+    DerivedConstants, GapBoundVerdict, SimMetrics, SimTrace, generate, trace_to_csv,
+)
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "trace_digest.py"
 
@@ -46,7 +48,7 @@ def test_one_config_repeats_exactly(script, runs, tmp_path):
     assert list(arrays) == (
         [f.name for f in dataclasses.fields(SimTrace)]
         + [f.name for f in dataclasses.fields(SimMetrics)]
-        + ["csv_head", "csv_flags", "csv_t", "csv_x", "csv_u", "csv_V"]
+        + ["csv_head", "csv_flags", "csv_t", "csv_x", "csv_u", "csv_V", "csv_per_cell"]
         + ["dos_onsets", "dos_ends"]
         + [f"gap_{f.name}" for f in dataclasses.fields(GapBoundVerdict)]
     )
@@ -56,6 +58,7 @@ def test_one_config_repeats_exactly(script, runs, tmp_path):
     assert arrays["dos_ends"].tobytes() == sig.ends.tobytes()
     assert arrays["gap_z0_ok"].dtype == bool and arrays["gap_z0"].dtype == float
     assert bytes(arrays["csv_head"]).startswith(b"# format: 1\n")
+    assert arrays["csv_per_cell"].dtype == bool and arrays["csv_per_cell"]
     # the CSV cells read back as the trace's floats, to their printed digits
     assert arrays["csv_t"].tolist() == [float(f"{t:.12g}") for t in arrays["times"]]
     for name in ("x", "u", "V"):
@@ -147,6 +150,30 @@ def test_bounds_tolerance(script, chains, tmp_path, name, edit, fails):
     assert bool(problems) == fails
     assert all(f"/{name}: deviation" in line for line in problems)
     assert worst[f"bounds:{name}"] > 0.0
+
+
+@pytest.mark.parametrize("flags", [(True, False), (False, True), (False, False)])
+def test_csv_bytes_must_match_the_per_cell_writer_in_both_saves(script, runs,
+                                                                tmp_path, flags):
+    saves = [changed(runs, "csv_per_cell", lambda _: np.asarray(flag)) for flag in flags]
+    problems, _ = compare(script, tmp_path, *saves)
+    label = runs[1][0]
+    assert problems == [f"{label}/csv_per_cell: CSV bytes differ from the per-cell writer's"]
+
+
+def test_a_wrong_last_digit_fails(script, runs, tmp_path, monkeypatch):
+    def last_digit_off(trace, path):
+        trace_to_csv(trace, path)
+        data = path.read_bytes()
+        cell = b"%.16g" % trace.x[0, 0]
+        path.write_bytes(data.replace(cell, cell[:-1] + b"%d" % ((int(cell[-1:]) + 1) % 10), 1))
+
+    monkeypatch.setattr(script, "trace_to_csv", last_digit_off)
+    (label, _), _ = runs
+    again = script.record(*next(script.grid())[1:], tmp_path / "trace.csv")
+    problems, worst = compare(script, tmp_path, runs, [(label, again), runs[1]])
+    assert problems == [f"{label}/csv_per_cell: CSV bytes differ from the per-cell writer's"]
+    assert 0.0 < worst["csv_x"] <= script.TOL
 
 
 def test_run_in_one_save_only(script, runs, tmp_path):
