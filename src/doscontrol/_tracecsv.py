@@ -10,13 +10,26 @@ import numpy as np
 
 
 def csv_rows(trace, rows: slice) -> bytes:
-    """The CSV rows of a SimTrace's rows, each a row of cells joined by commas."""
+    """The CSV rows of a SimTrace's rows, each a row of cells joined by commas.
+
+    u is held over each controller period, so most rows repeat the one
+    before: its cells are formatted once per run of equal rows, in the same
+    g_cells call as x and V.  Rows compare by their bits: -0.0 equals 0.0 as
+    a float but prints as -0, and a NaN equals no float, not even itself.
+    """
     n = trace.x.shape[1]
-    x_v = g_cells(np.column_stack([trace.x[rows], trace.V[rows]]), 16)
-    x_v = x_v.reshape(-1, n + 1, CELL)
+    x_v = np.column_stack([trace.x[rows], trace.V[rows]])
+    u = trace.u[rows]
+    bits = u.view(np.int64)
+    starts = np.flatnonzero(
+        np.concatenate(([True], np.any(bits[1:] != bits[:-1], axis=1)))
+    )
+    text = g_cells(np.concatenate([x_v.ravel(), u[starts].ravel()]), 16)
+    x_v, held = text[: x_v.size].reshape(-1, n + 1, CELL), text[x_v.size :]
+    u = np.repeat(held.reshape(len(starts), u.shape[1], CELL),
+                  np.diff(starts, append=len(u)), axis=0)
     cells = np.concatenate([
-        g_cells(trace.times[rows], 12)[:, None], x_v[:, :n],
-        held_text(trace.u[rows]), x_v[:, n:],
+        g_cells(trace.times[rows], 12)[:, None], x_v[:, :n], u, x_v[:, n:],
         flag_text(trace.dos_active[rows], trace.attempt[rows],
                   trace.success[rows], trace.buffer_depth[rows])[:, None],
     ], axis=1)
@@ -185,22 +198,6 @@ def percent_cells(values, p: int) -> np.ndarray:
     """'%.<p>g' % v for each v, one call per value, laid out as g_cells'."""
     text = np.array([b"\0%.*g" % (p, v) for v in values.tolist()], dtype=f"S{CELL}")
     return text.view(np.uint8).reshape(-1, CELL)
-
-
-def held_text(u) -> np.ndarray:
-    """g_cells(u, 16) as (rows, columns, CELL), once per run of equal rows.
-
-    u is held over each controller period, so most rows repeat the one
-    before.  Rows compare by their bits: -0.0 equals 0.0 as a float but
-    prints as -0, and a NaN equals no float, not even itself.
-    """
-    u = np.asarray(u, dtype=float)
-    bits = u.view(np.int64)
-    starts = np.flatnonzero(
-        np.concatenate(([True], np.any(bits[1:] != bits[:-1], axis=1)))
-    )
-    cells = g_cells(u[starts], 16).reshape(len(starts), u.shape[1], CELL)
-    return np.repeat(cells, np.diff(starts, append=len(u)), axis=0)
 
 
 def flag_text(dos_active, attempt, success, depth) -> np.ndarray:

@@ -53,7 +53,6 @@ from .simulation import (
     SimConfig,
     _check_noise_map,
     check_envelope,
-    check_row_limit,
     compute_metrics,
     metrics_to_dict,
     simulate,
@@ -100,6 +99,14 @@ def _number(value, path: str) -> float:
         if abs(value) <= sys.float_info.max:
             return float(value)
     raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+
+
+def _positive(value, path: str) -> float:
+    """A finite JSON number > 0."""
+    number = _number(value, path)
+    if number > 0.0:
+        return number
+    raise ConfigError(f"{path}: expected a number > 0, got {value!r}")
 
 
 def _integer(value, path: str, least: int = 0) -> int:
@@ -195,7 +202,8 @@ class _Section(dict):
 
 
 # Every field of a config document, also listed in the README.  Range rules
-# stay with the constructors and rules the values feed.
+# stay with the constructors and rules the values feed, but for
+# divergence_threshold: only compute_metrics reads it, once the run is over.
 SCHEMA = _Section(
     format=(_format, CONFIG_FORMAT_VERSION),
     plant=(_Section(A=(_matrix, _REQUIRED), B=(_matrix, _REQUIRED)), _REQUIRED),
@@ -223,7 +231,7 @@ SCHEMA = _Section(
     ), _OPTIONAL),
     sim=(_Section(
         horizon=(_number, _REQUIRED), substeps=(_count, 10), x0=(_numbers, None),
-        mode=(_mode, "remote"), divergence_threshold=(_number, None),
+        mode=(_mode, "remote"), divergence_threshold=(_positive, None),
     ), _REQUIRED),
 )
 
@@ -241,14 +249,11 @@ class ExperimentConfig:
         cfg = SCHEMA(data, "")
         self.plant = _checked("plant", LtiPlant, **cfg["plant"])
         vars(self).update(cfg["controller"])
-        net, sim = cfg["network"], cfg["sim"]
-        if net["delta_big"] > 0.0:
-            _checked("sim.horizon", check_row_limit,
-                     sim["horizon"], net["delta_big"] / net["b"], sim["substeps"])
-        _checked("sim.substeps", _check_noise_map, self.plant.n, sim["substeps"])
-        self.run = _checked("sim", SimConfig, **net, **cfg["buffer"],
+        sim = cfg["sim"]
+        self.run = _checked("sim", SimConfig, **cfg["network"], **cfg["buffer"],
                             horizon=sim["horizon"], substeps=sim["substeps"],
                             mode=sim["mode"])
+        _checked("sim.substeps", _check_noise_map, self.plant.n, sim["substeps"])
         self.divergence_threshold = sim["divergence_threshold"]
         self.x0 = sim["x0"]
         if self.x0 is None:

@@ -7,9 +7,10 @@ packet of h predicted inputs; the actuator buffers them, replays one per
 sampling period, and holds the last one once the buffer runs dry.
 
 ``simulation.simulate`` runs both as one law and calls none of these
-functions.  They are kept as the tests' reference for that law and because
-the benchmark tracer (``perfbench/tracer.py``) rebinds them by name; they
-go once a benchmark change drops them from its ``TRACED`` table.
+functions; the tests check it against a per-tick oracle instead.  Only
+``tests/test_controllers.py`` and the benchmark tracer
+(``perfbench/tracer.py``), which rebinds them by name, use them; they go
+once a benchmark change drops them from its ``TRACED`` table.
 """
 
 from __future__ import annotations

@@ -64,17 +64,6 @@ def _check_integer(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def check_row_limit(horizon: float, delta: float, substeps: int) -> None:
-    """Refuse a run of more than MAX_ROWS sub-step rows before it allocates."""
-    periods = horizon / delta if delta > 0.0 else math.inf
-    rows = math.inf if math.isinf(periods) else float(round(periods)) * substeps
-    if rows > MAX_ROWS:
-        raise ValueError(
-            f"a run of {horizon} s in periods of {delta} s with {substeps} "
-            f"substeps is {rows:.3g} rows, above the limit of {MAX_ROWS}"
-        )
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """Per-component uniform noise in [-bound, bound], reproducible by seed.
@@ -111,7 +100,8 @@ class SimConfig:
     is attempted every b-th controller period.  Remote control without a
     buffer is mode "remote" at h = 1.  T_c models the time the remote unit
     needs to compute a packet; it is rounded up to whole periods and
-    consumes the leading packet entries.
+    consumes the leading packet entries.  A run is ticks whole periods, at
+    most MAX_ROWS sub-step rows (ticks * substeps).
     """
 
     delta_big: float
@@ -133,7 +123,19 @@ class SimConfig:
             raise ValueError(
                 f"horizon {self.horizon} shorter than one period {self.delta_big}"
             )
-        check_row_limit(self.horizon, self.delta, self.substeps)
+        # the row limit first: delta may underflow, horizon / delta overflow
+        periods = self.horizon / self.delta if self.delta > 0.0 else math.inf
+        rows = math.inf if math.isinf(periods) else float(round(periods)) * self.substeps
+        if rows > MAX_ROWS:
+            raise ValueError(
+                f"a run of {self.horizon} s in periods of {self.delta} s with "
+                f"{self.substeps} substeps is {rows:.3g} rows, above the limit "
+                f"of {MAX_ROWS}"
+            )
+        if abs(self.ticks * self.delta - self.horizon) > 1e-9 * max(1.0, self.horizon):
+            raise ValueError(
+                f"horizon {self.horizon} is not a whole number of periods {self.delta}"
+            )
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not (math.isfinite(self.T_c / self.delta) and self.T_c >= 0.0):
@@ -146,6 +148,10 @@ class SimConfig:
     @property
     def delta(self) -> float:
         return self.delta_big / self.b
+
+    @property
+    def ticks(self) -> int:
+        return round(self.horizon / self.delta)
 
     @property
     def skip(self) -> int:
@@ -299,8 +305,8 @@ def simulate(
 
     Deterministic for fixed seeds: disturbance and measurement noise come
     from two independent streams spawned from noise.seed.  The V column uses
-    the supplied Lyapunov weight P (identity when omitted).  The horizon
-    must be a whole number of controller periods and must not exceed the DoS
+    the supplied Lyapunov weight P (identity when omitted).  The run covers
+    config.ticks controller periods; its horizon must not exceed the DoS
     signal's own horizon.
     """
     k_mat = linalg.as_matrix(K, "K")
@@ -309,12 +315,7 @@ def simulate(
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape != (plant.n,):
         raise ValueError(f"x0 must have {plant.n} entries, got shape {x.shape}")
-    delta = config.delta
-    n_ticks = int(round(config.horizon / delta))
-    if abs(n_ticks * delta - config.horizon) > 1e-9 * max(1.0, config.horizon):
-        raise ValueError(
-            f"horizon {config.horizon} is not a whole number of periods {delta}"
-        )
+    delta, n_ticks = config.delta, config.ticks
     if dos_signal.horizon < config.horizon - 1e-12:
         raise ValueError(
             f"DoS signal horizon {dos_signal.horizon} shorter than run "

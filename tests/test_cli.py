@@ -602,6 +602,14 @@ class TestConfigErrors:
         ({"noise.seed": -1}, "noise.seed: expected an integer >= 0, got -1"),
         ({"dos.generator.seed": -1},
          "dos.generator.seed: expected an integer >= 0, got -1"),
+        ({"sim.horizon": 50.05},
+         "sim: horizon 50.05 is not a whole number of periods 0.1"),
+        ({"network.delta_big": 3},
+         "sim: horizon 50.0 is not a whole number of periods 3.0"),
+        ({"sim.divergence_threshold": 0},
+         "sim.divergence_threshold: expected a number > 0, got 0"),
+        ({"sim.divergence_threshold": -1},
+         "sim.divergence_threshold: expected a number > 0, got -1"),
     ])
     def test_bounds_and_sim_refuse_the_same_files(self, capsys, tmp_path,
                                                   overrides, message):
@@ -636,7 +644,7 @@ class TestConfigErrors:
         code, out, err = run(capsys, command, cfg)
         assert code == 1
         assert out == ""
-        assert err.startswith("config error: sim.horizon: ")
+        assert err.startswith("config error: sim: ")
         assert f"above the limit of {MAX_ROWS}" in err
 
     @pytest.mark.parametrize("command", ["bounds", "sim"])
@@ -834,9 +842,10 @@ def mutated_config(path, mutation, value):
 class TestConfigFuzz:
     """Each mutation of one field of the bundled config ends in an exit code.
 
-    The drawn numbers keep any run the mutation leaves valid short: none
-    makes a horizon, a period or a generator range that passes the row and
-    interval limits and still takes long.
+    Outside the dos section, sim refuses a file only as bounds does.  The
+    drawn numbers keep any run the mutation leaves valid short: none makes a
+    horizon, a period or a generator range that passes the row and interval
+    limits and still takes long.
     """
 
     @settings(max_examples=200, deadline=timedelta(seconds=5), derandomize=True,
@@ -850,6 +859,7 @@ class TestConfigFuzz:
     )
     def test_config_fuzz(self, path, mutation, value):
         cfg = mutated_config(path, mutation, value)
+        results = {}
         with tempfile.TemporaryDirectory() as tmp:
             config_path = os.path.join(tmp, "config.json")
             with open(config_path, "w") as fh:
@@ -868,6 +878,10 @@ class TestConfigFuzz:
                     assert (code, err.getvalue()) == (
                         1, f"config error: {name}: unknown field\n"
                     )
+                results[command] = code, err.getvalue()
+        # only sim builds the signal, so only there may sim refuse alone
+        if path[0] != "dos" and results["sim"][0] == 1:
+            assert results["bounds"] == results["sim"]
 
 
 class TestUsage:

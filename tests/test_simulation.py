@@ -151,10 +151,14 @@ class TestSimulate:
         assert SimConfig(delta_big=0.1, horizon=1.0, h=3, T_c=0.2).skip == 2
 
     def test_horizon_validation(self, bench_plant):
-        with pytest.raises(ValueError):
-            bench_sim(bench_plant, horizon=1.23456)
+        # SimConfig refuses a run off the period grid, so simulate never sees one
+        with pytest.raises(ValueError, match="horizon 1.23456 is not a whole "
+                                             "number of periods 0.1"):
+            SimConfig(delta_big=0.1, horizon=1.23456)
+        assert SimConfig(delta_big=0.1, horizon=0.1 * 3).ticks == 3
+        assert SimConfig(delta_big=0.1, horizon=6.0, b=3).ticks == 180
         short = DoSSignal(intervals=(), horizon=5.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="DoS signal horizon 5.0 shorter"):
             bench_sim(bench_plant, dos_signal=short, horizon=10.0)
 
     @pytest.mark.parametrize(
@@ -176,6 +180,11 @@ class TestSimulate:
             SimConfig(delta_big=0.1, horizon=(periods + 1) * 0.1, substeps=10)
         with pytest.raises(ValueError, match="limit"):
             SimConfig(delta_big=0.1, horizon=1e9)
+        # horizon / delta past the float range, and delta below it, are
+        # refused by the row limit before the whole-period rule divides
+        for b in (1, 2):
+            with pytest.raises(ValueError, match="is inf rows, above the limit"):
+                SimConfig(delta_big=5e-324, horizon=50.0, b=b)
         # the longest benchmark run stays far below
         assert 500.0 / 0.1 * 10 < MAX_ROWS / 100
 
@@ -379,10 +388,8 @@ class TestOneLaw:
         "empty": lambda seed: DoSSignal(intervals=(), horizon=7.0),
     }
 
-    # The name predates the tolerance; it is kept so that the test ids
-    # quoted in CHANGES.md still resolve.
     @pytest.mark.parametrize("mode, h, skip", list(law_cases()))
-    def test_matches_the_state_machines_bit_for_bit(self, bench_plant, mode, h, skip):
+    def test_matches_the_literal_law(self, bench_plant, mode, h, skip):
         for i, (b, name) in enumerate(
             (b, name) for b in (1, 2, 3) for name in self.SIGNALS
         ):
