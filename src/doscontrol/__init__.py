@@ -53,11 +53,9 @@ from .dos import (
 )
 from .linalg import (
     StabilityCertificationError,
-    SymmetricSpectrum,
     log_norm,
     solve_lyapunov,
     spectral_norm,
-    symmetric_extremes,
     zoh_discretize,
 )
 from .plant import LtiPlant

@@ -91,12 +91,12 @@ class DesignInputs:
         if the sigma fraction erases the strict dissipation margin.
         """
         phi = self.Phi
-        p = linalg.solve_lyapunov(phi, self.M)
+        # the solve hands back the spectra of P and M its checks took
+        solution = linalg.solve_lyapunov(phi, self.M)
+        p = solution.P
         p.setflags(write=False)
-        # P comes back exactly symmetric, so it needs no symmetrizing here
-        p_eigs = np.linalg.eigvalsh(p)
-        alpha1, alpha2 = float(p_eigs[0]), float(p_eigs[-1])
-        gamma1 = linalg.symmetric_extremes(self.M).min_eig
+        alpha1, alpha2 = float(solution.P_eigs[0]), float(solution.P_eigs[-1])
+        gamma1 = float(solution.M_eigs[0])
         gamma2 = linalg.spectral_norm(2.0 * p @ self.plant.B @ self.K)
         gamma3 = linalg.spectral_norm(2.0 * p)
         sigma = self.sigma_fraction * gamma1 / gamma2
@@ -279,7 +279,9 @@ def decay_envelope(
     """Envelope constants (beta, lambda, L) for V at success times.
 
     Requires the horizon condition to hold (beta > 0), i.e. h at least the
-    min_prediction_horizon output.
+    min_prediction_horizon output; raises HorizonTooShortError otherwise,
+    and ValueError when beta or lambda is not finite (Q = inf gives
+    beta = NaN, and lambda overflows once (omega1 + omega2) Q > ~709).
     """
     h_delta = h * delta
     beta = (
@@ -290,9 +292,18 @@ def decay_envelope(
             f"h*delta = {h_delta:.6g} yields beta = {beta:.3g} <= 0; "
             "increase the buffer length"
         )
+    try:
+        lam = math.exp((consts.omega1 + consts.omega2) * Q)
+    except OverflowError:
+        lam = math.inf
+    if not (math.isfinite(beta) and math.isfinite(lam)):  # NaN passes above
+        raise ValueError(
+            f"Q={Q:.6g} with h*delta = {h_delta:.6g} yields beta = {beta:.3g} "
+            f"and lambda = {lam:.3g}: the envelope is past the float range"
+        )
     return EnvelopeConstants(
         beta=beta,
-        lam=math.exp((consts.omega1 + consts.omega2) * Q),
+        lam=lam,
         L=math.exp(-beta * delta_big),
         Q=Q,
         h_delta=h_delta,

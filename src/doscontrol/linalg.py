@@ -20,6 +20,8 @@ HURWITZ_TOL = 1e-9  # eigenvalues must satisfy Re(lambda) < -HURWITZ_TOL
 LYAPUNOV_RESIDUAL_RTOL = 1e-10
 SYMMETRY_ATOL = 1e-12
 
+_EPS = float(np.finfo(float).eps)
+
 
 class StabilityCertificationError(ValueError):
     """A matrix required to be Hurwitz has an eigenvalue too far right.
@@ -43,11 +45,12 @@ class LyapunovSolveError(ArithmeticError):
     """
 
 
-class SymmetricSpectrum(NamedTuple):
-    """Extreme eigenvalues of a symmetric matrix."""
+class LyapunovSolution(NamedTuple):
+    """What solve_lyapunov returns: P and the two spectra its checks took."""
 
-    min_eig: float
-    max_eig: float
+    P: np.ndarray
+    P_eigs: np.ndarray  # eigvalsh(P), ascending
+    M_eigs: np.ndarray  # eigvalsh of the symmetrized M, ascending
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -133,7 +136,7 @@ def zoh_discretize(a, b, delta: float) -> tuple[np.ndarray, np.ndarray]:
     return big[:n, :n], big[:n, n:]
 
 
-def solve_lyapunov(phi, m) -> np.ndarray:
+def solve_lyapunov(phi, m) -> LyapunovSolution:
     """Solve Phi' P + P Phi + M = 0 for symmetric positive-definite P.
 
     Phi must be Hurwitz and M symmetric positive definite.  Bartels-Stewart:
@@ -150,6 +153,20 @@ def solve_lyapunov(phi, m) -> np.ndarray:
     verified against LYAPUNOV_RESIDUAL_RTOL and for positive definiteness
     before returning; LyapunovSolveError is raised if either check fails or
     P is not finite.
+
+    The residual check asks whether the spectral norm of R, as computed by
+    an SVD, is at most tol = LYAPUNOV_RESIDUAL_RTOL ||M||.  Since
+    ||R||_2 <= ||R||_F, it passes without the SVD when the Frobenius norm,
+    taken on R scaled by its largest entry so that no square underflows,
+    satisfies ||R||_F (1 + 4 (n^2 + 2) eps) <= tol.  The margin covers the
+    round-off of that norm, at most (n^2 + 6) eps/2 relative, and an SVD
+    backward error of up to n eps ||R||, with a factor of two to spare.
+    Every other residual, one whose norm overflows included, is checked by
+    the SVD as before, so the verdict and the message are unchanged.
+
+    Returns a LyapunovSolution: P (read-write, exactly symmetric), and the
+    ascending eigvalsh spectra of P and of the symmetrized M that the
+    checks computed, for callers that need the extreme eigenvalues.
     """
     phi_arr = _as_square(phi, "Phi")
     t, u = scipy.linalg.schur(phi_arr, output="real", check_finite=False)
@@ -178,15 +195,21 @@ def solve_lyapunov(phi, m) -> np.ndarray:
         resid = phi_arr.T @ p + p @ phi_arr + m_arr
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(resid))):
         raise LyapunovSolveError("Lyapunov solution is not finite")
-    residual = spectral_norm(resid)
     # M is positive definite, so its 2-norm is its largest eigenvalue
-    if residual > LYAPUNOV_RESIDUAL_RTOL * m_eigs[-1]:
-        raise LyapunovSolveError(
-            f"Lyapunov solve residual {residual:.3g} exceeds tolerance"
-        )
-    if np.linalg.eigvalsh(p)[0] <= 0.0:
+    tol = LYAPUNOV_RESIDUAL_RTOL * m_eigs[-1]
+    n = phi_arr.shape[0]
+    peak = float(np.max(np.abs(resid)))
+    frob = peak * float(np.linalg.norm(resid / peak)) if peak > 0.0 else 0.0
+    if frob * (1.0 + 4.0 * (n * n + 2) * _EPS) > tol:
+        residual = spectral_norm(resid)
+        if residual > tol:
+            raise LyapunovSolveError(
+                f"Lyapunov solve residual {residual:.3g} exceeds tolerance"
+            )
+    p_eigs = np.linalg.eigvalsh(p)
+    if p_eigs[0] <= 0.0:
         raise LyapunovSolveError("Lyapunov solution is not positive definite")
-    return p
+    return LyapunovSolution(p, p_eigs, m_eigs)
 
 
 def log_norm(a) -> float:
@@ -198,10 +221,3 @@ def log_norm(a) -> float:
 def spectral_norm(m) -> float:
     """Largest singular value (what norm(m, 2) computes, without its wrapper)."""
     return float(np.linalg.svd(as_matrix(m, "M"), compute_uv=False)[0])
-
-
-def symmetric_extremes(s) -> SymmetricSpectrum:
-    """Smallest and largest eigenvalues of a symmetric matrix."""
-    arr = _as_symmetric(s, "S")
-    w = np.linalg.eigvalsh(arr)
-    return SymmetricSpectrum(float(w[0]), float(w[-1]))

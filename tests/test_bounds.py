@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from doscontrol import (
     DesignInputs,
@@ -181,6 +182,34 @@ class TestOneEigenvalueSolvePerDesign:
         assert len(calls) == 1
 
 
+class TestOneFactorizationPerSpectrum:
+    def test_certifying_a_design_takes_each_spectrum_once(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        n, m = 8, 4
+        a, b = rng.standard_normal((n, n)), rng.standard_normal((n, m))
+        k = -b.T @ scipy.linalg.solve_continuous_are(a, b, np.eye(n), np.eye(m))
+        assert np.linalg.eigvals(a).real.max() >= 0.0  # the PBH test has work
+        calls = {"matrix_rank": [], "eigvalsh": [], "svd": []}
+        for name, log in calls.items():
+            def counted(x, *args, _fn=getattr(np.linalg, name), _log=log, **kwargs):
+                _log.append(np.array(x))
+                return _fn(x, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        inputs = DesignInputs(plant=LtiPlant(A=a, B=b), K=k)
+        for h in (1, 5, 50):
+            derive_constants(inputs, h=h, delta=0.1)
+        # every pencil clears the Gram screen: one batched eigvalsh, no SVD
+        assert calls["matrix_rank"] == []
+        assert [x.ndim for x in calls["eigvalsh"]].count(3) == 1
+        p = inputs.design_constants.P
+        for spectrum_of in (np.eye(n), p):
+            assert sum(np.array_equal(x, spectrum_of) for x in calls["eigvalsh"]) == 1
+        # ||2 P B K||, ||2 P|| and ||Phi||; the residual passes on its
+        # Frobenius norm
+        assert len(calls["svd"]) == 3
+
+
 class TestImmutableInputs:
     def test_stored_matrices_are_read_only(self, bench_inputs):
         for arr in (bench_inputs.K, bench_inputs.M, bench_inputs.plant.A,
@@ -322,6 +351,24 @@ class TestDecayEnvelope:
             if h_min > 1:
                 with pytest.raises(HorizonTooShortError):
                     decay_envelope(c, q, delta_big, h_min - 1, delta)
+
+    def test_infinite_gap_bound_is_refused(self, bench_consts):
+        # Q = inf makes beta = -inf / inf = NaN, which bounds no envelope
+        with pytest.raises(ValueError, match="beta = nan") as exc:
+            decay_envelope(bench_consts, math.inf, 0.1, 50, 0.1)
+        assert type(exc.value) is ValueError
+        # a finite Q past the horizon is still a horizon that is too short
+        with pytest.raises(HorizonTooShortError):
+            decay_envelope(bench_consts, 1e307, 0.1, 50, 0.1)
+
+    def test_overflowing_overshoot_is_refused(self, bench_consts):
+        # (omega1 + omega2) Q = 17.5 * 45 > 709: lambda = e^788 overflows,
+        # while h = 500 gives beta > 0
+        q = 45.0
+        assert (bench_consts.omega1 + bench_consts.omega2) * q > 709.8
+        with pytest.raises(ValueError, match="lambda = inf") as exc:
+            decay_envelope(bench_consts, q, 0.1, 500, 0.1)
+        assert type(exc.value) is ValueError
 
 
 class TestGapFormEquivalence:

@@ -375,6 +375,26 @@ class TestSim:
         code, out, _ = run(capsys, "sim", cfg, "--h", "1")
         assert code == 3 and json.loads(out)["envelope_ok"] is None
 
+    @pytest.mark.parametrize("field", ["dos_class.eta", "dos_class.kappa"])
+    def test_gap_bound_past_the_float_range_has_no_envelope(
+        self, capsys, tmp_path, field
+    ):
+        # kappa = 1e308 gives Q = inf, whose beta is NaN; eta = 1e308 gives
+        # a finite Q with beta < 0.  Neither is an envelope that failed.
+        cfg = write_config(tmp_path, **{field: 1e308})
+        code, out, _ = run(capsys, "sim", cfg)
+        assert code == 0 and json.loads(out)["envelope_ok"] is None
+
+    def test_overshoot_past_the_float_range_has_no_envelope(self, capsys, tmp_path):
+        # kappa = 10 gives Q = 44.96 and h_min = 437, and lambda =
+        # e^((omega1 + omega2) Q) = e^788 overflows
+        cfg = write_config(tmp_path, **{"dos_class.kappa": 10.0, "buffer.h": 437})
+        code, out, _ = run(capsys, "sim", cfg)
+        assert code == 0 and json.loads(out)["envelope_ok"] is None
+        code, out, err = run(capsys, "bounds", cfg)
+        assert code == 1 and out == ""
+        assert err.startswith("error: Q=") and "lambda = inf" in err
+
     @pytest.mark.parametrize("overrides, flags, message", [
         ({}, ["--h", "0"], "h must be an integer >= 1, got 0"),
         ({}, ["--mode", "remote_no_buffer"],

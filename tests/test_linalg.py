@@ -12,7 +12,6 @@ from doscontrol.linalg import (
     log_norm,
     solve_lyapunov,
     spectral_norm,
-    symmetric_extremes,
     zoh_discretize,
 )
 
@@ -168,16 +167,16 @@ class TestZohDiscretize:
 
 class TestSolveLyapunov:
     def test_scalar(self):
-        p = solve_lyapunov([[-1.0]], [[2.0]])
+        p = solve_lyapunov([[-1.0]], [[2.0]]).P
         assert p[0, 0] == pytest.approx(1.0, rel=1e-12)
 
     def test_commuting_case(self):
-        p = solve_lyapunov(-np.eye(2), 2.0 * np.eye(2))
+        p = solve_lyapunov(-np.eye(2), 2.0 * np.eye(2)).P
         assert np.allclose(p, np.eye(2), atol=1e-12)
 
     def test_benchmark_spectrum(self):
-        p = solve_lyapunov(BENCH_A + BENCH_B @ BENCH_K, np.eye(2))
-        lo, hi = symmetric_extremes(p)
+        p = solve_lyapunov(BENCH_A + BENCH_B @ BENCH_K, np.eye(2)).P
+        lo, hi = np.linalg.eigvalsh(p)[[0, -1]]
         assert lo == pytest.approx(0.2779, abs=1e-3)
         assert hi == pytest.approx(0.4497, abs=1e-3)
 
@@ -189,7 +188,7 @@ class TestSolveLyapunov:
                 shift = max(np.linalg.eigvals(a).real.max(), 0.0) + rng.uniform(0.2, 1.0)
                 phi = a - shift * np.eye(n)
                 m = random_spd(rng, n)
-                p = solve_lyapunov(phi, m)
+                p = solve_lyapunov(phi, m).P
                 expected = solve_lyapunov_kron(phi, m)
                 assert spectral_norm(p - expected) <= 1e-9 * spectral_norm(expected)
 
@@ -197,7 +196,7 @@ class TestSolveLyapunov:
         # P ~ 1e292: trsyl returns the solution scaled down to avoid overflow
         phi = np.array([[-0.01, 0.002], [0.0, -0.02]])
         m = 1e290 * np.array([[2.0, 0.5], [0.5, 1.0]])
-        p = solve_lyapunov(phi, m)
+        p = solve_lyapunov(phi, m).P
         expected = solve_lyapunov_kron(phi, m)
         assert spectral_norm(p - expected) <= 1e-12 * spectral_norm(expected)
 
@@ -207,11 +206,11 @@ class TestSolveLyapunov:
             phi = random_hurwitz(rng, n_max=24)
             n = phi.shape[0]
             m = random_spd(rng, n)
-            p = solve_lyapunov(phi, m)
+            p = solve_lyapunov(phi, m).P
             residual = spectral_norm(phi.T @ p + p @ phi + m)
             assert residual <= linalg.LYAPUNOV_RESIDUAL_RTOL * spectral_norm(m)
             assert np.allclose(p, p.T, atol=1e-14)
-            lo, hi = symmetric_extremes(p)
+            lo, hi = np.linalg.eigvalsh(p)[[0, -1]]
             assert lo > 0.0
             for _ in range(100):
                 x = rng.standard_normal(n)
@@ -228,6 +227,35 @@ class TestSolveLyapunov:
             solve_lyapunov(phi, np.eye(10))
         assert issubclass(LyapunovSolveError, ArithmeticError)
 
+    def test_residual_verdict_is_the_svds_across_the_tolerance(self):
+        # off-diagonal gains that take the residual across the tolerance:
+        # every P the Frobenius pass accepts also passes the SVD check
+        rng = np.random.default_rng(16)
+        upper = np.triu(rng.standard_normal((10, 10)), 1)
+        accepted = []
+        for gain in np.geomspace(0.1, 0.4, 40):
+            phi = -0.05 * np.eye(10) + gain * upper
+            try:
+                solution = solve_lyapunov(phi, np.eye(10))
+            except LyapunovSolveError as exc:
+                assert "residual" in str(exc)
+                accepted.append(False)
+                continue
+            p = solution.P
+            resid = phi.T @ p + p @ phi + np.eye(10)
+            assert spectral_norm(resid) <= linalg.LYAPUNOV_RESIDUAL_RTOL
+            accepted.append(True)
+        assert accepted[0] and not accepted[-1]
+
+    def test_returns_the_spectra_it_checked(self):
+        rng = np.random.default_rng(19)
+        phi = random_hurwitz(rng, n_max=8)
+        m = random_spd(rng, phi.shape[0])
+        solution = solve_lyapunov(phi, m)
+        assert solution.P_eigs.tobytes() == np.linalg.eigvalsh(solution.P).tobytes()
+        m_sym = 0.5 * (m + m.T)
+        assert solution.M_eigs.tobytes() == np.linalg.eigvalsh(m_sym).tobytes()
+
     def test_solution_past_the_float_range_is_a_solve_error(self):
         # P = 1e300 / 4e-9 overflows
         with warnings.catch_warnings():
@@ -242,7 +270,7 @@ class TestSolveLyapunov:
         phi = random_hurwitz(rng, n_max=6)
         n = phi.shape[0]
         m = np.diag([1.0] + [1e-9] * (n - 1))
-        p = solve_lyapunov(phi, m)
+        p = solve_lyapunov(phi, m).P
         residual = spectral_norm(phi.T @ p + p @ phi + m)
         assert 1e-10 * 1e-9 < residual <= linalg.LYAPUNOV_RESIDUAL_RTOL
 
@@ -275,7 +303,7 @@ class TestSolveLyapunov:
 
     def test_eigenvalue_just_left_of_the_tolerance(self):
         re = -linalg.HURWITZ_TOL * 1.001
-        p = solve_lyapunov(np.diag([-1.0, re]), np.eye(2))
+        p = solve_lyapunov(np.diag([-1.0, re]), np.eye(2)).P
         assert p[1, 1] == pytest.approx(-0.5 / re, rel=1e-12)
 
     def test_rejects_indefinite_weight(self):
@@ -304,10 +332,3 @@ class TestNorms:
         assert spectral_norm(BENCH_A + BENCH_B @ BENCH_K) == pytest.approx(
             1.9021, abs=1e-3
         )
-
-    def test_symmetric_extremes(self):
-        assert symmetric_extremes(np.eye(2)) == (1.0, 1.0)
-        lo, hi = symmetric_extremes(np.diag([0.2, 5.0]))
-        assert (lo, hi) == (pytest.approx(0.2), pytest.approx(5.0))
-        with pytest.raises(ValueError):
-            symmetric_extremes(np.array([[1.0, 0.1], [0.0, 1.0]]))

@@ -1,5 +1,10 @@
+import warnings
+from datetime import timedelta
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from doscontrol import LtiPlant
 
@@ -89,3 +94,55 @@ class TestStabilizability:
         for kinds in ({1}, {2, 3}):
             seen = {ok for kind, ok in outcomes if kind in kinds}
             assert seen == {True, False}, kinds
+
+
+class TestGramScreen:
+    """The Gram screen only spares SVDs: it never changes a verdict."""
+
+    @settings(max_examples=300, deadline=timedelta(seconds=2),
+              derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 12),
+        pair=st.booleans(),
+        k=st.integers(0, 16),
+        # past 1e+-150 the Gram of a pencil overflows or underflows
+        scale=st.one_of(st.just(0), st.integers(140, 170), st.integers(-170, -140)),
+    )
+    # uncontrollable modes whose Grams underflow: only the screen's
+    # absolute term keeps them from being cleared
+    @example(seed=7, n=10, pair=False, k=15, scale=-159)
+    @example(seed=4, n=7, pair=True, k=15, scale=-159)
+    def test_hidden_modes_keep_the_rank_test_verdict(self, seed, n, pair, k, scale):
+        rng = np.random.default_rng(seed)
+        if pair:
+            re, im = rng.uniform(-0.5, 0.5), rng.uniform(0.5, 3.0)
+            block = np.array([[re, im], [-im, re]])
+        else:
+            block = np.array([[rng.uniform(-0.5, 0.5)]])
+        a, b = hidden_mode_plant(rng, n, block, 10.0**-k)
+        a, b = a * 10.0**scale, b * 10.0**scale
+        expected = pbh_every_eigenvalue(a, b)
+
+        rank, ranked = np.linalg.matrix_rank, set()
+
+        def spy(pencil):
+            ranked.add(pencil.tobytes())
+            return rank(pencil)
+
+        with warnings.catch_warnings(record=True) as caught, \
+                mock.patch.object(np.linalg, "matrix_rank", spy):
+            warnings.simplefilter("always")
+            got = verdict(a, b)
+        assert got == expected
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        # a pencil tested before the rejection (if any) and never handed to
+        # matrix_rank was cleared by the screen: it must have full rank
+        for lam in np.linalg.eigvals(a):
+            if lam.real < 0.0 or lam.imag < 0.0:
+                continue
+            if got is not None and f"eigenvalue {lam:.6g} fails" in got:
+                break
+            pencil = np.hstack([a - lam * np.eye(n), b])
+            if pencil.tobytes() not in ranked:
+                assert rank(pencil) == n, lam
