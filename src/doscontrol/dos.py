@@ -49,8 +49,11 @@ class DoSSignal:
     and consecutive intervals are disjoint.  Merging respects the half-open
     semantics: [a, b[ followed by [b, c[ fuses into [a, c[, but a pulse
     sitting exactly at an open right endpoint stays separate because the
-    union would be closed on the right.  The signal is held as read-only
-    arrays ``onsets`` and ``ends``; ``intervals``, the same list as pairs,
+    union would be closed on the right.  Pairs are put in the order that
+    (onset, duration) tuples sort in, by one stable sort that is linear on
+    the already sorted pairs of generate and of signal files.  The signal
+    is held as read-only arrays ``onsets`` and ``ends``, with
+    ``ends[i] <= onsets[i + 1]``; ``intervals``, the same list as pairs,
     is built on first use.  Equality, hashing and the JSON form use
     ``intervals`` and ``horizon`` only.  Instances are immutable.
     """
@@ -64,8 +67,10 @@ class DoSSignal:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError("intervals: expected a list of [onset, duration] pairs")
-        bad = ~np.isfinite(pairs).all(axis=1) | (pairs < 0.0).any(axis=1)
-        if bad.any():  # the first offender, in input order
+        # NaN fails both comparisons; only then is each row scanned, so
+        # that the first offender, in input order, is the one named.
+        if pairs.size and not (pairs.min() >= 0.0 and pairs.max() < math.inf):
+            bad = ~np.isfinite(pairs).all(axis=1) | (pairs < 0.0).any(axis=1)
             h, tau = pairs[bad.argmax()].tolist()
             if not (math.isfinite(h) and math.isfinite(tau)):
                 raise ValueError(f"non-finite DoS interval ({h}, {tau})")
@@ -74,7 +79,12 @@ class DoSSignal:
         # min(tau, room) as Python takes it: a -0.0 duration stays -0.0.
         room = horizon - h
         tau = np.where(room < tau, room, tau)
-        order = np.lexsort((tau, h))  # stable, like sorting (h, tau) tuples
+        # The order of (h, tau) tuples: numpy orders complex numbers by real
+        # part, then imaginary part, and a stable sort keeps ties in input
+        # order.
+        key = np.empty(h.size, dtype=complex)
+        key.real, key.imag = h, tau
+        order = np.argsort(key, kind="stable")
         h, tau = h[order], tau[order]
         end = h + tau
         joins = (h[1:] < end[:-1]) | (
@@ -133,9 +143,12 @@ class DoSClassParams:
     T: float
 
     def __post_init__(self):
-        if self.eta < 0.0 or self.kappa < 0.0:
-            raise ValueError("eta and kappa must be >= 0")
-        if self.tau_D <= 0.0:
+        # Each test fails on NaN, which would turn every bound into NaN.
+        for name in ("eta", "kappa"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        if not self.tau_D > 0.0:
             raise ValueError(f"tau_D must be > 0, got {self.tau_D}")
         if not self.T > 1.0:
             raise ValueError(f"T must be > 1, got {self.T}")
@@ -183,18 +196,38 @@ class GapBoundVerdict:
 def active_mask(signal: DoSSignal, times) -> np.ndarray:
     """Blocked flag at each of ``times``: the one blocked-time rule.
 
-    Only the last interval with onset <= t can hold t, since the canonical
-    intervals are disjoint; it blocks t at its onset and before its end.
+    An interval blocks t from its onset up to, not including, its end, and
+    a pulse blocks its onset instant: on floats, both block
+    onset <= t < stop, where stop is the end or, if later, the float right
+    after the onset.  Over ascending times each interval thus blocks one
+    run of positions, found by two binary searches; the canonical
+    intervals are disjoint and in order, so the runs are too, and one
+    repeat over the alternating clear and blocked run lengths lays out the
+    mask, in O(len(times) + k log len(times)) for k intervals.  Times that
+    are not ascending are sorted first and their flags put back in place.
     Times outside [0, horizon] are not checked.
     """
     times = np.asarray(times, dtype=float)
-    if signal.onsets.size == 0:
-        return np.zeros(times.shape, dtype=bool)
-    idx = np.searchsorted(signal.onsets, times, side="right") - 1
-    last = np.maximum(idx, 0)
-    return (idx >= 0) & (
-        (times == signal.onsets[last]) | (times < signal.ends[last])
-    )
+    t = times.ravel()
+    order = None
+    if not (t[1:] >= t[:-1]).all():  # NaN sorts last, past every interval
+        order = np.argsort(t, kind="stable")
+        t = t[order]
+    onsets, ends = signal.onsets, signal.ends
+    # Interval i's run starts at edges[2i + 1] and stops at edges[2i + 2];
+    # edges[0] = 0 and edges[-1] = len(t) frame the clear runs around them.
+    marks = np.empty(2 * onsets.size + 2)
+    marks[0], marks[-1] = -math.inf, math.inf
+    marks[1:-1:2] = onsets
+    np.maximum(ends, np.nextafter(onsets, math.inf), out=marks[2:-1:2])
+    edges = np.searchsorted(t, marks)
+    edges[-1] = t.size  # +inf and NaN times stay clear too
+    blocked = np.zeros(marks.size - 1, dtype=bool)
+    blocked[1::2] = True
+    flags = np.repeat(blocked, edges[1:] - edges[:-1])
+    if order is not None:
+        flags[order] = flags.copy()
+    return flags.reshape(times.shape)
 
 
 def active_at(signal: DoSSignal, t: float) -> bool:
@@ -224,7 +257,7 @@ def dos_measure(signal: DoSSignal, tau: float, t: float) -> float:
 
 def _check_window(signal: DoSSignal, tau: float, t: float) -> tuple[float, float]:
     tau, t = float(tau), float(t)
-    if tau < 0.0 or t > signal.horizon or tau > t:
+    if not 0.0 <= tau <= t <= signal.horizon:  # NaN fails too
         raise ValueError(
             f"window [{tau}, {t}] must satisfy 0 <= tau <= t <= {signal.horizon}"
         )
@@ -320,6 +353,8 @@ def successful_transmissions(
     """
     if not delta_big > 0.0:
         raise ValueError(f"delta_big must be > 0, got {delta_big}")
+    if not horizon >= 0.0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     if horizon > signal.horizon:
         raise ValueError(
             f"horizon {horizon} exceeds signal horizon {signal.horizon}"

@@ -94,8 +94,13 @@ def canonical_intervals_loop(intervals, horizon):
             continue
         cleaned.append((h, min(tau, horizon - h)))
     cleaned.sort()
+    return merge_loop(cleaned)
+
+
+def merge_loop(pairs):
+    """Merge sorted (onset, duration) pairs that overlap or touch, in order."""
     merged = []
-    for h, tau in cleaned:
+    for h, tau in pairs:
         if merged:
             h0, tau0 = merged[-1]
             end0 = h0 + tau0
@@ -130,6 +135,12 @@ def assert_canonical_as(sig, intervals):
     assert sig.onsets.tobytes() == onsets.tobytes()
     assert sig.ends.tobytes() == ends.tobytes()
     assert repr(sig.intervals) == repr(intervals)
+
+
+def membership(signal, times):
+    """Blocked flag of each time, one test against every interval: the oracle."""
+    return [any(x == h or h <= x < h + tau for h, tau in signal.intervals)
+            for x in np.ravel(times).tolist()]
 
 
 def schedule_loop(signal, delta_big, horizon):
@@ -238,6 +249,26 @@ class TestSignalConstruction:
         s = DoSSignal(intervals=((10.0, -0.0), (1.0, -0.0)), horizon=10.0)
         assert repr(s.intervals) == "((1.0, -0.0), (10.0, -0.0))"
 
+    @PROPERTY
+    @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0]),
+                              st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.5])),
+                    max_size=12),
+           st.randoms(use_true_random=False))
+    def test_sorts_like_lexsort(self, pairs, random):
+        # tied onsets, 0.0 against -0.0 among them, and -0.0 durations,
+        # shuffled: which tied pair comes first shows in the merged result,
+        # e.g. as the sign of a zero onset
+        random.shuffle(pairs)
+        h, tau = np.array(pairs, dtype=float).reshape(-1, 2).T
+        order = np.lexsort((tau, h)).tolist()
+        assert order == sorted(range(len(pairs)), key=pairs.__getitem__)
+        assert_canonical_as(DoSSignal(pairs, 10.0),
+                            merge_loop([pairs[i] for i in order]))
+
+    def test_sort_order_shows_in_a_zero_onset(self):
+        for pairs in ([(0.0, 0.5), (-0.0, 0.5)], [(-0.0, 0.5), (0.0, 0.5)]):
+            assert repr(DoSSignal(pairs, 10.0).intervals) == repr(((pairs[0][0], 0.5),))
+
     @pytest.mark.parametrize("intervals", [
         [[1.0, 2.0, 3.0]], [[1.0]], [5], 5, [[[1.0, 2.0]]], [[]], np.empty((0, 3)),
     ])
@@ -330,6 +361,17 @@ class TestCountAndMeasure:
         assert transitions_count(s, 0.0, 10.0) == 0
         assert dos_measure(s, 0.0, 10.0) == 0.0
 
+    @pytest.mark.parametrize("window", [
+        (math.nan, 10.0), (0.0, math.nan), (math.nan, math.nan), (-1.0, 5.0),
+        (6.0, 5.0), (0.0, 10.5),
+    ])
+    @pytest.mark.parametrize("measure", [transitions_count, dos_measure])
+    def test_window_outside_the_horizon_is_refused(self, measure, window):
+        # NaN used to pass: the count came back -30 and the measure nan
+        s = pulse_train(0.25, 10.0)
+        with pytest.raises(ValueError, match=r"must satisfy 0 <= tau <= t <= 10\.0$"):
+            measure(s, *window)
+
     def test_count_half_open_window(self):
         s = pulse_train(0.1, 2.0)
         assert transitions_count(s, 0.0, 1.0) == 10  # onsets 0.0 .. 0.9
@@ -369,6 +411,74 @@ class TestBlockedTimeLookup:
             ]
             assert mask.tolist() == [active_at(sig, x) for x in t]
         assert pulses > 100 and touching > 20
+
+    @pytest.mark.parametrize("delta, substeps", [(0.1, 1), (0.25, 1), (0.1, 10), (0.3, 4)])
+    def test_grids_with_pulses_on_their_points(self, delta, substeps):
+        # the attempt grid (substeps 1) and simulate's sub-step rows, with
+        # pulses on grid points, intervals from one point to another, and
+        # pulses at the open end of such an interval
+        horizon = 6.0
+        ticks = successful_transmissions(DoSSignal((), horizon), delta, horizon).attempts
+        times = (ticks[:, None] + np.arange(substeps) * (delta / substeps)).ravel()
+        times = np.minimum(times[: (ticks.size - 1) * substeps + 1], horizon)
+        assert (times[1:] > times[:-1]).all()
+        rng = np.random.default_rng(int(delta * 100) + substeps)
+        for _ in range(30):
+            picks = np.sort(rng.choice(times, size=12, replace=False)).tolist()
+            intervals = []
+            for a, b in zip(picks[::2], picks[1::2]):
+                kind = rng.integers(4)
+                if kind == 0:
+                    intervals.append((a, 0.0))
+                else:
+                    intervals.append((a, b - a))
+                    if kind == 2:
+                        intervals.append((a + (b - a), 0.0))
+            sig = DoSSignal(intervals, horizon)
+            assert active_mask(sig, times).tolist() == membership(sig, times)
+
+    def test_pulse_and_interval_touching_on_a_grid_point(self):
+        sig = DoSSignal([(0.25, 0.0), (0.375, 0.25), (0.625, 0.0), (0.75, 0.0),
+                         (0.875, 0.125)], 1.0)
+        times = np.arange(9) * 0.125
+        blocked = [False, False, True, True, True, True, True, True, False]
+        assert active_mask(sig, times).tolist() == blocked == membership(sig, times)
+
+    @pytest.mark.parametrize("times", [
+        np.arange(21) * 0.25, np.array([]), np.array([2.5, 2.5, 2.5]), 0.0, 5.0,
+    ])
+    def test_empty_signal_blocks_nothing(self, times):
+        mask = active_mask(DoSSignal((), 5.0), times)
+        assert mask.dtype == bool and mask.shape == np.shape(times)
+        assert not mask.any()
+
+    def test_scalar_time(self):
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            sig = random_signal(rng)
+            for x in critical_times(sig, rng)[::5].tolist():
+                mask = active_mask(sig, x)
+                assert mask.shape == () and mask.tolist() == membership(sig, x)[0]
+
+    @PROPERTY
+    @given(case=interval_lists(), data=st.data())
+    def test_unsorted_and_repeated_times(self, case, data):
+        sig = DoSSignal(*case)
+        marks = np.concatenate((sig.onsets, sig.ends, [0.0, -0.0, sig.horizon]))
+        marks = np.concatenate((marks, np.nextafter(marks, -1.0), np.nextafter(marks, 2.0)))
+        values = st.sampled_from(marks.tolist()) | st.floats(-1.0, 10.0)
+        values = values | st.sampled_from([math.nan, math.inf, -math.inf])
+        times = np.array(data.draw(st.lists(values, max_size=40)))
+        times = np.concatenate((times, times[::3]))  # repeats, out of order
+        assert active_mask(sig, times).tolist() == membership(sig, times)
+        ascending = np.sort(times)
+        assert active_mask(sig, ascending).tolist() == membership(sig, ascending)
+
+    def test_times_keep_their_shape(self):
+        sig = DoSSignal([(0.5, 1.0), (2.0, 0.0)], 4.0)
+        times = np.array([[2.0, 0.5, 1.5], [1.0, 3.0, 0.0]])
+        assert active_mask(sig, times).tolist() == [[True, True, False],
+                                                    [True, False, False]]
 
     def test_measure_and_count_match_loops(self):
         rng = np.random.default_rng(32)
@@ -589,6 +699,18 @@ class TestSuccessfulTransmissions:
         types = [type(v) for v in dataclasses.astuple(verdict)]
         assert types == [float] * 4 + [bool] * 2
 
+    @pytest.mark.parametrize("horizon", [math.nan, -5.0, -5e-324])
+    def test_bad_horizon_is_refused(self, horizon):
+        # NaN used to fail on the attempt limit, and -5 gave an empty grid
+        # and a failing audit
+        s = pulse_train(0.5, 10.0)
+        params = DoSClassParams(eta=1.0, tau_D=10.0, kappa=1.0, T=2.0)
+        message = f"^horizon must be >= 0, got {horizon}$"
+        with pytest.raises(ValueError, match=message):
+            successful_transmissions(s, 0.1, horizon)
+        with pytest.raises(ValueError, match=message):
+            check_gap_bound(s, 0.1, params, horizon)
+
     def test_attempt_limit(self, monkeypatch):
         s = DoSSignal(intervals=(), horizon=50.0)
         limit = f"above the limit of {MAX_ATTEMPTS}$"
@@ -617,6 +739,17 @@ class TestSuccessGapBound:
     def test_mu_scales_delta_terms(self):
         params = DoSClassParams(eta=1.0, tau_D=1.0, kappa=1.0, T=2.0)
         assert success_gap_bound(params, 0.1, mu=2) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("field, message", [
+        ("eta", "eta must be >= 0"), ("kappa", "kappa must be >= 0"),
+        ("tau_D", "tau_D must be > 0"), ("T", "T must be > 1"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, -1.0])
+    def test_class_refuses_nan_and_negative_fields(self, field, message, value):
+        # a NaN eta, kappa or tau_D used to pass and make the bound nan
+        values = {"eta": 1.0, "tau_D": 1.0, "kappa": 1.0, "T": 2.0, field: value}
+        with pytest.raises(ValueError, match=f"^{message}, got {value}$"):
+            DoSClassParams(**values)
 
     def test_infeasible_carries_rate(self):
         params = DoSClassParams(eta=1.0, tau_D=0.1, kappa=0.0, T=1e18)
