@@ -365,7 +365,7 @@ def successful_transmissions(
             f"an attempt grid over {horizon} s in periods of {delta_big} s is "
             f"{periods + 1:.3g} attempts, above the limit of {MAX_ATTEMPTS}"
         )
-    grid = np.arange(math.floor(periods) + 1) * delta_big
+    grid = np.arange(math.floor(periods) + 1, dtype=float) * delta_big
     # k*Delta can land one ulp past the horizon; clamp it back inside, as
     # min(k*Delta, horizon) would (np.minimum may flip the sign of a zero).
     attempts = np.where(horizon < grid, horizon, grid)

@@ -28,11 +28,13 @@ MODES = ("colocated", "remote")
 TRACE_FORMAT_VERSION = 1
 METRICS_FORMAT_VERSION = 1
 
-# Rows per formatted block of the CSV writer, to bound its temporaries: ~1.5
-# MiB at 2048 rows under tracemalloc, for a two-state plant.  Each block
-# also pays ~0.5 ms of fixed array-call costs, so short blocks cost time.  A
-# 500 s run with CSV export peaks at the same RSS as the 512-row per-cell
-# writer did; 4096 rows add ~3 MiB and 8192 rows ~6 MiB.
+# Rows per formatted block of the CSV writer, to bound its temporaries: 1.1
+# MiB at 2048 rows under tracemalloc, for a two-state plant, 2.2 MiB at 4096
+# and 4.4 MiB at 8192.  Each block pays ~0.5 ms of fixed array-call costs,
+# so short blocks cost time, and long ones outgrow the caches: on a 2-vCPU
+# VM a 1024-row block takes ~0.6 and a 4096-row one ~2.6 times as long as a
+# 2048-row one.  Writing a 500 s run's CSV raises its peak RSS by ~0.5 MiB
+# at 2048 rows, ~1.6 MiB at 4096 and ~5.6 MiB at 8192.
 CSV_BLOCK_ROWS = 2048
 
 # Most ticks per block that simulate solves and fills at once, and most
@@ -336,7 +338,8 @@ def simulate(
     # Attempts fall on every b-th tick.
     n_rows = n_ticks * substeps + 1
     times = (
-        (np.arange(n_ticks + 1) * delta)[:, None] + np.arange(substeps) * sub_dt
+        (np.arange(n_ticks + 1, dtype=float) * delta)[:, None]
+        + np.arange(substeps) * sub_dt
     ).ravel()[:n_rows]
     dos_flags = dos.active_mask(dos_signal, np.minimum(times, dos_signal.horizon))
     attempt_flags = np.zeros(n_rows, dtype=bool)

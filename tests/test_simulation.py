@@ -1,13 +1,17 @@
 import csv
 import dataclasses
+import inspect
 import io
+import json
 from fractions import Fraction
 import math
+from pathlib import Path
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import doscontrol
 from doscontrol import (
@@ -32,12 +36,13 @@ from doscontrol import (
     successful_transmissions,
     trace_to_csv,
 )
-from doscontrol import _tracecsv
+from doscontrol import _tracecsv, cli
 from doscontrol.dos import DoSClassParams
 from doscontrol.simulation import MAX_ROWS, solve_blocks
 
 from conftest import BENCH_A, BENCH_B, BENCH_K
 
+REPO = Path(__file__).resolve().parents[1]
 X0 = np.array([1.0, -1.0]) / math.sqrt(2.0)
 QUIET = NoiseSpec()
 NO_DOS = DoSSignal(intervals=(), horizon=100.0)
@@ -732,7 +737,8 @@ class TestTraceCsv:
         monkeypatch.setattr(simulation, "CSV_BLOCK_ROWS", self.BLOCK)
         cases = (self.sixteen_digits, self.three_states_one_input,
                  self.held_input_across_blocks, self.diverged, self.deep_buffer,
-                 self.strided_input, self.extreme_magnitudes)
+                 self.far_apart_depths, self.strided_input,
+                 self.extreme_magnitudes)
         for case in cases:
             trace, marks = case(bench_plant)
             path = tmp_path / f"{case.__name__}.csv"
@@ -770,11 +776,13 @@ class TestTraceCsv:
         u = trace.u.copy()
         edge = TestTraceCsv.BLOCK
         # zeros of either sign, which compare equal as floats, in a row; then
-        # one held value from four rows before a block edge to six after it
+        # one held value from four rows before a block edge to six after it,
+        # and a row where only the second input changes
         u[edge - 7 : edge - 4] = [[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0]]
         u[edge - 4 : edge + 6] = [0.25, -0.0]
+        u[edge + 6] = [0.25, 0.5]
         return dataclasses.replace(trace, u=u), {
-            b",-0,-0,": 1, b",0,-0,": 1, b",0.25,-0,": 10,
+            b",-0,-0,": 1, b",0,-0,": 1, b",0.25,-0,": 10, b",0.25,0.5,": 1,
         }
 
     @staticmethod
@@ -800,6 +808,17 @@ class TestTraceCsv:
         return dataclasses.replace(trace, success=success), {}
 
     @staticmethod
+    def far_apart_depths(bench_plant):
+        # buffer depths 10^9 apart within one block
+        sig = generate(4, GeneratorSpec(), 20.0)
+        trace = bench_sim(bench_plant, h=50, horizon=20.0, substeps=3, dos_signal=sig)
+        depth = trace.buffer_depth.copy()
+        depth[::7] += 10**9
+        return dataclasses.replace(trace, buffer_depth=depth), {
+            b",1000000": len(depth[::7]),
+        }
+
+    @staticmethod
     def strided_input(bench_plant):
         sig = generate(3, GeneratorSpec(), 10.0)
         trace = bench_sim(bench_plant, dos_signal=sig, substeps=7)
@@ -821,12 +840,26 @@ class TestTraceCsv:
         bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(float)
         spread = rng.uniform(1.0, 10.0, 50_000) * 10.0 ** rng.integers(-330, 308, 50_000)
         values = np.concatenate([EDGE_VALUES, bits, spread])
-        for p in (12, 16):
-            got = [bytes(cell).translate(None, b"\0")
-                   for cell in _tracecsv.g_cells(values, p)]
-            want = [b"%.*g" % (p, v) for v in values.tolist()]
+        mixed = rng.choice([12, 16], size=values.size)
+        for p in (12, 16, mixed):
+            got = g_texts(values, p)
+            want = [b"%.*g" % pair for pair in
+                    zip(np.broadcast_to(p, values.shape).tolist(), values.tolist())]
             bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
-            assert bad == [], (p, len(bad), bad[:5])
+            assert bad == [], (len(bad), bad[:5])
+
+    # any float: NaN, +-inf and subnormals included, and any 64-bit pattern
+    FLOATS = st.floats(allow_subnormal=True) | st.integers(0, 2**64 - 1).map(
+        lambda bits: float(np.uint64(bits).view(np.float64)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(FLOATS, st.sampled_from((12, 16))), min_size=1, max_size=40))
+    def test_formatter_property(self, cells):
+        values = np.array([v for v, _ in cells])
+        for p in (12, 16, np.array([p for _, p in cells])):
+            precision = np.broadcast_to(p, values.shape).tolist()
+            assert g_texts(values, p) == [
+                b"%.*g" % pair for pair in zip(precision, values.tolist())]
 
     def test_uncertain_cells_take_the_per_cell_path(self, monkeypatch):
         seen = []
@@ -837,40 +870,125 @@ class TestTraceCsv:
 
         percent = _tracecsv.percent_cells
         monkeypatch.setattr(_tracecsv, "percent_cells", recorded)
-        # exact ties at 16 digits, a decade edge, zeros and non-finites
-        uncertain = [1234567890123456.5, 1234567890123457.5, 1000.0,
-                     0.0, -0.0, np.inf, -np.inf, np.nan]
-        plain = [0.5, 2.0, -0.125, 3e-300, 123.456, 100000000000.5]
+        # exact ties at 16 digits, zeros, non-finites and the magnitudes
+        # past the bulk range
+        uncertain = [1234567890123456.5, 1234567890123457.5, 0.0, -0.0, 3e-300,
+                     -1e300, np.inf, -np.inf, np.nan]
+        plain = [0.5, 2.0, -0.125, 3e-280, 123.456, 100000000000.5, 1000.0, 1e16,
+                 -1e280]
         values = plain + uncertain
-        cells = _tracecsv.g_cells(values, 16)
+        texts = g_texts(values, 16)
         assert seen[:-1] == uncertain[:-1] and np.isnan(seen[-1])
-        assert [bytes(c).translate(None, b"\0") for c in cells] == [
-            b"%.16g" % v for v in values]
+        assert texts == [b"%.16g" % v for v in values]
         seen.clear()
         # a tie at 12 digits
-        _tracecsv.g_cells([100000000000.5, 0.5], 12)
+        g_texts([100000000000.5, 0.5], 12)
         assert seen == [100000000000.5]
 
-    def test_exact_where_long_double_is_a_double(self, monkeypatch):
-        with np.errstate(over="ignore"):
-            powers = 10.0 ** np.arange(_tracecsv._POW10_LOW, len(_tracecsv._POW10)
-                                       + _tracecsv._POW10_LOW).astype(float)
-        monkeypatch.setattr(_tracecsv, "_LD", np.float64)
-        monkeypatch.setattr(_tracecsv, "_POW10", powers)
+    def test_exact_where_long_double_is_a_double(self):
+        # The scaling is double-double arithmetic in float64 alone, so the
+        # bulk path vouches for the same cells wherever long double is a
+        # plain double: every finite cell of the bulk range but exact ties.
+        assert "longdouble" not in inspect.getsource(_tracecsv)
+        assert _tracecsv._TENS.dtype == np.float64
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for p in (12, 16):
-                got = [bytes(cell).translate(None, b"\0")
-                       for cell in _tracecsv.g_cells(EDGE_VALUES, p)]
-                assert got == [b"%.*g" % (p, v) for v in EDGE_VALUES.tolist()]
-            assert not _tracecsv.decimal_digits(EDGE_VALUES, 16)[2].any()
+                assert g_texts(EDGE_VALUES, p) == [b"%.*g" % (p, v) for v in EDGE_VALUES.tolist()]
+                precision = np.full(EDGE_VALUES.shape, p)
+                exact = _tracecsv.decimal_digits(EDGE_VALUES, precision)[2]
+                bulk = 1.0 / _tracecsv._RANGE, _tracecsv._RANGE
+                want = [bulk[0] <= abs(v) < bulk[1] and not tie(v, p)
+                        for v in EDGE_VALUES.tolist()]
+                assert exact.tolist() == want, p
 
-    def test_powers_of_ten_within_one_eps(self):
-        eps = Fraction(*np.finfo(np.longdouble).eps.as_integer_ratio())
-        for k, power in enumerate(_tracecsv._POW10, _tracecsv._POW10_LOW):
-            if np.isfinite(power):
-                exact = Fraction(10) ** k
-                assert abs(Fraction(*power.as_integer_ratio()) - exact) <= eps * exact, k
+    def test_powers_of_ten_within_2_to_the_minus_106(self):
+        tens = _tracecsv._TENS
+        low = _tracecsv._K_LOW
+        decades = _tracecsv._DECADES
+        # every scale 10^(P - 1 - e) of a cell of 12 or 16 digits is there
+        assert low <= 11 - decades[-1] and low + tens.shape[1] > 15 - decades[0]
+        for k, (hi, big, small, lo) in enumerate(tens.T.tolist(), low):
+            exact = Fraction(10) ** k
+            assert abs(Fraction(hi) - exact) <= Fraction(math.ulp(hi)) / 2, k
+            assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact / 2**106, k
+            assert lo == 0.0 or abs(lo) >= np.finfo(float).tiny, k
+            # Veltkamp's halves, exact products with a split double
+            assert Fraction(big) + Fraction(small) == Fraction(hi), k
+            assert significant_bits(big) <= 26 and significant_bits(small) <= 26, k
+
+
+def g_texts(values, p) -> list:
+    """g_cells' text of each value at precision p, one for all or one per
+    value, after checking that NULs fill the rest of each cell."""
+    values = np.asarray(values, dtype=float)
+    cells, lengths = _tracecsv.g_cells(values, np.broadcast_to(p, values.shape))
+    assert cells.shape == (len(lengths), _tracecsv.CELL)
+    assert not cells[np.arange(_tracecsv.CELL) >= lengths[:, None]].any()
+    assert cells[np.arange(_tracecsv.CELL) < lengths[:, None]].all()
+    data = cells.tobytes()
+    return [data[i * _tracecsv.CELL : i * _tracecsv.CELL + length]
+            for i, length in enumerate(lengths.tolist())]
+
+
+def tie(v: float, p: int) -> bool:
+    """Whether v lies halfway between two p-digit decimals, from exact fractions."""
+    if not math.isfinite(v) or v == 0.0:
+        return False
+    mag = abs(Fraction(v))
+    e = math.floor(math.log10(abs(v)))
+    e += (Fraction(10) ** (e + 1) <= mag) - (Fraction(10) ** e > mag)
+    y = mag * Fraction(10) ** (p - 1 - e)
+    return y - math.floor(y) == Fraction(1, 2)
+
+
+def significant_bits(v: float) -> int:
+    """The bits of v's significand from its leading one to its last one."""
+    num = abs(v.as_integer_ratio()[0])
+    return (num >> ((num & -num).bit_length() - 1)).bit_length() if num else 0
+
+
+class TestBenchmarkTraceCsv:
+    """The writer on the 500 s remote h = 50 run of the bundled benchmark config."""
+
+    # the tracemalloc peak of one 2048-row block when x, V and u were
+    # formatted in one call and t in another, into 32-byte cells
+    BLOCK_PEAK = 1.64 * 2**20
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        with open(REPO / "configs" / "benchmark.json") as fh:
+            data = json.load(fh)
+        data["sim"]["horizon"] = 500.0
+        data["buffer"]["h"] = 50
+        cfg = cli.ExperimentConfig(data)
+        consts = derive_constants(cfg.design_inputs(), cfg.run.h, cfg.run.delta)
+        return simulate(cfg.plant, cfg.K, cfg.run, cfg.dos_signal, cfg.noise, cfg.x0,
+                        P=consts.P)
+
+    def test_block_peak(self, trace):
+        block = slice(10 * simulation.CSV_BLOCK_ROWS, 11 * simulation.CSV_BLOCK_ROWS)
+        _tracecsv.csv_rows(trace, block)
+        tracemalloc.start()
+        try:
+            _tracecsv.csv_rows(trace, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * self.BLOCK_PEAK
+
+    def test_cells_seldom_take_the_per_cell_path(self, trace, monkeypatch, tmp_path):
+        seen = []
+
+        def recorded(values, p):
+            seen.extend(values.tolist())
+            return percent(values, p)
+
+        percent = _tracecsv.percent_cells
+        monkeypatch.setattr(_tracecsv, "percent_cells", recorded)
+        trace_to_csv(trace, tmp_path / "trace.csv")
+        cells = len(trace.times) * (trace.x.shape[1] + trace.u.shape[1] + 2)
+        assert len(seen) < 1e-4 * cells, seen[:10]
 
 
 # The formatter's edge cases: zeros, subnormals, the extremes, non-finites,
