@@ -72,8 +72,8 @@ def csv_rows(trace, rows: slice) -> bytes:
 # 64-bit word by 64 bits or more gives 0, which drops a part that lies in
 # another word.
 CELL = 24
-# Cells of magnitude in [1 / _RANGE, _RANGE) are scaled in bulk; the others,
-# +-0, inf and NaN among them, are formatted by percent_cells.
+# Cells of magnitude in [1 / _RANGE, _RANGE) are scaled in bulk; +-0, inf
+# and NaN come from a table, and the other finite ones from percent_cells.
 _RANGE = 1e290
 # Every decade e of such a cell, and one more either way.
 _DECADES = np.arange(-292, 292)
@@ -245,8 +245,9 @@ def g_cells(v: np.ndarray, p: np.ndarray) -> tuple:
 
     p holds the precision of each value, 12 or 16.  cells is (len, CELL)
     bytes, each cell its text and NULs after it; lengths is the length of
-    each text.  Digits and decades come from decimal_digits; the cells it
-    cannot vouch for are formatted by percent_cells.
+    each text.  Digits and decades come from decimal_digits; of the cells
+    it cannot vouch for, +-0, +-inf and NaN come from a table and the rest
+    from percent_cells.
     """
     digits, e, exact = decimal_digits(v, p)
     # the digits as two words of ASCII: four chunks of four digits, the
@@ -315,6 +316,14 @@ def g_cells(v: np.ndarray, p: np.ndarray) -> tuple:
     cells = words.astype("<u8", copy=False).view(np.uint8)
     rows = np.flatnonzero(~exact)
     if len(rows):
+        # +-0, +-inf and NaN print the same at every precision
+        odd = v[rows]
+        fixed = (odd == 0.0) | ~np.isfinite(odd)
+        odd = odd[fixed]
+        kind = np.where(np.isnan(odd), 4, np.signbit(odd) + 2 * np.isinf(odd))
+        cells[rows[fixed]] = _FIXED_CELLS[kind]
+        lengths[rows[fixed]] = _FIXED_LENGTHS[kind]
+        rows = rows[~fixed]
         cells[rows], lengths[rows] = percent_cells(v[rows], p[rows])
     return cells, lengths
 
@@ -324,6 +333,11 @@ def percent_cells(values, p) -> tuple:
     text = [b"%.*g" % pair for pair in zip(p.tolist(), values.tolist())]
     cells = np.array(text, dtype=f"S{CELL}").view(np.uint8).reshape(-1, CELL)
     return cells, np.array([len(cell) for cell in text], dtype=np.intp)
+
+
+# The cells of 0, -0, inf, -inf and NaN, whose text has no digits to round.
+_FIXED_CELLS, _FIXED_LENGTHS = percent_cells(
+    np.array([0.0, -0.0, np.inf, -np.inf, np.nan]), np.full(5, 16))
 
 
 def flag_text(dos_active, attempt, success, depth) -> tuple:

@@ -330,10 +330,12 @@ def generate(seed: int, spec: GeneratorSpec, horizon: float) -> DoSSignal:
     # Draws (off, on) rows in batches, one PCG64 stream as drawn one by one,
     # and sums them left to right into onset, end, onset, ... marks.
     size = (_batch_rows(horizon / cycle), 2)
-    low, high = zip(spec.off_range, spec.on_range)
+    # low + (high - low) u, the bits that rng.uniform(low, high, size) gives
+    low, high = np.array([spec.off_range, spec.on_range], dtype=float).T
+    span = high - low
     draws, marks = [], [np.zeros(1)]
     while marks[-1][-1] <= horizon:
-        draws.append(rng.uniform(low, high, size).ravel())
+        draws.append((rng.random(size) * span + low).ravel())
         with np.errstate(over="ignore"):  # a sum past the float range ends it too
             marks.append(np.cumsum(np.concatenate((marks[-1][-1:], draws[-1])))[1:])
     onsets, ends = np.concatenate(marks[1:]).reshape(-1, 2).T

@@ -207,12 +207,18 @@ def _tick_model(a: bytes, b: bytes, k: bytes, n: int, m: int, delta: float,
       j of tick q is then A_s^j x_q + W_j u_q + (G d_q)_j.
     - step: s_q to the sub-step rows j = 0..S-1 of tick q, [A_s^j, W_j K]
       stacked by columns and transposed.
-    - spread: A_s^(t-1) E_s at t = 1..S after a zero block at t = 0, so
-      that (G d_q)_j = sum_(i<j) spread[j - i] d_(qS+i).
+    - windows: G, the noise map of a tick's S disturbances, as a read-only
+      (S + 1, n, S, n) view whose one reshape copies out G.  Sub-step j =
+      0..S of tick q takes (G d_q)_j = sum_(i<j) A_s^(j-1-i) E_s d_(qS+i),
+      so block (j, i) of G is A_s^(j-1-i) E_s below the diagonal and zero
+      elsewhere: block row j is the window at S - j of the read-only stack
+      of S zero blocks and E_s, A_s E_s, ..., A_s^(S-1) E_s (2 S n^2
+      entries), read backwards.
     - phi_skip, Phi_d^skip, and solve_blocks(n, skip).
     - templates: the band of each tick map (see simulate).
-    - reach: the band columns, diagonals and coefficients of a delivery's
-      -Phi_d^skip x_(q-skip) term when its sample lies in the same block.
+    - reach: the flat offsets, within a tick's band, and the coefficients
+      of a delivery's -Phi_d^skip x_(q-skip) term when its sample lies in
+      the same block.
     """
     a_mat, b_mat, k_mat = (
         np.frombuffer(data).reshape(shape)
@@ -227,7 +233,11 @@ def _tick_model(a: bytes, b: bytes, k: bytes, n: int, m: int, delta: float,
     for _ in range(substeps):
         feeds.append(a_s @ feeds[-1] + b_s)
         powers.append(a_s @ powers[-1])
-    spread = np.stack([np.zeros((n, n))] + [p @ e_s for p in powers[:-1]])
+    stack = np.concatenate([np.zeros((substeps, n, n)),
+                            np.stack([p @ e_s for p in powers[:-1]])])
+    stack.flags.writeable = False
+    windows = sliding_window_view(stack[::-1], substeps, axis=0)[::-1]
+    windows = windows.transpose(0, 1, 3, 2)
     step = np.hstack([
         np.vstack(powers[:-1]), np.vstack([f @ k_mat for f in feeds[:-1]])
     ]).T
@@ -247,10 +257,10 @@ def _tick_model(a: bytes, b: bytes, k: bytes, n: int, m: int, delta: float,
     templates = np.zeros((3, w, kl + 1))
     templates[:, j, d] = -steps[:, r, j]
     i_n, j_n = np.indices((n, n)).reshape(2, -1)
-    reach = (j_n, skip * w + n + i_n - j_n, -phi_skip[i_n, j_n])
-    for array in (steps, step, spread, phi_skip, templates, *reach):
+    reach = (j_n * (kl + 1) + skip * w + n + i_n - j_n, -phi_skip[i_n, j_n])
+    for array in (steps, step, phi_skip, templates, *reach):
         array.flags.writeable = False
-    return steps, step, spread, phi_skip, (block, kl), templates, reach
+    return steps, step, windows, phi_skip, (block, kl), templates, reach
 
 
 @dataclass(frozen=True)
@@ -347,14 +357,17 @@ def simulate(
     success_flags = attempt_flags & ~dos_flags
 
     # One disturbance per sub-step (held from its row to the next) and one
-    # measurement noise per successful sample, each stream drawn in order.
-    d_seq, n_seq = np.random.SeedSequence(noise.seed).spawn(2)
-    dist = np.random.default_rng(d_seq).uniform(
-        -noise.d_bound, noise.d_bound, size=(n_rows - 1, n)
+    # measurement noise per successful sample, each stream drawn in order:
+    # the two children that SeedSequence(noise.seed).spawn(2) gives, each
+    # draw the bits of rng.uniform(-bound, bound), -bound + 2 bound u.
+    dist, meas = (
+        np.random.default_rng(np.random.SeedSequence(noise.seed, spawn_key=(i,)))
+        .random(size)
+        for i, size in enumerate(((n_rows - 1, n), (int(success_flags.sum()), n)))
     )
-    meas = np.random.default_rng(n_seq).uniform(
-        -noise.n_bound, noise.n_bound, size=(int(success_flags.sum()), n)
-    )
+    for draws, bound in ((dist, noise.d_bound), (meas, noise.n_bound)):
+        draws *= 2.0 * bound
+        draws -= bound
     if noise.decay_at is not None:
         late = times >= noise.decay_at
         dist[late[:-1]] = 0.0
@@ -370,22 +383,18 @@ def simulate(
     last = math.inf if colocated else config.h - 1
     stored = 0 if colocated else config.h
     skip = 0 if colocated else config.skip
-    steps, step, spread, phi_skip, (block, kl), templates, reach = _tick_model(
+    steps, step, windows, phi_skip, (block, kl), templates, reach = _tick_model(
         plant.A.tobytes(), plant.B.tobytes(), k_mat.tobytes(), n, m, delta,
         substeps, skip,
     )
-    reach_cols, reach_diags, reach_coefs = reach
+    reach_offsets, reach_coefs = reach
 
     # The noise of sub-step j = 0..S of tick q is (G d_q)_j, G the block
-    # lower-triangular map of the tick's S disturbances: block (j, i) is
-    # spread[j - i] below the diagonal and zero elsewhere.  So block row j is
-    # the window at S - j of the stack, led by S - 1 more zero blocks and
-    # read backwards, and G is one copy of the windows.  Row S is the next
-    # tick's state, so only ticks are solved for; the rows in between get
-    # their noise terms now and the rest once their block is.
-    padded = np.concatenate([np.zeros((substeps - 1, n, n)), spread])[::-1]
-    windows = sliding_window_view(padded, substeps, axis=0)[::-1]
-    g_map = windows.transpose(0, 1, 3, 2).reshape((substeps + 1) * n, substeps * n)
+    # lower-triangular map of the tick's S disturbances (see _tick_model),
+    # copied out of its cached windows.  Row S is the next tick's state, so
+    # only ticks are solved for; the rows in between get their noise terms
+    # now and the rest once their block is.
+    g_map = windows.reshape((substeps + 1) * n, substeps * n)
     xs = np.empty((n_rows, n))
     fill = xs[:-1].reshape(n_ticks, substeps * n)
     dist = dist.reshape(n_ticks, substeps * n)
@@ -414,8 +423,9 @@ def simulate(
     # block: s_(q+1) - step_q s_q = the tick's noise, and at a delivery
     # alpha_q - Phi_d^skip x_(q-skip) = Phi_d^skip n_m.  band[p, j, d] holds
     # the coefficient of unknown p w + j in row p w + j + d (LAPACK's lower
-    # band storage, tick by tick).  A term from an earlier block moves to the
-    # right-hand side, which states holds until its block is solved in place.
+    # band storage, tick by tick), at flat index p w (kl + 1) + j (kl + 1) +
+    # d.  A term from an earlier block moves to the right-hand side, which
+    # states holds until its block is solved in place.
     w = 2 * n
     states = np.zeros((n_ticks + 1, w))
     states[0, :n] = x
@@ -427,12 +437,14 @@ def simulate(
             rhs[0] += steps[kinds[lo - 1]] @ states[lo - 1]
         due = slice(*np.searchsorted(arrive, (lo, hi)))
         src = arrive[due] - skip
-        near = src >= lo
+        far = np.searchsorted(src, lo)  # the samples taken before the block
         y = meas[due].copy()
-        y[~near] += states[src[~near], :n]
+        y[:far] += states[src[:far], :n]
         rhs[arrive[due] - lo, n:] = y @ phi_skip.T
-        band = templates[kinds[lo:hi]]
-        band[(src[near] - lo)[:, None], reach_cols, reach_diags] = reach_coefs
+        band = templates.take(kinds[lo:hi], axis=0)
+        band.reshape(-1)[
+            (src[far:] - lo)[:, None] * (w * (kl + 1)) + reach_offsets
+        ] = reach_coefs
         solved, info = scipy.linalg.lapack.dtbtrs(
             band.reshape(-1, kl + 1).T, rhs.reshape(-1, 1), uplo="L", diag="U",
             overwrite_b=True,
@@ -442,7 +454,11 @@ def simulate(
         rhs[:] = solved.reshape(-1, w)
         fill[lo:hi] += states[:-1][lo:hi] @ step
     xs[-1] = states[-1, :n]
-    v = np.einsum("ij,ij->i", xs @ p_mat, xs)
+    # V = x' P x row by row, as a left fold of its columns
+    weighted = xs @ p_mat
+    v = weighted[:, 0] * xs[:, 0]
+    for j in range(1, n):
+        v += weighted[:, j] * xs[:, j]
     u_ticks = states[:, n:] @ k_mat.T
     preds = states[:, n:]
     preds[:first] = np.nan
@@ -519,20 +535,22 @@ def compute_metrics(
         for column in trace.x.T[1:]:
             squares += column * column
         norms = np.sqrt(squares)
-    finite = bool(np.all(np.isfinite(norms)))
+    # a norm is >= 0 or NaN, and the max passes on a NaN or an inf
+    peak = float(norms.max())
+    finite = math.isfinite(peak)
     scale = max(float(norms[0]), 1.0) if finite else math.inf
     if divergence_threshold is None:
         divergence_threshold = 1e3 * scale
     if divergence_threshold <= 0.0:
         raise ValueError("divergence_threshold must be > 0")
     z = trace.z
-    max_gap = float(np.max(np.diff(z))) if len(z) > 1 else 0.0
-    stable = finite and bool(np.max(norms) < divergence_threshold)
+    max_gap = float((z[1:] - z[:-1]).max()) if len(z) > 1 else 0.0
+    stable = finite and peak < divergence_threshold
     if trace.noise_decay_at is not None:
         stable = stable and float(norms[-1]) <= 1e-3 * scale
     return SimMetrics(
         failure_fraction=1.0 - len(z) / np.count_nonzero(trace.attempt),
-        max_state_norm=float(np.max(norms)) if finite else None,
+        max_state_norm=peak if finite else None,
         final_state_norm=float(norms[-1]) if math.isfinite(norms[-1]) else None,
         max_gap=max_gap,
         envelope_ok=envelope_ok,

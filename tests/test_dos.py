@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import pickle
 import warnings
@@ -111,16 +112,23 @@ def merge_loop(pairs):
     return tuple(merged)
 
 
-def generate_loop(seed, spec, horizon):
-    """One draw per clear or blocked period: the oracle for generate."""
-    rng = np.random.default_rng(seed)
+def generate_loop(seed, spec, horizon, draws=None):
+    """One draw per clear or blocked period: the oracle for generate.
+
+    The durations come from draws, clear and blocked alternately, by default
+    one Generator.uniform(lo, hi) call each.
+    """
+    if draws is None:
+        rng = np.random.default_rng(seed)
+        draws = (rng.uniform(*spec_range) for _ in itertools.count()
+                 for spec_range in (spec.off_range, spec.on_range))
     intervals = []
     t = 0.0
     while True:
-        onset = t + rng.uniform(spec.off_range[0], spec.off_range[1])
+        onset = t + next(draws)
         if onset > horizon:
             break
-        on = rng.uniform(spec.on_range[0], spec.on_range[1])
+        on = next(draws)
         intervals.append((onset, min(on, horizon - onset)))
         t = onset + on
         if t > horizon:
@@ -627,6 +635,13 @@ class TestGenerate:
                 patch.setattr(dos, "_batch_rows", lambda cycles: rows)
             sig = generate(seed, spec, horizon)
         assert_canonical_as(sig, generate_loop(seed, spec, horizon))
+        # the same stream as Generator.uniform(low, high, size) draws it,
+        # with the two ranges as tuple bounds
+        rng = np.random.default_rng(seed)
+        low, high = zip(spec.off_range, spec.on_range)
+        batches = (rng.uniform(low, high, (64, 2)).ravel() for _ in itertools.count())
+        assert_canonical_as(sig, generate_loop(seed, spec, horizon,
+                                               itertools.chain.from_iterable(batches)))
 
     @pytest.mark.parametrize("off_range, on_range", [
         ((math.nan, 0.7), (0.3, 1.5)),

@@ -266,6 +266,23 @@ class TestSimulate:
                 bench_sim(bench_plant, mode=mode, dos_signal=sig).x,
             )
 
+    @pytest.mark.parametrize("seed", [0, 1, 2026, 2**32 + 5, 2**63 - 1, 2**128 + 3])
+    def test_streams_are_the_spawned_children(self, seed):
+        # simulate builds the children of SeedSequence(seed).spawn(2) by
+        # their spawn keys and draws -b + 2 b u for rng.uniform(-b, b); the
+        # noise of every trace, and of the recorded references, is these bits
+        children = np.random.SeedSequence(seed).spawn(2)
+        for i, child in enumerate(children):
+            keyed = np.random.SeedSequence(seed, spawn_key=(i,))
+            assert (np.random.PCG64(keyed).state
+                    == np.random.PCG64(child).state)
+            for bound in (0.0, 5e-324, 0.01, 1e300):
+                draws = np.random.default_rng(keyed).random((64, 3))
+                draws *= 2.0 * bound
+                draws -= bound
+                expected = np.random.default_rng(child).uniform(-bound, bound, (64, 3))
+                assert draws.tobytes() == expected.tobytes(), bound
+
 
 def literal_law(plant, K, config, dos_signal, noise, x0, P):
     """Oracle: the control law written out per tick, integrated row by row.
@@ -568,11 +585,40 @@ class TestTickModelCache:
             2, 2, 0.1, 10, 2,
         )
         assert len(discretizations) == 2  # the entry the run built
-        steps, step, spread, phi_skip, _, templates, reach = model
-        for array in (steps, step, spread, phi_skip, templates, *reach):
+        steps, step, windows, phi_skip, _, templates, reach = model
+        # the noise map's windows are a view of a stack that is read-only too
+        stack = windows
+        while stack.base is not None:
+            stack = stack.base
+        assert isinstance(stack, np.ndarray) and stack.shape == (2 * 10, 2, 2)
+        for array in (steps, step, windows, stack, phi_skip, templates, *reach):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
+
+    @pytest.mark.parametrize("substeps", [1, 4, 10, 40])
+    def test_noise_map_is_the_block_map(self, bench_plant, substeps):
+        # G[j, i] = A_s^(j-1-i) E_s for j > i, zero elsewhere, built block
+        # by block in O(S^2) as the one reshape a run makes of the windows
+        n, delta = 2, 0.1
+        k_mat = linalg.as_matrix(BENCH_K)
+        _, _, windows, *_ = simulation._tick_model(
+            bench_plant.A.tobytes(), bench_plant.B.tobytes(), k_mat.tobytes(),
+            n, 2, delta, substeps, 0,
+        )
+        g_map = windows.reshape((substeps + 1) * n, substeps * n)
+        a_s, be_s = linalg.zoh_discretize(
+            bench_plant.A, np.hstack([bench_plant.B, np.eye(n)]), delta / substeps
+        )
+        e_s = be_s[:, 2:]
+        powers = [np.eye(n)]
+        for _ in range(substeps):
+            powers.append(a_s @ powers[-1])
+        expected = np.zeros((substeps + 1, n, substeps, n))
+        for j in range(substeps + 1):
+            for i in range(j):
+                expected[j, :, i, :] = powers[j - 1 - i] @ e_s
+        assert np.array_equal(g_map, expected.reshape(g_map.shape))
 
     @pytest.mark.parametrize("mode, h, t_c", [
         ("colocated", 1, 0.0), ("remote", 1, 0.0), ("remote", 5, 0.15),
@@ -682,7 +728,49 @@ class TestCheckEnvelope:
         assert check_envelope(trace, env, consts, w_inf=0.0)
 
 
+def metrics_by_isfinite(trace, divergence_threshold=None):
+    """compute_metrics as isfinite, all and max spell it: the oracle."""
+    norms = np.linalg.norm(trace.x, axis=1)
+    finite = bool(np.all(np.isfinite(norms)))
+    scale = max(float(norms[0]), 1.0) if finite else math.inf
+    if divergence_threshold is None:
+        divergence_threshold = 1e3 * scale
+    stable = finite and bool(np.max(norms) < divergence_threshold)
+    if trace.noise_decay_at is not None:
+        stable = stable and float(norms[-1]) <= 1e-3 * scale
+    z = trace.z
+    return simulation.SimMetrics(
+        failure_fraction=1.0 - len(z) / np.count_nonzero(trace.attempt),
+        max_state_norm=float(np.max(norms)) if finite else None,
+        final_state_norm=float(norms[-1]) if math.isfinite(norms[-1]) else None,
+        max_gap=float(np.max(np.diff(z))) if len(z) > 1 else 0.0,
+        envelope_ok=None,
+        stable_verdict=stable,
+    )
+
+
 class TestMetrics:
+    @pytest.mark.parametrize("rows", [
+        {}, {3: [np.nan, 1.0]}, {3: [np.inf, 0.0]}, {3: [-np.inf, np.nan]},
+        {0: [-0.0, -0.0]}, {0: [-0.0, 0.0], 5: [-0.0, -0.0]}, {-1: [np.nan, np.nan]},
+        {-1: [1.0, np.nan]}, {-1: [np.inf, 1.0]}, {0: [np.nan, 0.0]},
+        {2: [np.nan, 1.0], 4: [np.inf, np.inf]}, {1: [1e200, 1e200]},
+    ])
+    @pytest.mark.parametrize("decay_at", [None, 2.0])
+    def test_matches_the_isfinite_formulation(self, bench_plant, rows, decay_at):
+        noise = NoiseSpec(d_bound=0.01, n_bound=0.01, seed=4, decay_at=decay_at)
+        trace = bench_sim(bench_plant, horizon=5.0, noise=noise,
+                          dos_signal=generate(3, GeneratorSpec(), 5.0))
+        x = trace.x.copy()
+        for row, values in rows.items():
+            x[row] = values
+        trace = dataclasses.replace(trace, x=x)
+        for threshold in (None, 0.5, 1e300):
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = metrics_by_isfinite(trace, threshold)
+            got = compute_metrics(trace, divergence_threshold=threshold)
+            assert repr(got) == repr(expected), (rows, threshold)
+
     def test_non_finite_state_is_divergence(self, bench_plant):
         for x0 in ([1e300, 1e300], [1e307, -1e307]):
             with warnings.catch_warnings():
@@ -870,16 +958,18 @@ class TestTraceCsv:
 
         percent = _tracecsv.percent_cells
         monkeypatch.setattr(_tracecsv, "percent_cells", recorded)
-        # exact ties at 16 digits, zeros, non-finites and the magnitudes
-        # past the bulk range
-        uncertain = [1234567890123456.5, 1234567890123457.5, 0.0, -0.0, 3e-300,
-                     -1e300, np.inf, -np.inf, np.nan]
+        # exact ties at 16 digits and the magnitudes past the bulk range;
+        # zeros and non-finites come from a table instead
+        uncertain = [1234567890123456.5, 1234567890123457.5, 3e-300, -1e300]
+        fixed = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
         plain = [0.5, 2.0, -0.125, 3e-280, 123.456, 100000000000.5, 1000.0, 1e16,
                  -1e280]
-        values = plain + uncertain
+        values = plain + fixed[:3] + uncertain + fixed[3:]
         texts = g_texts(values, 16)
-        assert seen[:-1] == uncertain[:-1] and np.isnan(seen[-1])
+        assert seen == uncertain
         assert texts == [b"%.16g" % v for v in values]
+        assert texts[len(plain) : len(plain) + 3] == [b"0", b"-0", b"inf"]
+        assert texts[-3:] == [b"-inf", b"nan", b"nan"]
         seen.clear()
         # a tie at 12 digits
         g_texts([100000000000.5, 0.5], 12)
