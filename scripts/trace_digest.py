@@ -16,9 +16,15 @@ the bench spec, T_c = 0.4 s where the mode holds more than one entry and 0
 elsewhere: 310 runs in all.
 
 With each run it saves the run's generated DoS signal, its onsets and
-ends, and the signal's gap audit (check_gap_bound) at Delta = 0.1 s against
-the class fitted to it: tau_D and T from its transition count and blocked
-time over its horizon, eta and kappa from fit_class_params.
+ends, and three gap audits (check_gap_bound) of the signal, 930 in all.
+The first is at Delta = 0.1 s over the signal's horizon, against the class
+fitted to it: tau_D and T from its transition count and blocked time over
+its horizon, eta and kappa from fit_class_params.  The other two are
+against a fixed class (eta 1, tau_D 10 s, kappa 1, T 2) that is feasible at
+both periods, where a fitted one may not be at the longer: one at
+Delta = 1/3 s, a period whose multiples are not exact in floating point,
+and one at Delta = 0.1 s over a horizon Delta/2 short of the signal's, so
+that the grid ends between two attempts.
 
 Beside the runs it saves the bounds layer: every derive_constants output
 (P and each scalar) at h = 1, 5 and 50 and delta = 0.1 s, for the bundled
@@ -32,8 +38,9 @@ design and for seeded random LQR designs of 2, 8, 16 and 24 states.
 first two lines and flag columns, its t, x, u and V cells parsed back to
 float (csv_t, csv_x, csv_u, csv_V), whether the CSV's bytes equal those of
 the same trace written one '%' call per cell (csv_per_cell), the signal's
-dos_onsets and dos_ends and each audit field as gap_<field> to one .npz, as
-entries "<run>/<name>".  ``compare`` requires csv_per_cell in both saves,
+dos_onsets and dos_ends and each audit field as gap_<field>,
+gap_third_<field> and gap_short_<field> to one .npz, as entries
+"<run>/<name>".  ``compare`` requires csv_per_cell in both saves,
 which holds the parsed cells to their last printed digit.  It holds exact
 the flags, times, csv_t, z, buffer_depth, the scalar SimTrace fields,
 failure_fraction, max_gap, the verdicts, the CSV lines it keeps, the signal
@@ -93,6 +100,10 @@ P = np.array([[2.0, 0.3], [0.3, 1.0]])
 BOUNDS_H = (1, 5, 50)
 LQR_SIZES = (2, 8, 16, 24)
 BOUNDS = "bounds:"  # label prefix of the derive_constants entries
+# (field prefix, Delta, how far short of the signal's horizon) of the audits
+# against AUDIT_CLASS
+AUDITS = (("gap_third", 1 / 3, 0.0), ("gap_short", 0.1, 0.05))
+AUDIT_CLASS = DoSClassParams(eta=1.0, tau_D=10.0, kappa=1.0, T=2.0)
 
 TOL = 1e-12
 PER_CELL = "csv_per_cell"  # the CSV's bytes equal the per-cell writer's
@@ -155,16 +166,19 @@ def as_array(value) -> np.ndarray:
 
 
 def record_signal(sig) -> dict:
-    """The signal's onsets and ends, and its audit against its fitted class."""
+    """The signal's onsets and ends, and its audits, by field prefix."""
     horizon = sig.horizon
     tau_d = horizon / transitions_count(sig, 0.0, horizon)
     big_t = horizon / dos_measure(sig, 0.0, horizon)
     eta, kappa = fit_class_params(sig, tau_d, big_t)
-    verdict = check_gap_bound(sig, 0.1, DoSClassParams(eta, tau_d, kappa, big_t),
-                              horizon)
+    verdicts = {"gap": check_gap_bound(
+        sig, 0.1, DoSClassParams(eta, tau_d, kappa, big_t), horizon)}
+    verdicts.update((prefix, check_gap_bound(sig, delta, AUDIT_CLASS, horizon - short))
+                    for prefix, delta, short in AUDITS)
     out = {"dos_onsets": sig.onsets, "dos_ends": sig.ends}
-    out.update({f"gap_{f.name}": as_array(getattr(verdict, f.name))
-                for f in dataclasses.fields(verdict)})
+    for prefix, verdict in verdicts.items():
+        out.update({f"{prefix}_{f.name}": as_array(getattr(verdict, f.name))
+                    for f in dataclasses.fields(verdict)})
     return out
 
 

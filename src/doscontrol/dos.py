@@ -21,7 +21,8 @@ import numpy as np
 # Most intervals, in expectation, that generate draws for one signal; the
 # 500 s benchmark signal has ~380.
 MAX_INTERVALS = 1_000_000
-# Most attempts successful_transmissions puts on one grid.
+# Most attempts on one grid that successful_transmissions or
+# check_gap_bound audits.
 MAX_ATTEMPTS = 10_000_000
 
 
@@ -75,7 +76,9 @@ class DoSSignal:
             if not (math.isfinite(h) and math.isfinite(tau)):
                 raise ValueError(f"non-finite DoS interval ({h}, {tau})")
             raise ValueError(f"negative onset or duration in ({h}, {tau})")
-        h, tau = pairs[pairs[:, 0] <= horizon].T
+        h, tau = pairs.T
+        if h.size and h.max() > horizon:  # index only when some onset is past it
+            h, tau = pairs[h <= horizon].T
         # min(tau, room) as Python takes it: a -0.0 duration stays -0.0.
         room = horizon - h
         tau = np.where(room < tau, room, tau)
@@ -193,19 +196,54 @@ class GapBoundVerdict:
     max_gap_ok: bool
 
 
-def active_mask(signal: DoSSignal, times) -> np.ndarray:
-    """Blocked flag at each of ``times``: the one blocked-time rule.
+def _marks(signal: DoSSignal) -> np.ndarray:
+    """Each interval's onset and stop, interleaved: the one blocked-time rule.
 
     An interval blocks t from its onset up to, not including, its end, and
     a pulse blocks its onset instant: on floats, both block
     onset <= t < stop, where stop is the end or, if later, the float right
-    after the onset.  Over ascending times each interval thus blocks one
-    run of positions, found by two binary searches; the canonical
-    intervals are disjoint and in order, so the runs are too, and one
-    repeat over the alternating clear and blocked run lengths lays out the
-    mask, in O(len(times) + k log len(times)) for k intervals.  Times that
-    are not ascending are sorted first and their flags put back in place.
-    Times outside [0, horizon] are not checked.
+    after the onset.  The canonical intervals are disjoint and in order, so
+    the marks never decrease.
+    """
+    onsets = signal.onsets
+    marks = np.empty(2 * onsets.size)
+    marks[::2] = onsets
+    np.maximum(signal.ends, np.nextafter(onsets, math.inf), out=marks[1::2])
+    return marks
+
+
+def _run_bounds(edges: np.ndarray, size: int) -> np.ndarray:
+    """0, the edges, then size: the runs of size points that edges split.
+
+    Clear runs bounds[2i]:bounds[2i + 1] alternate with blocked runs
+    bounds[2i + 1]:bounds[2i + 2], one per pair of edges.
+    """
+    bounds = np.empty(edges.size + 2, dtype=np.intp)
+    bounds[0], bounds[1:-1], bounds[-1] = 0, edges, size
+    return bounds
+
+
+def _run_flags(edges: np.ndarray, size: int) -> np.ndarray:
+    """Flags of size points, set on each run edges[2i]:edges[2i + 1].
+
+    One repeat over the alternating clear and blocked run lengths.
+    """
+    bounds = _run_bounds(edges, size)
+    blocked = np.zeros(edges.size + 1, dtype=bool)
+    blocked[1::2] = True
+    return np.repeat(blocked, bounds[1:] - bounds[:-1])
+
+
+def active_mask(signal: DoSSignal, times) -> np.ndarray:
+    """Blocked flag at each of ``times``, by the rule of the interval marks.
+
+    Each interval blocks the times from its onset mark up to, not
+    including, its stop mark (see _marks).  Over ascending times each
+    interval thus blocks one run of positions, found by two binary
+    searches, and the runs are disjoint and in order, in
+    O(len(times) + k log len(times)) for k intervals.  Times that are not
+    ascending are sorted first and their flags put back in place.  Times
+    outside [0, horizon] are not checked; NaN sorts last and stays clear.
     """
     times = np.asarray(times, dtype=float)
     t = times.ravel()
@@ -213,18 +251,7 @@ def active_mask(signal: DoSSignal, times) -> np.ndarray:
     if not (t[1:] >= t[:-1]).all():  # NaN sorts last, past every interval
         order = np.argsort(t, kind="stable")
         t = t[order]
-    onsets, ends = signal.onsets, signal.ends
-    # Interval i's run starts at edges[2i + 1] and stops at edges[2i + 2];
-    # edges[0] = 0 and edges[-1] = len(t) frame the clear runs around them.
-    marks = np.empty(2 * onsets.size + 2)
-    marks[0], marks[-1] = -math.inf, math.inf
-    marks[1:-1:2] = onsets
-    np.maximum(ends, np.nextafter(onsets, math.inf), out=marks[2:-1:2])
-    edges = np.searchsorted(t, marks)
-    edges[-1] = t.size  # +inf and NaN times stay clear too
-    blocked = np.zeros(marks.size - 1, dtype=bool)
-    blocked[1::2] = True
-    flags = np.repeat(blocked, edges[1:] - edges[:-1])
+    flags = _run_flags(np.searchsorted(t, _marks(signal)), t.size)
     if order is not None:
         flags[order] = flags.copy()
     return flags.reshape(times.shape)
@@ -335,23 +362,26 @@ def generate(seed: int, spec: GeneratorSpec, horizon: float) -> DoSSignal:
     span = high - low
     draws, marks = [], [np.zeros(1)]
     while marks[-1][-1] <= horizon:
-        draws.append((rng.random(size) * span + low).ravel())
+        draw = rng.random(size)
+        # one column at a time: a long strided loop, not one of 2 per row
+        for column, width, start in zip(draw.T, span, low):
+            column *= width
+            column += start
+        draws.append(draw.ravel())
         with np.errstate(over="ignore"):  # a sum past the float range ends it too
             marks.append(np.cumsum(np.concatenate((marks[-1][-1:], draws[-1])))[1:])
-    onsets, ends = np.concatenate(marks[1:]).reshape(-1, 2).T
-    # Up to the first end past the horizon: the constructor drops that
-    # interval if its onset is past the horizon too, else clips it.
-    n = int(np.searchsorted(ends, horizon, side="right")) + 1
+    onsets = np.concatenate(marks[1:])[::2]
+    # Every onset up to the horizon, so that the constructor drops none;
+    # it clips the last interval, the only one that can end past it.
+    n = int(np.searchsorted(onsets, horizon, side="right"))
     on = np.concatenate(draws)[1::2]
     return DoSSignal(np.column_stack((onsets[:n], on[:n])), horizon)
 
 
-def successful_transmissions(
-    signal: DoSSignal, delta_big: float, horizon: float
-) -> TransmissionSchedule:
-    """Attempt grid k*Delta up to the horizon and its DoS-free subset.
+def _attempt_count(signal: DoSSignal, delta_big: float, horizon: float) -> int:
+    """Number of attempts k*Delta up to the horizon, once the inputs pass.
 
-    A grid of more than MAX_ATTEMPTS attempts is refused before it is built.
+    A grid of more than MAX_ATTEMPTS attempts is refused.
     """
     if not delta_big > 0.0:
         raise ValueError(f"delta_big must be > 0, got {delta_big}")
@@ -367,11 +397,56 @@ def successful_transmissions(
             f"an attempt grid over {horizon} s in periods of {delta_big} s is "
             f"{periods + 1:.3g} attempts, above the limit of {MAX_ATTEMPTS}"
         )
-    grid = np.arange(math.floor(periods) + 1, dtype=float) * delta_big
-    # k*Delta can land one ulp past the horizon; clamp it back inside, as
-    # min(k*Delta, horizon) would (np.minimum may flip the sign of a zero).
-    attempts = np.where(horizon < grid, horizon, grid)
-    successes = attempts[~active_mask(signal, attempts)]
+    return math.floor(periods) + 1
+
+
+def _attempt_times(k, delta_big: float, horizon: float):
+    """Attempt k of the grid, t_k = min(k*Delta, horizon), for integers k >= 0.
+
+    k*Delta can land one ulp past the horizon, and is clamped back inside.
+    np.minimum returns its second argument on a tie, so a -0.0 horizon is
+    made +0.0 first: t_0 is 0.0 on every grid.
+    """
+    return np.minimum(k * delta_big, horizon + 0.0)
+
+
+def _grid_edges(
+    marks: np.ndarray, delta_big: float, horizon: float, n: int
+) -> np.ndarray:
+    """np.searchsorted(attempts, marks) for the n attempts t_k, unbuilt.
+
+    Each edge is the first k with t_k >= mark, or n.  For a mark up to the
+    horizon, t_k >= mark exactly when k*Delta >= mark, and ceil(mark / Delta)
+    is within one index of the first such k: the quotient and each product
+    err by half an ulp, a relative 1.1e-16, so by under 1e-8 of an index
+    while n < MAX_ATTEMPTS.  One step down or up then settles it on the
+    grid's own floats.  No attempt reaches a mark past the horizon.
+    """
+    clamped = np.minimum(marks, horizon)  # keeps mark / Delta near the grid
+    k = clamped / delta_big
+    np.ceil(k, out=k)
+    up = k * delta_big < clamped
+    down = (k - 1.0) * delta_big >= clamped
+    k += up
+    k -= down
+    np.minimum(k, n, out=k)
+    k[marks > horizon] = n
+    return k.astype(np.intp)
+
+
+def successful_transmissions(
+    signal: DoSSignal, delta_big: float, horizon: float
+) -> TransmissionSchedule:
+    """Attempt grid k*Delta up to the horizon and its DoS-free subset.
+
+    A grid of more than MAX_ATTEMPTS attempts is refused before it is built.
+    Each interval blocks a run of attempts by active_mask's rule; the run's
+    edges come from arithmetic on the grid, not from a binary search.
+    """
+    n = _attempt_count(signal, delta_big, horizon)
+    attempts = _attempt_times(np.arange(n, dtype=float), delta_big, horizon)
+    edges = _grid_edges(_marks(signal), delta_big, horizon, n)
+    successes = attempts[~_run_flags(edges, n)]
     attempts.flags.writeable = successes.flags.writeable = False
     return TransmissionSchedule(
         delta_big=delta_big, attempts=attempts, successes=successes
@@ -409,13 +484,42 @@ def check_gap_bound(
 
     The caller certifies class membership (fit_class_params); with no
     success inside the horizon the observed quantities are infinite and the
-    flags come back false.
+    flags come back false.  The inputs are checked, and a grid of more than
+    MAX_ATTEMPTS attempts refused, as in successful_transmissions, after
+    the bound is computed.
+
+    The audit reads the schedule off the interval edges on the grid, in
+    O(k) for k intervals, without building the grid.  An attempt that
+    falls exactly on a mark obeys the half-open rule: one on an onset is
+    blocked, one on an end goes through, and a pulse on the grid blocks
+    its one attempt.  Between the blocked runs that hold an attempt lie
+    the clear runs, the successes.  Across a blocked run the gap spans at
+    least two periods, about 2*Delta, while a step within a clear run is
+    Delta to a few ulps (or less, at the clamped last attempt); with
+    n < MAX_ATTEMPTS those ulps stay far below Delta, so with two clear
+    runs or more the largest gap is a cross-run one.  Only a single clear
+    run, all attempts clear or the blocked ones all at one end, needs its
+    steps in full, in O(n).
     """
     bound = success_gap_bound(params, delta_big)
-    schedule = successful_transmissions(signal, delta_big, horizon)
-    z = schedule.successes
-    z0 = float(z[0]) if z.size else math.inf
-    max_gap = float(np.max(np.diff(z), initial=0.0)) if z.size else math.inf
+    n = _attempt_count(signal, delta_big, horizon)
+    runs = _grid_edges(_marks(signal), delta_big, horizon, n).reshape(-1, 2)
+    # A blocked run that holds no attempt splits no clear run.
+    bounds = _run_bounds(runs[runs[:, 0] < runs[:, 1]].ravel(), n)
+    starts, stops = bounds[::2], bounds[1::2]
+    clear = starts < stops
+    starts, stops = starts[clear], stops[clear]
+    if starts.size == 0:
+        z0 = max_gap = math.inf
+    else:
+        opened = _attempt_times(starts, delta_big, horizon)
+        z0 = float(opened[0])
+        if starts.size > 1:
+            gaps = opened[1:] - _attempt_times(stops[:-1] - 1, delta_big, horizon)
+        else:
+            run = np.arange(starts[0], stops[0], dtype=float)
+            gaps = np.diff(_attempt_times(run, delta_big, horizon))
+        max_gap = float(gaps.max(initial=0.0))
     return GapBoundVerdict(
         z0=z0,
         max_gap=max_gap,

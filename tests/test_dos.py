@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import pickle
+import tracemalloc
 import warnings
 from datetime import timedelta
 
@@ -191,6 +192,46 @@ def interval_lists(draw, valid=True):
         pairs += [(h + tau, draw(value)) for h, tau in picked]
         pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
     return draw(st.permutations(pairs)), horizon
+
+
+@st.composite
+def grid_cases(draw):
+    """(signal, Delta, horizon) with interval edges on the attempt grid and
+    one ulp either side of it, pulses on grid points, the empty signal, a
+    fully blocked grid and a single clear run at either end; audit horizons
+    that are not a multiple of Delta, and signal horizons past them."""
+    delta = draw(st.sampled_from([0.1, 1 / 3, 0.07]))
+    ticks = draw(st.integers(0, 40))
+    horizon = (ticks + draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0))) * delta
+    horizon = draw(st.sampled_from([horizon, float(np.nextafter(horizon, 0.0)),
+                                    float(np.nextafter(horizon, 1e3))]))
+    sig_horizon = horizon + draw(st.sampled_from([0.0, delta / 2]) | st.floats(0.0, 2.0))
+    assume(sig_horizon > 0.0)
+
+    @st.composite
+    def points(draw):
+        x = draw(st.integers(0, ticks + 2)) * delta
+        x = draw(st.sampled_from([x, float(np.nextafter(x, -1.0)),
+                                  float(np.nextafter(x, 1e3))]))
+        return min(max(x, 0.0), sig_horizon)
+
+    point = points() | st.floats(0.0, sig_horizon)
+    shape = draw(st.sampled_from(["edges", "edges", "empty", "full", "head", "tail"]))
+    if shape == "edges":
+        ends = draw(st.lists(st.tuples(point, point), max_size=8))
+        intervals = [(min(a, b), abs(b - a)) for a, b in ends]
+        intervals += [(x, 0.0) for x in draw(st.lists(point, max_size=4))]
+    elif shape == "empty":
+        intervals = []
+    elif shape == "full":
+        intervals = draw(st.sampled_from([
+            [(0.0, sig_horizon)],
+            [(k * delta, 0.0) for k in range(int(sig_horizon / delta) + 1)],
+        ]))
+    else:  # blocked from the start up to a point, or from a point on
+        x = draw(point)
+        intervals = [(0.0, x)] if shape == "head" else [(x, sig_horizon - x)]
+    return DoSSignal(intervals, sig_horizon), delta, horizon
 
 
 def brute_force_deficits(signal, tau_D, T, windows):
@@ -714,6 +755,26 @@ class TestSuccessfulTransmissions:
         types = [type(v) for v in dataclasses.astuple(verdict)]
         assert types == [float] * 4 + [bool] * 2
 
+    @PROPERTY
+    @given(case=grid_cases())
+    def test_grid_arithmetic_matches_the_built_grid(self, case):
+        # the edges, the schedule and the audit, read off the interval
+        # marks, against the attempt grid built and searched in full
+        sig, delta, horizon = case
+        attempts = np.array(schedule_loop(sig, delta, horizon)[0])
+        marks = dos._marks(sig)
+        edges = dos._grid_edges(marks, delta, horizon, attempts.size)
+        assert edges.tolist() == np.searchsorted(attempts, marks).tolist()
+        z = attempts[~active_mask(sig, attempts)]
+        sched = successful_transmissions(sig, delta, horizon)
+        assert sched.attempts.tobytes() == attempts.tobytes()
+        assert sched.successes.tobytes() == z.tobytes()
+        params = DoSClassParams(eta=1.0, tau_D=10.0, kappa=1.0, T=2.0)
+        verdict = check_gap_bound(sig, delta, params, horizon)
+        oracle = ((float(z[0]), float(np.max(np.diff(z), initial=0.0))) if z.size
+                  else (math.inf, math.inf))
+        assert repr((verdict.z0, verdict.max_gap)) == repr(oracle)
+
     @pytest.mark.parametrize("horizon", [math.nan, -5.0, -5e-324])
     def test_bad_horizon_is_refused(self, horizon):
         # NaN used to fail on the attempt limit, and -5 gave an empty grid
@@ -739,6 +800,21 @@ class TestSuccessfulTransmissions:
         assert successful_transmissions(s, 0.1, 1.0).attempts.size == 11
         with pytest.raises(ValueError, match="is 12 attempts, above the limit of 11$"):
             successful_transmissions(s, 0.1, 1.1)
+
+    def test_audit_refuses_the_same_grids(self):
+        # the audit builds no grid, but keeps the limit and its message
+        s = DoSSignal(intervals=((10.0, 1.0),), horizon=50.0)
+        params = DoSClassParams(eta=1.0, tau_D=10.0, kappa=1.0, T=2.0)
+        message = (f"^an attempt grid over 50.0 s in periods of 1e-09 s is "
+                   f"5e\\+10 attempts, above the limit of {MAX_ATTEMPTS}$")
+        for audit in (lambda: successful_transmissions(s, 1e-9, 50.0),
+                      lambda: check_gap_bound(s, 1e-9, params, 50.0)):
+            with pytest.raises(ValueError, match=message):
+                audit()
+        # the class is checked first, as before
+        infeasible = DoSClassParams(eta=1.0, tau_D=1e-9, kappa=0.0, T=2.0)
+        with pytest.raises(InfeasibleDoSClassError):
+            check_gap_bound(s, 1e-9, infeasible, 50.0)
 
 
 class TestSuccessGapBound:
@@ -796,6 +872,26 @@ class TestCheckGapBound:
             verdict = check_gap_bound(sig, delta, params, 30.0)
             assert verdict.z0 <= verdict.gap_bound + 1e-9
             assert verdict.max_gap <= verdict.gap_bound_plus_delta + 1e-9
+
+    def test_memory_stays_linear_in_the_intervals(self):
+        # ten intervals mid-way through a grid of 5e6 attempts: the audit
+        # reads the gaps off their edges and allocates no grid (~40 MB)
+        horizon, delta = 50.0, 1e-5
+        rng = np.random.default_rng(41)
+        onsets = 20.0 + np.sort(rng.uniform(0.0, 10.0, 10))
+        sig = DoSSignal(np.column_stack((onsets, rng.uniform(0.0, 0.5, 10))), horizon)
+        params = DoSClassParams(eta=1.0, tau_D=10.0, kappa=1.0, T=2.0)
+        check_gap_bound(sig, delta, params, horizon)
+        tracemalloc.start()
+        try:
+            verdict = check_gap_bound(sig, delta, params, horizon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        z = successful_transmissions(sig, delta, horizon).successes
+        assert z.size > 4_000_000
+        assert (verdict.z0, verdict.max_gap) == (z[0], np.max(np.diff(z)))
 
     def test_infeasible_class_propagates(self):
         s = pulse_train(0.1, 1.0)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from doscontrol import (
-    DerivedConstants, GapBoundVerdict, SimMetrics, SimTrace, generate, trace_to_csv,
+    DerivedConstants, GapBoundVerdict, SimMetrics, SimTrace, generate,
+    successful_transmissions, trace_to_csv,
 )
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "trace_digest.py"
@@ -50,13 +51,20 @@ def test_one_config_repeats_exactly(script, runs, tmp_path):
         + [f.name for f in dataclasses.fields(SimMetrics)]
         + ["csv_head", "csv_flags", "csv_t", "csv_x", "csv_u", "csv_V", "csv_per_cell"]
         + ["dos_onsets", "dos_ends"]
-        + [f"gap_{f.name}" for f in dataclasses.fields(GapBoundVerdict)]
+        + [f"{prefix}_{f.name}" for prefix in ("gap", "gap_third", "gap_short")
+           for f in dataclasses.fields(GapBoundVerdict)]
     )
     _, _, (seed, spec, sig_horizon), _ = next(script.grid())
     sig = generate(seed, spec, sig_horizon)
     assert arrays["dos_onsets"].tobytes() == sig.onsets.tobytes()
     assert arrays["dos_ends"].tobytes() == sig.ends.tobytes()
     assert arrays["gap_z0_ok"].dtype == bool and arrays["gap_z0"].dtype == float
+    # the other audits: a period of 1/3 s, and a horizon 0.05 s short
+    for prefix, delta, horizon in (("gap_third", 1 / 3, sig_horizon),
+                                   ("gap_short", 0.1, sig_horizon - 0.05)):
+        z = successful_transmissions(sig, delta, horizon).successes
+        assert arrays[f"{prefix}_z0"] == z[0]
+        assert arrays[f"{prefix}_max_gap"] == np.max(np.diff(z))
     assert bytes(arrays["csv_head"]).startswith(b"# format: 1\n")
     assert arrays["csv_per_cell"].dtype == bool and arrays["csv_per_cell"]
     # the CSV cells read back as the trace's floats, to their printed digits
@@ -101,6 +109,8 @@ def bump_row(rel):
     ("dos_ends", lambda e: np.where(np.arange(len(e)) == 2, np.nextafter(e, 0), e), True),
     ("gap_max_gap", lambda g: np.nextafter(g, np.inf), True),
     ("gap_z0_ok", lambda ok: ~ok, True),
+    ("gap_third_max_gap", lambda g: np.nextafter(g, 0.0), True),
+    ("gap_short_z0", lambda z: np.nextafter(z, np.inf), True),
 ])
 def test_tolerance_per_field(script, runs, tmp_path, name, edit, fails):
     problems, worst = compare(script, tmp_path, runs, changed(runs, name, edit))
