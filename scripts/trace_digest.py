@@ -30,6 +30,15 @@ Beside the runs it saves the bounds layer: every derive_constants output
 (P and each scalar) at h = 1, 5 and 50 and delta = 0.1 s, for the bundled
 design and for seeded random LQR designs of 2, 8, 16 and 24 states.
 
+Last come 26 construction verdicts.  Twenty are six-state plants with an
+unstable hidden mode, a real one or a pair, that B reaches only through a
+coupling of 1e-15, 1e-14, ..., 1e-6, each with its LQR gain; six are
+designs whose Phi has a real eigenvalue, or a pair, at -HURWITZ_TOL times
+0.999, 1 and 1.001, exactly.  Each saves the error its construction or
+derive_constants (h = 5) raises, as error (the type's name), message and,
+for a StabilityCertificationError, the eigenvalue it names; or else the
+constant chain.
+
     PYTHONPATH=<checkout A>/src python3 scripts/trace_digest.py save a.npz
     PYTHONPATH=<checkout B>/src python3 scripts/trace_digest.py save b.npz
     PYTHONPATH=src python3 scripts/trace_digest.py compare a.npz b.npz
@@ -44,10 +53,11 @@ gap_third_<field> and gap_short_<field> to one .npz, as entries
 which holds the parsed cells to their last printed digit.  It holds exact
 the flags, times, csv_t, z, buffer_depth, the scalar SimTrace fields,
 failure_fraction, max_gap, the verdicts, the CSV lines it keeps, the signal
-arrays and the audit.  It holds x, u, prediction and V, and their CSV
-cells, row by row within TOL times the running maximum row norm (NaN
-positions exact), and the two state norms within TOL times max_state_norm,
-the running maximum at the last row.  It holds each derive_constants output
+arrays, the audit and every field of the construction verdicts.  It holds
+x, u, prediction and V, and their CSV cells, row by row within TOL times
+the running maximum row norm (NaN positions exact), and the two state
+norms within TOL times max_state_norm, the running maximum at the last
+row.  It holds each derive_constants output
 within TOL times the larger absolute entry of the two saves.  It prints the
 largest scaled deviation per field, then every mismatch, including a run or
 field that only one save has, and exits 1 on any mismatch.
@@ -55,6 +65,7 @@ field that only one save has, and exits 1 on any mismatch.
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import os
 import sys
@@ -71,6 +82,7 @@ from doscontrol import (
     LtiPlant,
     NoiseSpec,
     SimConfig,
+    StabilityCertificationError,
     benchmark,
     check_gap_bound,
     compute_metrics,
@@ -82,6 +94,7 @@ from doscontrol import (
     trace_to_csv,
     transitions_count,
 )
+from doscontrol.linalg import HURWITZ_TOL
 
 HORIZON = 20.0
 LONG_HORIZON = 60.0
@@ -100,6 +113,15 @@ P = np.array([[2.0, 0.3], [0.3, 1.0]])
 BOUNDS_H = (1, 5, 50)
 LQR_SIZES = (2, 8, 16, 24)
 BOUNDS = "bounds:"  # label prefix of the derive_constants entries
+VERDICT = "verdict:"  # label prefix of the construction verdicts, held exact
+# hidden modes (an unstable real one and an unstable pair) and their
+# couplings to B, and the multiples of -HURWITZ_TOL that Phi's eigenvalue
+# takes, in the construction verdicts
+HIDDEN_MODES = {"real": np.array([[0.3]]),
+                "pair": np.array([[0.2, 1.5], [-1.5, 0.2]])}
+COUPLINGS = tuple(10.0**-e for e in range(15, 5, -1))
+PHI_SCALES = (0.999, 1.0, 1.001)
+VERDICT_H = 5
 # (field prefix, Delta, how far short of the signal's horizon) of the audits
 # against AUDIT_CLASS
 AUDITS = (("gap_third", 1 / 3, 0.0), ("gap_short", 0.1, 0.05))
@@ -158,6 +180,56 @@ def record_bounds(design, h) -> dict:
     consts = derive_constants(design, h, benchmark.DELTA)
     return {f.name: np.asarray(getattr(consts, f.name))
             for f in dataclasses.fields(consts)}
+
+
+def hidden_mode_design(block, coupling, seed) -> DesignInputs:
+    """A six-state plant whose trailing block is reached by B only through
+    coupling, in random coordinates, and its LQR gain."""
+    rng = np.random.default_rng(seed)
+    n, k = 6, block.shape[0]
+    m = (n - k) // 2
+    a = rng.standard_normal((n, n))
+    a[n - k:, :n - k] = 0.0
+    a[n - k:, n - k:] = block
+    b = rng.standard_normal((n, m))
+    b[n - k:] *= coupling
+    t = rng.standard_normal((n, n)) + n * np.eye(n)
+    a, b = t @ a @ np.linalg.inv(t), t @ b
+    plant = LtiPlant(A=a, B=b)
+    k = -b.T @ scipy.linalg.solve_continuous_are(a, b, np.eye(n), np.eye(m))
+    return DesignInputs(plant=plant, K=k)
+
+
+def phi_design(pair, scale) -> DesignInputs:
+    """A design whose Phi is exactly diag(-1, re), or [[re, 1], [-1, re]],
+    with re = -HURWITZ_TOL * scale: B K = [[0, 1], [0, 0]] adds to A
+    without rounding."""
+    re = -HURWITZ_TOL * scale
+    phi = np.array([[re, 1.0], [-1.0, re]]) if pair else np.diag([-1.0, re])
+    b, k = np.array([[1.0], [0.0]]), np.array([[0.0, 1.0]])
+    return DesignInputs(plant=LtiPlant(A=phi - b @ k, B=b), K=k)
+
+
+def verdict_grid():
+    """Yield (label, build) per construction verdict; build() makes the design."""
+    for (kind, block), (e, coupling) in itertools.product(
+            HIDDEN_MODES.items(), enumerate(COUPLINGS)):
+        yield (f"{VERDICT}hidden:{kind}:coupling={coupling:g}",
+               functools.partial(hidden_mode_design, block, coupling, [6, e]))
+    for pair, scale in itertools.product((False, True), PHI_SCALES):
+        yield (f"{VERDICT}phi:{'pair' if pair else 'real'}:scale={scale}",
+               functools.partial(phi_design, pair, scale))
+
+
+def record_verdict(build) -> dict:
+    """The chain of build()'s design at h = VERDICT_H, or the error raised."""
+    try:
+        return record_bounds(build(), VERDICT_H)
+    except (ValueError, ArithmeticError) as exc:
+        out = {"error": np.asarray(type(exc).__name__), "message": np.asarray(str(exc))}
+        if isinstance(exc, StabilityCertificationError):
+            out["eigenvalue"] = np.asarray(complex(exc.eigenvalue))
+        return out
 
 
 def as_array(value) -> np.ndarray:
@@ -235,13 +307,14 @@ def write(path, records) -> None:
                     np.lib.format.write_array(fh, array, allow_pickle=False)
 
 
-def save(path, runs, chains) -> None:
+def save(path, runs, chains, verdicts) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = os.path.join(tmp, "trace.csv")
         write(path, itertools.chain(
             ((label, record(config, sig, noise, csv_path))
              for label, config, sig, noise in runs),
             ((label, record_bounds(design, h)) for label, design, h in chains),
+            ((label, record_verdict(build)) for label, build in verdicts),
         ))
 
 
@@ -291,8 +364,9 @@ def compare(path_a, path_b):
             problems.append(f"{key}: only in {path_a if key in keys_a else path_b}")
         for key in sorted(keys_a & keys_b):
             label, name = key.rsplit("/", 1)
-            if label.startswith(BOUNDS):
-                name = BOUNDS + name
+            for prefix in (BOUNDS, VERDICT):
+                if label.startswith(prefix):
+                    name = prefix + name
             scale = None
             if name in NORMS:
                 scale = max(abs(z[f"{label}/max_state_norm"]) for z in (za, zb))
@@ -317,7 +391,7 @@ def main(argv=None) -> int:
     p_cmp.add_argument("b")
     args = parser.parse_args(argv)
     if args.command == "save":
-        save(args.output, grid(), bounds_grid())
+        save(args.output, grid(), bounds_grid(), verdict_grid())
         return 0
     problems, worst = compare(args.a, args.b)
     for name, dev in sorted(worst.items()):

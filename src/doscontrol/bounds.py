@@ -55,6 +55,16 @@ class DesignInputs:
 
     K and M are stored as read-only copies, so the design-only constants,
     computed on first use, stay those of the stored matrices.
+
+    Construction forms Phi = A + B K once (ValueError if it is not finite)
+    and takes its real Schur form, which gives the Hurwitz verdict by the
+    rule of linalg.solve_lyapunov: a Schur diagonal below -HURWITZ_TOL
+    accepts Phi, and only a Phi that fails it goes to require_hurwitz,
+    whose eigvals verdict stands (StabilityCertificationError naming the
+    eigenvalue).  A Phi whose Schur diagonal is below -HURWITZ_TOL while
+    its eigvals estimate is not is thus accepted; the eigvals check alone
+    refused it.  Phi (read-only) and its Schur form are kept, and the
+    Lyapunov solve of design_constants reuses the form.
     """
 
     plant: LtiPlant
@@ -74,25 +84,29 @@ class DesignInputs:
             raise ValueError(
                 f"sigma_fraction must be in (0, 1], got {self.sigma_fraction}"
             )
-        linalg.require_hurwitz(self.plant.A + self.plant.B @ k, "A + B K")
+        phi = linalg.frozen_matrix(self.plant.A + self.plant.B @ k, "A + B K")
+        schur = linalg._hurwitz_schur(phi)
         object.__setattr__(self, "K", k)
         object.__setattr__(self, "M", m)
+        object.__setattr__(self, "_phi", phi)
+        object.__setattr__(self, "_schur", schur)
 
     @property
     def Phi(self) -> np.ndarray:
-        return self.plant.A + self.plant.B @ self.K
+        return self._phi
 
     @functools.cached_property
     def design_constants(self) -> DesignConstants:
         """Lyapunov solution P and every constant that depends on it alone.
 
-        Computed on first access, with one Lyapunov solve, and kept.  Raises
-        SigmaInfeasibleError (on every access, since nothing is kept then)
-        if the sigma fraction erases the strict dissipation margin.
+        Computed on first access, with one Lyapunov solve in the Schur form
+        taken at construction, and kept.  Raises SigmaInfeasibleError (on
+        every access, since nothing is kept then) if the sigma fraction
+        erases the strict dissipation margin.
         """
-        phi = self.Phi
+        phi = self._phi
         # the solve hands back the spectra of P and M its checks took
-        solution = linalg.solve_lyapunov(phi, self.M)
+        solution = linalg._solve_in_schur(phi, *self._schur, self.M)
         p = solution.P
         p.setflags(write=False)
         alpha1, alpha2 = float(solution.P_eigs[0]), float(solution.P_eigs[-1])

@@ -333,12 +333,18 @@ def _finite(text: str) -> float:
     return value
 
 
+def _json_number(value: float) -> float | None:
+    """value, or None (JSON null) where JSON has no number for it."""
+    return value if math.isfinite(value) else None
+
+
 def _structured_error(exc) -> dict:
     err: dict = {"type": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, InfeasibleDoSClassError):
-        err["rate"] = exc.rate if math.isfinite(exc.rate) else None
+        err["rate"] = _json_number(exc.rate)
     if isinstance(exc, StabilityCertificationError):
-        err["eigenvalue"] = [exc.eigenvalue.real, exc.eigenvalue.imag]
+        err["eigenvalue"] = [_json_number(exc.eigenvalue.real),
+                             _json_number(exc.eigenvalue.imag)]
     return {"error": err}
 
 
@@ -603,7 +609,9 @@ def cmd_repro(args) -> int:
     return EXIT_UNSTABLE if failed else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared after."""
     parser = _Parser(
         prog="doscontrol",
         description="Certify and simulate control loops under denial-of-service",

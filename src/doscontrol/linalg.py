@@ -5,6 +5,12 @@ rest of the package is built on.  Everything is dense and sized for
 low-order systems (state dimension of order ten to a few dozen); the
 Lyapunov solve costs O(n^3) through one real Schur factorization, and there
 are no sparse or large-scale code paths on purpose.
+
+The Schur form serves twice: its diagonal gives the Hurwitz verdict
+(``_hurwitz_schur``) and its factors the Bartels-Stewart solve
+(``_solve_in_schur``).  ``solve_lyapunov`` takes the form and solves at
+once; a design (``bounds.DesignInputs``) takes it at construction, for the
+verdict, and keeps it for the solve, so each design factors Phi once.
 """
 
 from __future__ import annotations
@@ -136,6 +142,23 @@ def zoh_discretize(a, b, delta: float) -> tuple[np.ndarray, np.ndarray]:
     return big[:n, :n], big[:n, n:]
 
 
+def _hurwitz_schur(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real Schur form (T, U) of a finite square Phi, if Phi is Hurwitz.
+
+    The diagonal of the standardized T holds the real part of every
+    eigenvalue (each 2x2 block repeats its pair's), and Phi passes when
+    all of them are below -HURWITZ_TOL.  Only a Phi that fails it, a T
+    that is not finite included, goes on to require_hurwitz, whose verdict
+    then stands and whose StabilityCertificationError names the worst
+    eigenvalue.  So a Phi is refused only when both estimates of its
+    spectrum put an eigenvalue at or right of -HURWITZ_TOL.
+    """
+    t, u = scipy.linalg.schur(phi, output="real", check_finite=False)
+    if not np.max(np.diag(t)) < -HURWITZ_TOL:
+        require_hurwitz(phi, "Phi")
+    return t, u
+
+
 def solve_lyapunov(phi, m) -> LyapunovSolution:
     """Solve Phi' P + P Phi + M = 0 for symmetric positive-definite P.
 
@@ -143,16 +166,12 @@ def solve_lyapunov(phi, m) -> LyapunovSolution:
     one real Schur form Phi = U T U' turns the equation into
     T' Y + Y T = U' R U with P = U Y U', which LAPACK trsyl solves by
     back substitution over T's diagonal blocks, in O(n^3) overall.  The
-    Hurwitz check reads the same form: the diagonal of the standardized T
-    holds the real part of every eigenvalue (each 2x2 block repeats its
-    pair's).  Only a Phi that fails it goes on to require_hurwitz, whose
-    verdict then stands and whose StabilityCertificationError names the
-    worst eigenvalue.  The same factorization serves two rounds of
-    iterative refinement on the residual, which recover the digits the
-    plain solve loses on badly conditioned pencils.  The symmetrized P is
-    verified against LYAPUNOV_RESIDUAL_RTOL and for positive definiteness
-    before returning; LyapunovSolveError is raised if either check fails or
-    P is not finite.
+    Hurwitz check reads the same form (_hurwitz_schur).  The same
+    factorization serves two rounds of iterative refinement on the
+    residual, which recover the digits the plain solve loses on badly
+    conditioned pencils.  The symmetrized P is verified against
+    LYAPUNOV_RESIDUAL_RTOL and for positive definiteness before returning;
+    LyapunovSolveError is raised if either check fails or P is not finite.
 
     The residual check asks whether the spectral norm of R, as computed by
     an SVD, is at most tol = LYAPUNOV_RESIDUAL_RTOL ||M||.  Since
@@ -169,9 +188,11 @@ def solve_lyapunov(phi, m) -> LyapunovSolution:
     checks computed, for callers that need the extreme eigenvalues.
     """
     phi_arr = _as_square(phi, "Phi")
-    t, u = scipy.linalg.schur(phi_arr, output="real", check_finite=False)
-    if np.max(np.diag(t)) >= -HURWITZ_TOL:
-        require_hurwitz(phi_arr, "Phi")
+    return _solve_in_schur(phi_arr, *_hurwitz_schur(phi_arr), m)
+
+
+def _solve_in_schur(phi_arr, t, u, m) -> LyapunovSolution:
+    """solve_lyapunov for a Phi whose Schur form (T, U) passed _hurwitz_schur."""
     m_arr = _as_symmetric(m, "M")
     if m_arr.shape != phi_arr.shape:
         raise ValueError(

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .linalg import frozen_matrix
 
@@ -24,30 +25,44 @@ class LtiPlant:
     member is tested (and named if it fails).  A and B are stored as
     read-only copies.
 
-    A Gram screen spares most pencils the SVD.  The pencils P (n x k,
-    k = n + m) are stacked and the spectra g_n <= ... <= g_1 of their
-    computed Grams P P^H are taken by one batched ``eigvalsh``; a pencil
-    is cleared when
+    A Cholesky screen spares most pencils the SVD.  For each pencil P
+    (n x k, k = n + m) the Gram G = P P^H is formed, and the pencil is
+    cleared when the Cholesky factorization of G - c I succeeds, with
 
-        g_n > 16 n k eps g_1 + n k tiny
+        c = 32 n k eps tr(G) + n k tiny
 
-    (eps and tiny of float64).  This proves that matrix_rank returns n,
-    i.e. that the singular values s_1 >= ... >= s_n it computes satisfy
-    s_n > k eps s_1.  Let sigma_i be the exact singular values of P.
-    Forming the Gram G = P P^H + F in any summation order gives
-    ||F|| <= gamma_(k+2) ||P||_F^2 <= 1.01 n k eps sigma_1^2, plus at most
-    a = 4 n k eps tiny from underflow (eigvalsh reads one triangle and
-    the real part of the diagonal, which keeps the bound).  Take the
-    backward errors of eigvalsh and of the SVD to be at most n eps ||G||
-    and k eps ||P||.  Weyl's inequality then gives
-    |g_i - sigma_i^2| <= d sigma_1^2 + a with d <= 2.1 n k eps, and the
-    screen gives sigma_n^2 > (13.9 n k eps) sigma_1^2, while matrix_rank
-    returns n once sigma_n > (2 k eps + k^2 eps^2) sigma_1, which needs
-    only about 4 k^2 eps^2 sigma_1^2; the factor 16 leaves room for
-    LAPACK constants several times the ones assumed.  Every pencil the
-    screen does not clear, a Gram that is not finite included, goes to
-    matrix_rank in LAPACK order, so the verdict and the eigenvalue a
-    rejection names are those of the rank test on every pencil.
+    (eps and tiny of float64).  Since tr(G) >= g_1, no spectrum is taken.
+    Let g_1 >= ... >= g_n be the eigenvalues of the computed Gram (LAPACK
+    reads one triangle and the real part of the diagonal, so it is
+    Hermitian), t its trace and s_1 >= ... >= s_n the exact singular
+    values of P.  Success proves that matrix_rank returns n:
+
+    1. Every shifted diagonal entry was positive, so t > n c: t exceeds
+       n^2 k tiny, and any absolute underflow error of order eps tiny per
+       operation below is a small fraction of eps t.  By Higham (Accuracy
+       and Stability of Numerical Algorithms, 2nd ed., Thm 10.3), the
+       computed factor R satisfies R^H R = G - c I + D + E, where D is the
+       rounding of the shift, ||D|| <= eps t, and |E| <= y |R^H| |R| with
+       y = 4 (n + 1) eps allowing for complex arithmetic.  The diagonal of
+       |R^H| |R| holds the squared column norms of R, so
+       ||E|| <= y ||R||_F^2 <= 1.01 y t.  R^H R is positive definite,
+       hence g_n > c - eps t - 1.01 y t >= (32 n k - 4.1 n - 15) eps t
+       + n k tiny.
+    2. With t >= g_1 and k >= 2 this gives
+       g_n > 16 n k eps g_1 + n k tiny, with 2 n eps g_1 to spare (room
+       for an eigensolver's backward error n eps g_1 on either side).
+    3. That bound gives matrix_rank == n.  Forming G in any summation
+       order costs ||G - P P^H|| <= f = 1.5 n (k + 2) eps s_1^2 + a, with
+       a = 4 n k eps tiny from underflow.  Weyl's inequality gives
+       s_n^2 >= g_n - f and g_1 >= s_1^2 - f, so s_n^2 > 13 n k eps s_1^2,
+       while matrix_rank (taking the backward error of its SVD to be at
+       most k eps ||P||) returns n once s_n > (2 k eps + k^2 eps^2) s_1,
+       which needs only about 4 k^2 eps^2 s_1^2.
+
+    Every pencil the screen does not clear, one whose factorization fails
+    or whose shifted Gram is not finite, goes to matrix_rank in LAPACK
+    order, so the verdict and the eigenvalue a rejection names are those
+    of the rank test on every pencil.
     """
 
     A: np.ndarray
@@ -74,11 +89,13 @@ class LtiPlant:
             pencils[:, :, n:] = b
             with np.errstate(all="ignore"):
                 grams = pencils @ pencils.conj().swapaxes(1, 2)
-                # a zero Gram is never cleared
-                grams[~np.isfinite(grams).all(axis=(1, 2))] = 0.0
-                g = np.linalg.eigvalsh(grams)
-                cleared = g[:, 0] > 16.0 * n * k * _EPS * g[:, -1] + n * k * _TINY
-            for lam, pencil in zip(lams[~cleared], pencils[~cleared]):
+                shift = 32.0 * n * k * _EPS * np.trace(grams, axis1=1, axis2=2).real
+                diag = np.arange(n)
+                grams[:, diag, diag] -= shift[:, None] + n * k * _TINY
+            potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (grams,))
+            for lam, pencil, gram in zip(lams, pencils, grams):
+                if np.isfinite(gram).all() and potrf(gram, lower=True)[1] == 0:
+                    continue
                 if np.linalg.matrix_rank(pencil) < n:
                     raise ValueError(
                         f"(A, B) is not stabilizable: eigenvalue {lam:.6g} "

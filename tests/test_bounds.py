@@ -19,6 +19,8 @@ from doscontrol import (
     tolerable_dos_bound,
 )
 
+from doscontrol.bounds import SIGMA_FRACTION_SIM, DesignConstants
+
 from conftest import BENCH_A, BENCH_B, BENCH_K
 
 
@@ -111,16 +113,23 @@ class TestDeriveConstants:
             DesignInputs(plant=bench_plant, K=np.zeros((2, 2)))
 
 
-def count_lyapunov_solves(monkeypatch) -> list:
-    """Route linalg.solve_lyapunov through a wrapper that logs each call."""
-    calls, solve = [], linalg.solve_lyapunov
+def log_calls(monkeypatch, owner, name) -> list:
+    """Route owner.name through a wrapper that logs a copy of each call's
+    first argument."""
+    calls, fn = [], getattr(owner, name)
 
-    def counted(phi, m):
-        calls.append(1)
-        return solve(phi, m)
+    def logged(x, *args, **kwargs):
+        calls.append(np.array(x))
+        return fn(x, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "solve_lyapunov", counted)
+    monkeypatch.setattr(owner, name, logged)
     return calls
+
+
+def count_lyapunov_solves(monkeypatch) -> list:
+    """Log each Lyapunov solve: the solver that solve_lyapunov and
+    DesignInputs share."""
+    return log_calls(monkeypatch, linalg, "_solve_in_schur")
 
 
 def assert_bitwise_equal(a, b):
@@ -167,19 +176,22 @@ class TestDesignConstantsOncePerDesign:
         assert calls == []
 
 
-class TestOneEigenvalueSolvePerDesign:
-    def test_certifying_a_design_calls_eigvals_once(self, bench_plant, monkeypatch):
-        calls, eigvals = [], np.linalg.eigvals
-
-        def counted(a):
-            calls.append(1)
-            return eigvals(a)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counted)
+class TestOneSchurFormPerDesign:
+    def test_a_hurwitz_design_takes_no_eigvals(self, bench_plant, monkeypatch):
+        eigvals = log_calls(monkeypatch, np.linalg, "eigvals")
+        schur = log_calls(monkeypatch, scipy.linalg, "schur")
         inputs = DesignInputs(plant=bench_plant, K=BENCH_K)
         for h in (1, 5, 50):
             derive_constants(inputs, h=h, delta=0.1)
-        assert len(calls) == 1
+        assert eigvals == []
+        assert len(schur) == 1 and np.array_equal(schur[0], inputs.Phi)
+
+    def test_phi_is_kept_read_only(self, bench_inputs):
+        assert bench_inputs.Phi is bench_inputs.Phi
+        assert np.array_equal(bench_inputs.Phi, BENCH_A + BENCH_B @ BENCH_K)
+        with pytest.raises(ValueError):
+            bench_inputs.Phi[0, 0] = 1.0
+        assert "Phi" not in {f.name for f in dataclasses.fields(bench_inputs)}
 
 
 class TestOneFactorizationPerSpectrum:
@@ -189,25 +201,129 @@ class TestOneFactorizationPerSpectrum:
         a, b = rng.standard_normal((n, n)), rng.standard_normal((n, m))
         k = -b.T @ scipy.linalg.solve_continuous_are(a, b, np.eye(n), np.eye(m))
         assert np.linalg.eigvals(a).real.max() >= 0.0  # the PBH test has work
-        calls = {"matrix_rank": [], "eigvalsh": [], "svd": []}
-        for name, log in calls.items():
-            def counted(x, *args, _fn=getattr(np.linalg, name), _log=log, **kwargs):
-                _log.append(np.array(x))
-                return _fn(x, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        calls = {name: log_calls(monkeypatch, np.linalg, name)
+                 for name in ("eigvals", "matrix_rank", "eigvalsh", "svd")}
+        schur = log_calls(monkeypatch, scipy.linalg, "schur")
+        solves = count_lyapunov_solves(monkeypatch)
         inputs = DesignInputs(plant=LtiPlant(A=a, B=b), K=k)
         for h in (1, 5, 50):
             derive_constants(inputs, h=h, delta=0.1)
-        # every pencil clears the Gram screen: one batched eigvalsh, no SVD
+        # the plant's spectrum is the only eigvals: Phi's Hurwitz verdict
+        # and its Lyapunov solve share one Schur form
+        assert len(calls["eigvals"]) == 1 and np.array_equal(calls["eigvals"][0], a)
+        assert len(schur) == 1 and np.array_equal(schur[0], inputs.Phi)
+        assert len(solves) == 1
+        # every pencil clears the Cholesky screen: no SVD, no batched eigvalsh
         assert calls["matrix_rank"] == []
-        assert [x.ndim for x in calls["eigvalsh"]].count(3) == 1
+        # M, P and (A + A')/2 for mu_A, each once
         p = inputs.design_constants.P
-        for spectrum_of in (np.eye(n), p):
+        assert len(calls["eigvalsh"]) == 3
+        for spectrum_of in (np.eye(n), p, 0.5 * (a + a.T)):
             assert sum(np.array_equal(x, spectrum_of) for x in calls["eigvalsh"]) == 1
         # ||2 P B K||, ||2 P|| and ||Phi||; the residual passes on its
         # Frobenius norm
         assert len(calls["svd"]) == 3
+
+
+def outcome(build):
+    """build()'s array as bytes, the eigenvalue its
+    StabilityCertificationError names, or its LyapunovSolveError message."""
+    try:
+        return build().tobytes()
+    except StabilityCertificationError as exc:
+        return complex(exc.eigenvalue)
+    except linalg.LyapunovSolveError as exc:
+        return str(exc)
+
+
+def design_with_phi(target):
+    """(A, B, K) whose Phi = A + B K is target, exactly when target[0, 1]
+    is 0 or 1 (B K = [[0, 1], [0, 0]])."""
+    b, k = np.array([[1.0], [0.0]]), np.array([[0.0, 1.0]])
+    return target - b @ k, b, k
+
+
+class TestOneHurwitzRule:
+    """DesignInputs and solve_lyapunov read Phi's verdict by one rule."""
+
+    @pytest.mark.parametrize("scale", [0.999, 1.0, 1.001])
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_same_verdict_at_the_tolerance(self, scale, pair):
+        re = -linalg.HURWITZ_TOL * scale
+        block = np.array([[re, 1.0], [-1.0, re]]) if pair else np.diag([-1.0, re])
+        t = np.random.default_rng(5).standard_normal((2, 2)) + 2.0 * np.eye(2)
+        for target in (block, t @ block @ np.linalg.inv(t)):
+            a, b, k = design_with_phi(target)
+            phi = a + b @ k
+            design = outcome(
+                lambda: DesignInputs(plant=LtiPlant(A=a, B=b), K=k).design_constants.P)
+            solve = outcome(lambda: linalg.solve_lyapunov(phi, np.eye(2)).P)
+            assert type(design) is type(solve) and design == solve
+            if target is block:
+                # exact coordinates: Schur and eigvals both read re itself
+                assert np.array_equal(phi, block)
+                assert isinstance(design, complex) == (scale < 1.001)
+                if scale < 1.001:
+                    assert design == complex(re, 1.0 if pair else 0.0)
+
+    def test_schur_accepts_what_eigvals_alone_refused(self):
+        # at -HURWITZ_TOL exactly, in random coordinates, the two estimates
+        # of the spectrum fall on either side of the tolerance for some
+        # seeds; the Schur form's acceptance stands
+        straddled = 0
+        for seed in range(40):
+            t = np.random.default_rng(seed).standard_normal((3, 3)) + 3.0 * np.eye(3)
+            for block in (np.diag([-1.0, -linalg.HURWITZ_TOL, -2.0]),
+                          np.array([[-linalg.HURWITZ_TOL, 1.0, 0.0],
+                                    [-1.0, -linalg.HURWITZ_TOL, 0.0],
+                                    [0.0, 0.0, -2.0]])):
+                phi = t @ block @ np.linalg.inv(t)
+                plant = LtiPlant(A=phi, B=np.ones((3, 1)))
+                form = scipy.linalg.schur(phi, output="real")[0]
+                try:
+                    linalg.require_hurwitz(phi)
+                except StabilityCertificationError:
+                    if np.max(np.diag(form)) < -linalg.HURWITZ_TOL:
+                        straddled += 1
+                        DesignInputs(plant=plant, K=np.zeros((1, 3)))
+                        solve = outcome(lambda: linalg.solve_lyapunov(phi, np.eye(3)).P)
+                        assert not isinstance(solve, complex)
+        assert straddled > 0
+
+
+class TestBitIdenticalToTheEigvalsSequence:
+    def test_lqr_designs(self):
+        """Each design's constants equal, bit for bit, those of the sequence
+        it replaced: require_hurwitz (eigvals), solve_lyapunov on a Schur
+        form of its own, then the SVDs."""
+        for seed in range(50):
+            n = 2 + seed % 23
+            m = max(1, n // 2)
+            rng = np.random.default_rng([22, seed])
+            a, b = rng.standard_normal((n, n)), rng.standard_normal((n, m))
+            k = -b.T @ scipy.linalg.solve_continuous_are(a, b, np.eye(n), np.eye(m))
+            got = DesignInputs(plant=LtiPlant(A=a, B=b), K=k).design_constants
+            phi = linalg.require_hurwitz(a + b @ k, "A + B K")
+            solution = linalg.solve_lyapunov(phi, np.eye(n))
+            p = solution.P
+            gamma1 = float(solution.M_eigs[0])
+            gamma2 = linalg.spectral_norm(2.0 * p @ b @ k)
+            sigma = SIGMA_FRACTION_SIM * gamma1 / gamma2
+            expected = DesignConstants(
+                P=p,
+                alpha1=float(solution.P_eigs[0]),
+                alpha2=float(solution.P_eigs[-1]),
+                gamma1=gamma1,
+                gamma2=gamma2,
+                gamma3=linalg.spectral_norm(2.0 * p),
+                sigma=sigma,
+                gamma4=gamma1 - sigma * gamma2,
+                mu_A=linalg.log_norm(a),
+                norm_Phi=linalg.spectral_norm(phi),
+            )
+            for name in DesignConstants._fields:
+                assert np.array_equal(getattr(got, name), getattr(expected, name)), (
+                    seed, n, name)
 
 
 class TestImmutableInputs:

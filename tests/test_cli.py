@@ -82,6 +82,15 @@ class TestBounds:
         assert err["type"] == "StabilityCertificationError"
         assert err["eigenvalue"][0] >= 1.0 - 1e-9
 
+    def test_overflowing_eigenvalue_is_reported_as_null(self, capsys, tmp_path):
+        # A + B K is finite, but its eigenvalue 2e308 is not
+        cfg = write_config(tmp_path, **{"controller.K": [[1e308, 1e308], [1e308, 1e308]]})
+        code, out, _ = run(capsys, "bounds", cfg)
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "StabilityCertificationError"
+        assert err["eigenvalue"][0] is None
+
     def test_uncertifiable_lyapunov_solve_is_infeasible(self, capsys, tmp_path):
         cfg = write_config(tmp_path, **non_normal_overrides())
         code, out, err = run(capsys, "bounds", cfg)
@@ -912,3 +921,19 @@ class TestUsage:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "bounds", "/nonexistent/config.json")
         assert code == 1
+
+
+class TestOneParserPerProcess:
+    def test_commands_in_one_process_match_fresh_ones(self, capsys):
+        # a usage error, then bounds, then sim, through the one parser
+        commands = [
+            ("bounds",),
+            ("bounds", BENCHMARK_CONFIG),
+            ("sim", BENCHMARK_CONFIG, "--h", "50", "--seed", "7"),
+        ]
+        cli.build_parser.cache_clear()
+        in_process = [run(capsys, *argv) for argv in commands]
+        assert cli.build_parser.cache_info().misses == 1
+        fresh = [run_subprocess(*argv) for argv in commands]
+        assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+        assert [code for code, _, _ in in_process] == [1, 0, 0]

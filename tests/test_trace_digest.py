@@ -190,3 +190,65 @@ def test_run_in_one_save_only(script, runs, tmp_path):
     problems, _ = compare(script, tmp_path, runs, runs[:1])
     assert len(problems) == len(runs[1][1])
     assert all(line.startswith(runs[1][0]) for line in problems)
+
+
+@pytest.fixture(scope="module")
+def verdicts(script):
+    """Every construction verdict: [(label, {name: array})]."""
+    return [(label, script.record_verdict(build)) for label, build in script.verdict_grid()]
+
+
+def test_verdict_grid_covers_each_coupling_and_scale(script, verdicts):
+    couplings = [1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6]
+    assert [label for label, _ in verdicts] == (
+        [f"verdict:hidden:{kind}:coupling={c:g}" for kind in ("real", "pair")
+         for c in couplings]
+        + [f"verdict:phi:{kind}:scale={scale}" for kind in ("real", "pair")
+           for scale in (0.999, 1.0, 1.001)]
+    )
+    by_label = dict(verdicts)
+    # the rank test refuses the weakest couplings and passes the strongest
+    for kind in ("real", "pair"):
+        refused = [str(by_label[f"verdict:hidden:{kind}:coupling={c:g}"].get("message"))
+                   .endswith("fails the rank test") for c in couplings]
+        assert refused[0] and not refused[-1]
+    # Phi's eigenvalue is refused at and right of -HURWITZ_TOL, and named
+    for kind, imag in (("real", 0.0), ("pair", 1.0)):
+        for scale in (0.999, 1.0):
+            record = by_label[f"verdict:phi:{kind}:scale={scale}"]
+            assert str(record["error"]) == "StabilityCertificationError"
+            assert record["eigenvalue"] == complex(-1e-9 * scale, imag)
+        record = by_label[f"verdict:phi:{kind}:scale=1.001"]
+        assert list(record) == [f.name for f in dataclasses.fields(DerivedConstants)]
+
+
+def test_verdicts_repeat_exactly(script, verdicts, tmp_path):
+    again = [(label, script.record_verdict(build)) for label, build in script.verdict_grid()]
+    problems, worst = compare(script, tmp_path, verdicts, again)
+    assert problems == []
+    assert {"verdict:error", "verdict:message", "verdict:eigenvalue",
+            "verdict:P"} <= set(worst)
+    assert set(worst.values()) == {0.0}
+
+
+@pytest.mark.parametrize("label, name, edit", [
+    ("verdict:phi:real:scale=1.0", "eigenvalue", lambda z: z + 1e-30j),
+    ("verdict:hidden:real:coupling=1e-15", "message",
+     lambda m: np.asarray(str(m).replace("0.3", "0.4"))),
+    ("verdict:phi:pair:scale=1.001", "gamma6", lambda g: g * (1 + 1e-15)),
+])
+def test_verdict_fields_are_held_exact(script, verdicts, tmp_path, label, name, edit):
+    edited = [(lb, {**arrays, name: edit(arrays[name])} if lb == label else arrays)
+              for lb, arrays in verdicts]
+    problems, _ = compare(script, tmp_path, verdicts, edited)
+    assert problems == [f"{label}/{name}: deviation inf"]
+
+
+def test_a_flipped_verdict_fails(script, verdicts, tmp_path):
+    by_label = dict(verdicts)
+    accepted = by_label["verdict:phi:real:scale=1.001"]
+    edited = [(lb, accepted if lb == "verdict:phi:real:scale=1.0" else arrays)
+              for lb, arrays in verdicts]
+    problems, _ = compare(script, tmp_path, verdicts, edited)
+    assert problems and all(line.startswith("verdict:phi:real:scale=1.0/")
+                            and ": only in" in line for line in problems)
