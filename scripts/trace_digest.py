@@ -30,14 +30,17 @@ Beside the runs it saves the bounds layer: every derive_constants output
 (P and each scalar) at h = 1, 5 and 50 and delta = 0.1 s, for the bundled
 design and for seeded random LQR designs of 2, 8, 16 and 24 states.
 
-Last come 26 construction verdicts.  Twenty are six-state plants with an
+Last come 32 construction verdicts.  Twenty are six-state plants with an
 unstable hidden mode, a real one or a pair, that B reaches only through a
-coupling of 1e-15, 1e-14, ..., 1e-6, each with its LQR gain; six are
-designs whose Phi has a real eigenvalue, or a pair, at -HURWITZ_TOL times
-0.999, 1 and 1.001, exactly.  Each saves the error its construction or
-derive_constants (h = 5) raises, as error (the type's name), message and,
-for a StabilityCertificationError, the eigenvalue it names; or else the
-constant chain.
+coupling of 1e-15, 1e-14, ..., 1e-6, each with its LQR gain; none of these
+reaches a constant chain.  Six more have a slowly unstable hidden mode (real
+part 1e-3) reached through a coupling of 1e-3, 3e-3 or 1e-2: each passes
+the rank test and certifies a full chain.  The last six are designs whose
+Phi has a real eigenvalue, or a pair, at -HURWITZ_TOL times 0.999, 1 and
+1.001, exactly.  Each saves the error its construction or derive_constants
+(h = 5) raises, as error (the type's name), message and, for a
+StabilityCertificationError, the eigenvalue it names; or else the constant
+chain.
 
     PYTHONPATH=<checkout A>/src python3 scripts/trace_digest.py save a.npz
     PYTHONPATH=<checkout B>/src python3 scripts/trace_digest.py save b.npz
@@ -120,6 +123,10 @@ VERDICT = "verdict:"  # label prefix of the construction verdicts, held exact
 HIDDEN_MODES = {"real": np.array([[0.3]]),
                 "pair": np.array([[0.2, 1.5], [-1.5, 0.2]])}
 COUPLINGS = tuple(10.0**-e for e in range(15, 5, -1))
+# near-uncontrollable modes whose LQR designs still certify a chain
+SLOW_MODES = {"real": np.array([[1e-3]]),
+              "pair": np.array([[1e-3, 1.5], [-1.5, 1e-3]])}
+SLOW_COUPLINGS = (1e-3, 3e-3, 1e-2)
 PHI_SCALES = (0.999, 1.0, 1.001)
 VERDICT_H = 5
 # (field prefix, Delta, how far short of the signal's horizon) of the audits
@@ -216,6 +223,10 @@ def verdict_grid():
             HIDDEN_MODES.items(), enumerate(COUPLINGS)):
         yield (f"{VERDICT}hidden:{kind}:coupling={coupling:g}",
                functools.partial(hidden_mode_design, block, coupling, [6, e]))
+    for (kind, block), (e, coupling) in itertools.product(
+            SLOW_MODES.items(), enumerate(SLOW_COUPLINGS)):
+        yield (f"{VERDICT}slow:{kind}:coupling={coupling:g}",
+               functools.partial(hidden_mode_design, block, coupling, [8, e]))
     for pair, scale in itertools.product((False, True), PHI_SCALES):
         yield (f"{VERDICT}phi:{'pair' if pair else 'real'}:scale={scale}",
                functools.partial(phi_design, pair, scale))

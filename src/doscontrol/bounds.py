@@ -27,7 +27,8 @@ SIGMA_FRACTION_SIM = 0.5
 
 
 class SigmaInfeasibleError(ValueError):
-    """sigma leaves no strict dissipation margin (gamma1 - sigma*gamma2 <= 0)."""
+    """sigma leaves no strict dissipation margin (gamma1 - sigma*gamma2 <= 0),
+    or is undefined because gamma2 = ||2 P B K|| is 0 (K = 0 or B = 0)."""
 
 
 class HorizonTooShortError(ValueError):
@@ -102,7 +103,8 @@ class DesignInputs:
         Computed on first access, with one Lyapunov solve in the Schur form
         taken at construction, and kept.  Raises SigmaInfeasibleError (on
         every access, since nothing is kept then) if the sigma fraction
-        erases the strict dissipation margin.
+        erases the strict dissipation margin, or if gamma2 = ||2 P B K|| is
+        0, which leaves sigma = sigma_fraction * gamma1 / gamma2 undefined.
         """
         phi = self._phi
         # the solve hands back the spectra of P and M its checks took
@@ -111,8 +113,15 @@ class DesignInputs:
         p.setflags(write=False)
         alpha1, alpha2 = float(solution.P_eigs[0]), float(solution.P_eigs[-1])
         gamma1 = float(solution.M_eigs[0])
+        # spectral_norm's check turns a 2 P B K or 2 P that overflows into
+        # ValueError; Phi and the stored A are finite, so the kernels take them
         gamma2 = linalg.spectral_norm(2.0 * p @ self.plant.B @ self.K)
         gamma3 = linalg.spectral_norm(2.0 * p)
+        if gamma2 == 0.0:
+            raise SigmaInfeasibleError(
+                "gamma2 = ||2 P B K|| = 0: sigma = sigma_fraction * gamma1 / "
+                "gamma2 is undefined"
+            )
         sigma = self.sigma_fraction * gamma1 / gamma2
         gamma4 = gamma1 - sigma * gamma2
         if gamma4 <= 0.0:
@@ -128,8 +137,8 @@ class DesignInputs:
             gamma3=gamma3,
             sigma=sigma,
             gamma4=gamma4,
-            mu_A=linalg.log_norm(self.plant.A),
-            norm_Phi=linalg.spectral_norm(phi),
+            mu_A=linalg._log_norm(self.plant.A),
+            norm_Phi=float(linalg._svdvals(phi)[0]),
         )
 
 

@@ -11,6 +11,16 @@ The Schur form serves twice: its diagonal gives the Hurwitz verdict
 (``_solve_in_schur``).  ``solve_lyapunov`` takes the form and solves at
 once; a design (``bounds.DesignInputs``) takes it at construction, for the
 verdict, and keeps it for the solve, so each design factors Phi once.
+
+Each factorization is one call of the LAPACK routine under the numpy or
+scipy function it stands for, sized by the same workspace query, so its
+result is that function's bit for bit: ``_schur`` calls dgees
+(scipy.linalg.schur), ``_eigvalsh`` dsyevd (np.linalg.eigvalsh) and
+``_svdvals`` dgesdd (np.linalg.svd without vectors).  These kernels take a
+finite float64 array as is; the public functions validate their input
+first, and the package hands them only arrays it built or validated.
+Eigenvalues of a general matrix stay with np.linalg.eigvals (see
+require_hurwitz).
 """
 
 from __future__ import annotations
@@ -19,7 +29,10 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-import scipy.linalg.lapack
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import (
+    dgees, dgesdd, dgesdd_lwork, dsyevd, dsyevd_lwork, dtrsyl,
+)
 
 # Contract tolerances, read by the test suite.
 HURWITZ_TOL = 1e-9  # eigenvalues must satisfy Re(lambda) < -HURWITZ_TOL
@@ -72,7 +85,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got {arr.ndim}-D input")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"{name} must have at least one row and one column")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} has non-finite entries")
     return arr
 
@@ -97,6 +110,10 @@ def require_hurwitz(a, name: str = "matrix") -> np.ndarray:
     Raises StabilityCertificationError naming the worst eigenvalue otherwise.
     """
     arr = _as_square(a, name)
+    # np.linalg.eigvals, not scipy's eigenvalue-only dgeev: on random
+    # matrices scaled to 1e-159..1e-300, scipy 1.17.1's dgeev (and
+    # scipy.linalg.eigvals with it) put the eigenvalues off by a factor of
+    # 1e19 and more, and at 1e150..1e300 lost every digit; numpy's were right
     eigs = np.linalg.eigvals(arr)
     worst = eigs[np.argmax(eigs.real)]
     if worst.real >= -HURWITZ_TOL:
@@ -142,6 +159,40 @@ def zoh_discretize(a, b, delta: float) -> tuple[np.ndarray, np.ndarray]:
     return big[:n, :n], big[:n, n:]
 
 
+def _no_sort(re, im):
+    """dgees's eigenvalue selector; never called, as nothing is sorted."""
+
+
+def _schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real Schur form (T, U) of a finite square a: scipy.linalg.schur's
+    dgees call, after its workspace query."""
+    lwork = int(dgees(_no_sort, a, lwork=-1)[-2][0])
+    t, _, _, _, u, _, info = dgees(_no_sort, a, lwork=lwork)
+    if info:
+        raise LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return t, u
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a finite symmetric a, read from its lower
+    triangle: np.linalg.eigvalsh's dsyevd call and workspace."""
+    lwork, liwork, _ = dsyevd_lwork(a.shape[0], compute_v=0, lower=1)
+    w, _, info = dsyevd(a, compute_v=0, lower=1, lwork=int(lwork), liwork=liwork)
+    if info:
+        raise LinAlgError("Eigenvalues did not converge")
+    return w
+
+
+def _svdvals(a: np.ndarray) -> np.ndarray:
+    """Descending singular values of a finite 2-D a: np.linalg.svd's dgesdd
+    call and workspace, without vectors."""
+    lwork = int(dgesdd_lwork(*a.shape, compute_uv=0)[0])
+    _, s, _, info = dgesdd(a, compute_uv=0, lwork=lwork)
+    if info:
+        raise LinAlgError("SVD did not converge")
+    return s
+
+
 def _hurwitz_schur(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real Schur form (T, U) of a finite square Phi, if Phi is Hurwitz.
 
@@ -153,7 +204,7 @@ def _hurwitz_schur(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvalue.  So a Phi is refused only when both estimates of its
     spectrum put an eigenvalue at or right of -HURWITZ_TOL.
     """
-    t, u = scipy.linalg.schur(phi, output="real", check_finite=False)
+    t, u = _schur(phi)
     if not np.max(np.diag(t)) < -HURWITZ_TOL:
         require_hurwitz(phi, "Phi")
     return t, u
@@ -198,13 +249,13 @@ def _solve_in_schur(phi_arr, t, u, m) -> LyapunovSolution:
         raise ValueError(
             f"M shape {m_arr.shape} does not match Phi shape {phi_arr.shape}"
         )
-    m_eigs = np.linalg.eigvalsh(m_arr)
+    m_eigs = _eigvalsh(m_arr)
     if m_eigs[0] <= 0.0:
         raise ValueError("M must be positive definite")
 
     def solve(r):
         # P = U Y U' with T' Y + Y T = U' R U; trsyl returns scale * Y
-        y, scale, _ = scipy.linalg.lapack.dtrsyl(t, t, u.T @ r @ u, trana="T")
+        y, scale, _ = dtrsyl(t, t, u.T @ r @ u, trana="T")
         return u @ (y / scale) @ u.T
 
     # overflow on a badly conditioned Phi shows up as non-finite P below
@@ -214,7 +265,7 @@ def _solve_in_schur(phi_arr, t, u, m) -> LyapunovSolution:
             p = p + solve(-m_arr - (phi_arr.T @ p + p @ phi_arr))
         p = 0.5 * (p + p.T)
         resid = phi_arr.T @ p + p @ phi_arr + m_arr
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(resid))):
+    if not (np.isfinite(p).all() and np.isfinite(resid).all()):
         raise LyapunovSolveError("Lyapunov solution is not finite")
     # M is positive definite, so its 2-norm is its largest eigenvalue
     tol = LYAPUNOV_RESIDUAL_RTOL * m_eigs[-1]
@@ -222,12 +273,12 @@ def _solve_in_schur(phi_arr, t, u, m) -> LyapunovSolution:
     peak = float(np.max(np.abs(resid)))
     frob = peak * float(np.linalg.norm(resid / peak)) if peak > 0.0 else 0.0
     if frob * (1.0 + 4.0 * (n * n + 2) * _EPS) > tol:
-        residual = spectral_norm(resid)
+        residual = float(_svdvals(resid)[0])
         if residual > tol:
             raise LyapunovSolveError(
                 f"Lyapunov solve residual {residual:.3g} exceeds tolerance"
             )
-    p_eigs = np.linalg.eigvalsh(p)
+    p_eigs = _eigvalsh(p)
     if p_eigs[0] <= 0.0:
         raise LyapunovSolveError("Lyapunov solution is not positive definite")
     return LyapunovSolution(p, p_eigs, m_eigs)
@@ -235,10 +286,14 @@ def _solve_in_schur(phi_arr, t, u, m) -> LyapunovSolution:
 
 def log_norm(a) -> float:
     """Logarithmic norm (2-norm): largest eigenvalue of (A + A')/2."""
-    arr = _as_square(a, "A")
-    return float(np.linalg.eigvalsh(0.5 * (arr + arr.T))[-1])
+    return _log_norm(_as_square(a, "A"))
+
+
+def _log_norm(arr: np.ndarray) -> float:
+    """log_norm of a finite square float64 arr, taken as is."""
+    return float(_eigvalsh(0.5 * (arr + arr.T))[-1])
 
 
 def spectral_norm(m) -> float:
     """Largest singular value (what norm(m, 2) computes, without its wrapper)."""
-    return float(np.linalg.svd(as_matrix(m, "M"), compute_uv=False)[0])
+    return float(_svdvals(as_matrix(m, "M"))[0])

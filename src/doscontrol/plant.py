@@ -5,12 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, zpotrf
 
 from .linalg import frozen_matrix
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+# Cholesky factorization, by the dtype of A's spectrum (real or complex)
+_POTRF = {np.dtype(np.float64): dpotrf, np.dtype(np.complex128): zpotrf}
 
 
 @dataclass(frozen=True)
@@ -25,9 +27,11 @@ class LtiPlant:
     member is tested (and named if it fails).  A and B are stored as
     read-only copies.
 
-    A Cholesky screen spares most pencils the SVD.  For each pencil P
-    (n x k, k = n + m) the Gram G = P P^H is formed, and the pencil is
-    cleared when the Cholesky factorization of G - c I succeeds, with
+    A Cholesky screen spares most pencils the SVD.  For each pencil
+    P = [A - lam I, B] (n x k, k = n + m) the Gram
+    G = (A - lam I)(A - lam I)^H + B B^T is formed, with B B^T computed
+    once for all pencils, and the pencil is cleared when the Cholesky
+    factorization of G - c I succeeds, with
 
         c = 32 n k eps tr(G) + n k tiny
 
@@ -52,7 +56,9 @@ class LtiPlant:
        g_n > 16 n k eps g_1 + n k tiny, with 2 n eps g_1 to spare (room
        for an eigensolver's backward error n eps g_1 on either side).
     3. That bound gives matrix_rank == n.  Forming G in any summation
-       order costs ||G - P P^H|| <= f = 1.5 n (k + 2) eps s_1^2 + a, with
+       order, the split sum above (the n terms of each entry of
+       (A - lam I)(A - lam I)^H, then the m of B B^T) among them, costs
+       ||G - P P^H|| <= f = 1.5 n (k + 2) eps s_1^2 + a, with
        a = 4 n k eps tiny from underflow.  Weyl's inequality gives
        s_n^2 >= g_n - f and g_1 >= s_1^2 - f, so s_n^2 > 13 n k eps s_1^2,
        while matrix_rank (taking the backward error of its SVD to be at
@@ -84,19 +90,21 @@ class LtiPlant:
         lams = np.linalg.eigvals(a)
         lams = lams[~((lams.real < 0.0) | (lams.imag < 0.0))]
         if lams.size:
-            pencils = np.empty((lams.size, n, k), dtype=lams.dtype)
-            pencils[:, :, :n] = a - lams[:, None, None] * np.eye(n)
-            pencils[:, :, n:] = b
+            diag = np.arange(n)
+            shifted = np.empty((lams.size, n, n), dtype=lams.dtype)
+            shifted[:] = a
+            shifted[:, diag, diag] -= lams[:, None]
             with np.errstate(all="ignore"):
-                grams = pencils @ pencils.conj().swapaxes(1, 2)
+                grams = shifted @ shifted.conj().swapaxes(1, 2)
+                grams += b @ b.T
                 shift = 32.0 * n * k * _EPS * np.trace(grams, axis1=1, axis2=2).real
-                diag = np.arange(n)
                 grams[:, diag, diag] -= shift[:, None] + n * k * _TINY
-            potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (grams,))
-            for lam, pencil, gram in zip(lams, pencils, grams):
-                if np.isfinite(gram).all() and potrf(gram, lower=True)[1] == 0:
+            finite = np.isfinite(grams).all(axis=(1, 2))
+            potrf = _POTRF[grams.dtype]
+            for lam, block, gram, ok in zip(lams, shifted, grams, finite):
+                if ok and potrf(gram, lower=True)[1] == 0:
                     continue
-                if np.linalg.matrix_rank(pencil) < n:
+                if np.linalg.matrix_rank(np.concatenate((block, b), axis=1)) < n:
                     raise ValueError(
                         f"(A, B) is not stabilizable: eigenvalue {lam:.6g} "
                         "fails the rank test"

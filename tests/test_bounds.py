@@ -179,7 +179,7 @@ class TestDesignConstantsOncePerDesign:
 class TestOneSchurFormPerDesign:
     def test_a_hurwitz_design_takes_no_eigvals(self, bench_plant, monkeypatch):
         eigvals = log_calls(monkeypatch, np.linalg, "eigvals")
-        schur = log_calls(monkeypatch, scipy.linalg, "schur")
+        schur = log_calls(monkeypatch, linalg, "_schur")
         inputs = DesignInputs(plant=bench_plant, K=BENCH_K)
         for h in (1, 5, 50):
             derive_constants(inputs, h=h, delta=0.1)
@@ -202,8 +202,11 @@ class TestOneFactorizationPerSpectrum:
         k = -b.T @ scipy.linalg.solve_continuous_are(a, b, np.eye(n), np.eye(m))
         assert np.linalg.eigvals(a).real.max() >= 0.0  # the PBH test has work
         calls = {name: log_calls(monkeypatch, np.linalg, name)
-                 for name in ("eigvals", "matrix_rank", "eigvalsh", "svd")}
-        schur = log_calls(monkeypatch, scipy.linalg, "schur")
+                 for name in ("eigvals", "matrix_rank")}
+        # the LAPACK kernels under scipy.linalg.schur, eigvalsh and svd
+        calls.update((name, log_calls(monkeypatch, linalg, "_" + name))
+                     for name in ("eigvalsh", "svdvals"))
+        schur = log_calls(monkeypatch, linalg, "_schur")
         solves = count_lyapunov_solves(monkeypatch)
         inputs = DesignInputs(plant=LtiPlant(A=a, B=b), K=k)
         for h in (1, 5, 50):
@@ -222,7 +225,7 @@ class TestOneFactorizationPerSpectrum:
             assert sum(np.array_equal(x, spectrum_of) for x in calls["eigvalsh"]) == 1
         # ||2 P B K||, ||2 P|| and ||Phi||; the residual passes on its
         # Frobenius norm
-        assert len(calls["svd"]) == 3
+        assert len(calls["svdvals"]) == 3
 
 
 def outcome(build):

@@ -42,6 +42,15 @@ def non_normal_overrides():
     }
 
 
+# a Hurwitz A with no feedback at all: K = 0, or B = 0, gives gamma2 = 0
+ZERO_GAMMA2 = pytest.mark.parametrize("field", ["controller.K", "plant.B"])
+
+
+def zero_gamma2_config(tmp_path, field):
+    return write_config(tmp_path, **{"plant.A": [[-1.0, 0.0], [0.0, -2.0]],
+                                     field: [[0.0, 0.0], [0.0, 0.0]]})
+
+
 def write_config(tmp_path, **overrides):
     cfg = json.loads(Path(BENCHMARK_CONFIG).read_text())
     for dotted, value in overrides.items():
@@ -99,6 +108,15 @@ class TestBounds:
         error = json.loads(out)["error"]
         assert error["type"] == "LyapunovSolveError"
         assert "residual" in error["message"]
+
+    @ZERO_GAMMA2
+    def test_zero_gamma2_is_infeasible(self, capsys, tmp_path, field):
+        code, out, err = run(capsys, "bounds", zero_gamma2_config(tmp_path, field))
+        assert code == 2
+        assert err == ""
+        error = json.loads(out)["error"]
+        assert error["type"] == "SigmaInfeasibleError"
+        assert "gamma2 = ||2 P B K|| = 0" in error["message"]
 
     def test_class_at_threshold_is_infeasible(self, capsys, tmp_path):
         cfg = write_config(
@@ -350,6 +368,18 @@ class TestSim:
         assert json.loads(out)["stable_verdict"] is False
         cells = np.loadtxt(trace, delimiter=",", skiprows=2)
         x, v = cells[:, 1:11], cells[:, 21]
+        np.testing.assert_allclose(v, np.sum(x * x, axis=1), rtol=1e-14)
+
+    @ZERO_GAMMA2
+    def test_zero_gamma2_falls_back_to_the_state_norm(self, capsys, tmp_path, field):
+        trace = tmp_path / "trace.csv"
+        code, out, err = run(capsys, "sim", zero_gamma2_config(tmp_path, field),
+                             "--trace", str(trace))
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["stable_verdict"] is True
+        cells = np.loadtxt(trace, delimiter=",", skiprows=2)
+        x, v = cells[:, 1:3], cells[:, 5]
         np.testing.assert_allclose(v, np.sum(x * x, axis=1), rtol=1e-14)
 
     def test_unbuffered_run_is_unstable(self, capsys):

@@ -332,3 +332,67 @@ class TestNorms:
         assert spectral_norm(BENCH_A + BENCH_B @ BENCH_K) == pytest.approx(
             1.9021, abs=1e-3
         )
+
+
+SCALES = [1e-300, 1e-200, 1e-159, 1e-100, 1.0, 1e100, 1e150, 1e200, 1e300]
+
+
+def kernel_inputs(seed):
+    """(square, symmetric, rectangular) random matrices: sizes on both sides
+    of the blocked LAPACK paths (dsytrd past 32, dgebrd past 128)."""
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 5, 40):
+        a = rng.standard_normal((n, n))
+        yield a, a + a.T, rng.standard_normal((n + 3, max(1, n // 2)))
+    yield np.eye(1), np.eye(1), rng.standard_normal((131, 130))
+
+
+def spectrum(values) -> np.ndarray:
+    """Eigenvalues ordered by real part, then |imaginary part|."""
+    values = np.asarray(values, dtype=complex)
+    return values[np.lexsort((np.abs(values.imag), values.real))]
+
+
+class TestKernels:
+    """The LAPACK kernels against the numpy and scipy functions they stand for."""
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_bit_identical_to_the_wrappers(self, scale):
+        for a, s, r in kernel_inputs(0):
+            a, s, r = a * scale, s * scale, r * scale
+            t, u = linalg._schur(a)
+            t_ref, u_ref = scipy.linalg.schur(a, output="real")
+            assert t.tobytes() == t_ref.tobytes() and u.tobytes() == u_ref.tobytes()
+            assert linalg._eigvalsh(s).tobytes() == np.linalg.eigvalsh(s).tobytes()
+            for x in (a, r):
+                assert (linalg._svdvals(x).tobytes()
+                        == np.linalg.svd(x, compute_uv=False).tobytes())
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_spectra_scale_with_the_matrix(self, scale):
+        """Every spectrum of a scaled matrix is the scaled spectrum, the
+        eigenvalue require_hurwitz names included (scipy's dgeev, under
+        scipy.linalg.eigvals, fails this at 1e-159 and below and at 1e150
+        and above)."""
+        rng = np.random.default_rng(1)
+        for n in (2, 4, 7):
+            a = rng.standard_normal((n, n)) + np.eye(n)  # an eigenvalue right of 0
+            s = a + a.T
+            eigs = np.linalg.eigvals(a) * scale
+            tol = 1e-10 * scale * np.max(np.abs(eigs / scale))
+            # the standardized Schur diagonal holds each eigenvalue's real part
+            t, _ = linalg._schur(a * scale)
+            np.testing.assert_allclose(np.sort(np.diag(t)), np.sort(eigs.real),
+                                       rtol=0, atol=tol)
+            np.testing.assert_allclose(linalg._eigvalsh(s * scale),
+                                       np.linalg.eigvalsh(s) * scale,
+                                       rtol=1e-10, atol=0)
+            np.testing.assert_allclose(linalg._svdvals(a * scale),
+                                       np.linalg.svd(a, compute_uv=False) * scale,
+                                       rtol=1e-10, atol=0)
+            with pytest.raises(StabilityCertificationError) as info:
+                linalg.require_hurwitz(a * scale)
+            worst = spectrum(eigs)[-1]
+            named = complex(info.value.eigenvalue)
+            assert abs(named.real - worst.real) <= tol
+            assert abs(abs(named.imag) - abs(worst.imag)) <= tol

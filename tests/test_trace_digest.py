@@ -203,6 +203,8 @@ def test_verdict_grid_covers_each_coupling_and_scale(script, verdicts):
     assert [label for label, _ in verdicts] == (
         [f"verdict:hidden:{kind}:coupling={c:g}" for kind in ("real", "pair")
          for c in couplings]
+        + [f"verdict:slow:{kind}:coupling={c:g}" for kind in ("real", "pair")
+           for c in (1e-3, 3e-3, 1e-2)]
         + [f"verdict:phi:{kind}:scale={scale}" for kind in ("real", "pair")
            for scale in (0.999, 1.0, 1.001)]
     )
@@ -212,6 +214,10 @@ def test_verdict_grid_covers_each_coupling_and_scale(script, verdicts):
         refused = [str(by_label[f"verdict:hidden:{kind}:coupling={c:g}"].get("message"))
                    .endswith("fails the rank test") for c in couplings]
         assert refused[0] and not refused[-1]
+    # every slow hidden mode passes the rank test and certifies a full chain
+    chain = [f.name for f in dataclasses.fields(DerivedConstants)]
+    slow = [arrays for label, arrays in verdicts if label.startswith("verdict:slow:")]
+    assert len(slow) == 6 and all(list(arrays) == chain for arrays in slow)
     # Phi's eigenvalue is refused at and right of -HURWITZ_TOL, and named
     for kind, imag in (("real", 0.0), ("pair", 1.0)):
         for scale in (0.999, 1.0):
