@@ -46,7 +46,8 @@ chain.
     PYTHONPATH=<checkout B>/src python3 scripts/trace_digest.py save b.npz
     PYTHONPATH=src python3 scripts/trace_digest.py compare a.npz b.npz
 
-``save`` writes, per run, every SimTrace field, every metric, the CSV's
+``save`` writes, per run, the 14 public SimTrace names (TRACE_NAMES:
+the fields and the row columns built on first read), every metric, the CSV's
 first two lines and flag columns, its t, x, u and V cells parsed back to
 float (csv_t, csv_x, csv_u, csv_V), whether the CSV's bytes equal those of
 the same trace written one '%' call per cell (csv_per_cell), the signal's
@@ -113,6 +114,11 @@ DECAY_AT = (None, 5.0, 10.0)
 SUBSTEPS = (1, 4, 7, 10, 40)
 SIGNAL_EXTRA = (0.0, 1.0)
 P = np.array([[2.0, 0.3], [0.3, 1.0]])
+# the public names of a SimTrace, fields and row columns built on first
+# read alike, in the order of a run's saved entries
+TRACE_NAMES = ("times", "x", "u", "V", "prediction", "dos_active", "attempt",
+               "success", "buffer_depth", "z", "delta", "delta_big", "substeps",
+               "noise_decay_at")
 BOUNDS_H = (1, 5, 50)
 LQR_SIZES = (2, 8, 16, 24)
 BOUNDS = "bounds:"  # label prefix of the derive_constants entries
@@ -286,7 +292,7 @@ def record(config, signal_args, noise, csv_path) -> dict:
     sig = generate(seed, spec, sig_horizon)
     trace = simulate(benchmark.plant(), benchmark.K, config, sig, noise,
                      benchmark.X0, P=P)
-    out = {f.name: as_array(getattr(trace, f.name)) for f in dataclasses.fields(trace)}
+    out = {name: as_array(getattr(trace, name)) for name in TRACE_NAMES}
     metrics = compute_metrics(trace)
     out.update({f.name: as_array(getattr(metrics, f.name))
                 for f in dataclasses.fields(metrics)})

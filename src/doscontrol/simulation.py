@@ -12,7 +12,8 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg.lapack
@@ -43,10 +44,11 @@ FILL_BLOCK_TICKS = 512
 BAND_BYTES = 2 << 20
 
 # Most sub-step rows (periods x substeps) one run may have, and most entries
-# of its noise map, (substeps + 1) substeps n^2 of them.  Per row simulate
-# peaks at ~110 B for a two-state plant (5.3 MiB under tracemalloc for the
-# 500 s benchmark run, 50 000 rows, at skip 0), so the rows keep a run near
-# 1.1 GB; the map, 8 B an entry, adds at most 80 MB.
+# of its noise map, (substeps + 1) substeps n^2 of them.  Per row a run of a
+# two-state plant peaks at ~44 B when only its x and z are read (2.1 MiB
+# under tracemalloc for the 500 s benchmark run, 50 000 rows, at skip 0),
+# and at ~80 B once every row column is read (3.8 MiB), so the rows keep a
+# run near 0.8 GB; the map, 8 B an entry, adds at most 80 MB.
 MAX_ROWS = 10_000_000
 
 # Most tick models (_tick_model) simulate keeps: one per plant, K, delta,
@@ -263,6 +265,41 @@ def _tick_model(a: bytes, b: bytes, k: bytes, n: int, m: int, delta: float,
     return steps, step, windows, phi_skip, (block, kl), templates, reach
 
 
+class _Ticks(NamedTuple):
+    """What a run settled per tick, from which SimTrace builds its rows.
+
+    states holds s_q = [x_q; alpha_q] for every tick q (see simulate); K
+    and P are copies of the run's gain and Lyapunov weight, ages the
+    periods since the last delivered sample, first the first tick with a
+    prediction, stored the entries a packet holds when it is delivered (0
+    co-located), success the ticks whose attempt got through, and rows the
+    number of sub-step rows.
+    """
+
+    states: np.ndarray
+    K: np.ndarray
+    P: np.ndarray
+    ages: np.ndarray
+    first: int
+    stored: int
+    success: np.ndarray
+    b: int
+    signal: dos.DoSSignal
+    rows: int
+
+
+def _row_times(delta: float, substeps: int, n_ticks: int) -> np.ndarray:
+    """The time of each sub-step row: row r = q S + j at q delta + j delta / S.
+
+    The last row is the final tick alone.  Row q S is q delta + 0.0, the
+    same float as tick q's time.
+    """
+    return (
+        (np.arange(n_ticks + 1, dtype=float) * delta)[:, None]
+        + np.arange(substeps) * (delta / substeps)
+    ).ravel()[: n_ticks * substeps + 1]
+
+
 @dataclass(frozen=True)
 class SimTrace:
     """Everything a run produced, on the delta/substeps grid.
@@ -271,22 +308,74 @@ class SimTrace:
     attempts; z lists the successful times.  prediction carries the state
     estimate behind the input applied at each row (NaN before the first
     packet in remote mode).
+
+    The row columns times, u, V, prediction, dos_active, attempt, success
+    and buffer_depth are built on first read, each on its own, from x and
+    the run's tick record, and kept: a run whose caller reads x and z alone
+    never builds them.
     """
 
-    times: np.ndarray
     x: np.ndarray
-    u: np.ndarray
-    V: np.ndarray
-    prediction: np.ndarray
-    dos_active: np.ndarray
-    attempt: np.ndarray
-    success: np.ndarray
-    buffer_depth: np.ndarray
     z: np.ndarray
     delta: float
     delta_big: float
     substeps: int
     noise_decay_at: float | None
+    _ticks: _Ticks = field(repr=False)
+
+    @functools.cached_property
+    def times(self) -> np.ndarray:
+        return _row_times(self.delta, self.substeps, len(self._ticks.states) - 1)
+
+    @functools.cached_property
+    def dos_active(self) -> np.ndarray:
+        signal = self._ticks.signal
+        return dos.active_mask(signal, np.minimum(self.times, signal.horizon))
+
+    @functools.cached_property
+    def attempt(self) -> np.ndarray:
+        flags = np.zeros(self._ticks.rows, dtype=bool)
+        flags[:: self._ticks.b * self.substeps] = True
+        return flags
+
+    @functools.cached_property
+    def success(self) -> np.ndarray:
+        flags = np.zeros(self._ticks.rows, dtype=bool)
+        flags[:: self.substeps] = self._ticks.success
+        return flags
+
+    # u and V: a diverged run's state holds inf or NaN (see simulate)
+    @functools.cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def u(self) -> np.ndarray:
+        ticks = self._ticks
+        n = self.x.shape[1]
+        u_ticks = ticks.states[:, n:] @ ticks.K.T
+        return np.repeat(u_ticks, self.substeps, axis=0)[: ticks.rows]
+
+    @functools.cached_property
+    def prediction(self) -> np.ndarray:
+        ticks = self._ticks
+        preds = ticks.states[:, self.x.shape[1] :].copy()
+        preds[: ticks.first] = np.nan
+        return np.repeat(preds, self.substeps, axis=0)[: ticks.rows]
+
+    @functools.cached_property
+    def buffer_depth(self) -> np.ndarray:
+        ticks = self._ticks
+        depths = np.maximum(ticks.stored - ticks.ages, 0)
+        return np.repeat(depths, self.substeps)[: ticks.rows]
+
+    @functools.cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def V(self) -> np.ndarray:
+        # x' P x row by row, as a left fold of its columns
+        xs = self.x
+        weighted = xs @ self._ticks.P
+        v = weighted[:, 0] * xs[:, 0]
+        for j in range(1, xs.shape[1]):
+            v += weighted[:, j] * xs[:, j]
+        return v
 
 
 @dataclass(frozen=True)
@@ -342,19 +431,15 @@ def simulate(
 
     n, m, substeps = plant.n, plant.m, config.substeps
     _check_noise_map(n, substeps)
-    sub_dt = delta / substeps
-    # Row r sits at tick r // substeps, sub-step r % substeps, at time
-    # tick delta + sub-step sub_dt; the last row is the final tick alone.
-    # Attempts fall on every b-th tick.
+    # Row r sits at tick r // substeps, sub-step r % substeps (_row_times).
+    # Attempts fall on every b-th tick, so on tick rows alone, and row q S
+    # has tick q's time: the schedule is decided on the tick grid.
     n_rows = n_ticks * substeps + 1
-    times = (
-        (np.arange(n_ticks + 1, dtype=float) * delta)[:, None]
-        + np.arange(substeps) * sub_dt
-    ).ravel()[:n_rows]
-    dos_flags = dos.active_mask(dos_signal, np.minimum(times, dos_signal.horizon))
-    attempt_flags = np.zeros(n_rows, dtype=bool)
-    attempt_flags[:: config.b * substeps] = True
-    success_flags = attempt_flags & ~dos_flags
+    tick_times = np.arange(n_ticks + 1, dtype=float) * delta
+    blocked = dos.active_mask(dos_signal, np.minimum(tick_times, dos_signal.horizon))
+    success_ticks = np.zeros(n_ticks + 1, dtype=bool)
+    success_ticks[:: config.b] = ~blocked[:: config.b]
+    z = tick_times[success_ticks]
 
     # One disturbance per sub-step (held from its row to the next) and one
     # measurement noise per successful sample, each stream drawn in order:
@@ -363,15 +448,14 @@ def simulate(
     dist, meas = (
         np.random.default_rng(np.random.SeedSequence(noise.seed, spawn_key=(i,)))
         .random(size)
-        for i, size in enumerate(((n_rows - 1, n), (int(success_flags.sum()), n)))
+        for i, size in enumerate(((n_rows - 1, n), (len(z), n)))
     )
     for draws, bound in ((dist, noise.d_bound), (meas, noise.n_bound)):
         draws *= 2.0 * bound
         draws -= bound
     if noise.decay_at is not None:
-        late = times >= noise.decay_at
-        dist[late[:-1]] = 0.0
-        meas[late[success_flags]] = 0.0
+        dist[_row_times(delta, substeps, n_ticks)[:-1] >= noise.decay_at] = 0.0
+        meas[z >= noise.decay_at] = 0.0
 
     # One law for every mode: u = K alpha, where alpha rolls the model
     # forward from the last delivered sample y_m one period per tick,
@@ -403,7 +487,7 @@ def simulate(
     # The schedule needs no state.  There is at most one success per tick, so
     # the sample taken at tick m reaches the actuator at tick m + skip, and
     # m_q, the last sample delivered by tick q, is a running maximum.
-    sampled = np.flatnonzero(success_flags[::substeps])
+    sampled = np.flatnonzero(success_ticks)
     arrive = sampled[sampled + skip <= n_ticks] + skip
     # remote: nothing delivered yet, so alpha is held at zero and depth is 0
     m_ticks = np.full(n_ticks + 1, 0 if colocated else -config.h)
@@ -454,30 +538,18 @@ def simulate(
         rhs[:] = solved.reshape(-1, w)
         fill[lo:hi] += states[:-1][lo:hi] @ step
     xs[-1] = states[-1, :n]
-    # V = x' P x row by row, as a left fold of its columns
-    weighted = xs @ p_mat
-    v = weighted[:, 0] * xs[:, 0]
-    for j in range(1, n):
-        v += weighted[:, j] * xs[:, j]
-    u_ticks = states[:, n:] @ k_mat.T
-    preds = states[:, n:]
-    preds[:first] = np.nan
-    depths = np.maximum(stored - ages, 0)
     return SimTrace(
-        times=times,
         x=xs,
-        u=np.repeat(u_ticks, substeps, axis=0)[:n_rows],
-        V=v,
-        prediction=np.repeat(preds, substeps, axis=0)[:n_rows],
-        dos_active=dos_flags,
-        attempt=attempt_flags,
-        success=success_flags,
-        buffer_depth=np.repeat(depths, substeps)[:n_rows],
-        z=times[success_flags],
+        z=z,
         delta=delta,
         delta_big=config.delta_big,
         substeps=config.substeps,
         noise_decay_at=noise.decay_at,
+        _ticks=_Ticks(
+            states=states, K=k_mat.copy(), P=p_mat.copy(), ages=ages,
+            first=first, stored=stored, success=success_ticks, b=config.b,
+            signal=dos_signal, rows=n_rows,
+        ),
     )
 
 

@@ -1,6 +1,7 @@
 """The grid save/compare script: equal saves pass, and each tolerance holds."""
 
 import dataclasses
+import functools
 import importlib.util
 from pathlib import Path
 
@@ -44,10 +45,19 @@ def changed(runs, name, edit):
     return [(label_a, a), (label_b, {**b, name: edit(b[name].copy())})]
 
 
+def test_trace_names_are_every_public_name(script):
+    """Fields and row columns built on first read: all saved, none twice."""
+    fields = [f.name for f in dataclasses.fields(SimTrace) if not f.name.startswith("_")]
+    columns = [name for name, value in vars(SimTrace).items()
+               if isinstance(value, functools.cached_property)]
+    assert len(fields) == 6 and len(columns) == 8
+    assert sorted(script.TRACE_NAMES) == sorted(fields + columns)
+
+
 def test_one_config_repeats_exactly(script, runs, tmp_path):
     (label, arrays), _ = runs
     assert list(arrays) == (
-        [f.name for f in dataclasses.fields(SimTrace)]
+        list(script.TRACE_NAMES)
         + [f.name for f in dataclasses.fields(SimMetrics)]
         + ["csv_head", "csv_flags", "csv_t", "csv_x", "csv_u", "csv_V", "csv_per_cell"]
         + ["dos_onsets", "dos_ends"]
