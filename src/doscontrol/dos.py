@@ -50,13 +50,19 @@ class DoSSignal:
     and consecutive intervals are disjoint.  Merging respects the half-open
     semantics: [a, b[ followed by [b, c[ fuses into [a, c[, but a pulse
     sitting exactly at an open right endpoint stays separate because the
-    union would be closed on the right.  Pairs are put in the order that
-    (onset, duration) tuples sort in, by one stable sort that is linear on
-    the already sorted pairs of generate and of signal files.  The signal
-    is held as read-only arrays ``onsets`` and ``ends``, with
-    ``ends[i] <= onsets[i + 1]``; ``intervals``, the same list as pairs,
-    is built on first use.  Equality, hashing and the JSON form use
-    ``intervals`` and ``horizon`` only.  Instances are immutable.
+    union would be closed on the right.
+
+    The constructor validates the pairs and drops the onsets past the
+    horizon; a private store step then clips, and tests once whether each
+    onset lies past the end before it.  Pairs that do, as generate draws
+    them and signal files hold them, are already in order and disjoint,
+    and are stored as they are.  Any others are put in the order that
+    (onset, duration) tuples sort in, by one stable sort, and merged.
+    generate hands its drawn columns to the store step directly.  The
+    signal is held as read-only arrays ``onsets`` and ``ends`` that own
+    their data, with ``ends[i] <= onsets[i + 1]``; ``intervals``, the same
+    list as pairs, is built on first use.  Equality, hashing and the JSON
+    form use ``intervals`` and ``horizon`` only.  Instances are immutable.
     """
 
     def __init__(self, intervals, horizon: float):
@@ -79,34 +85,47 @@ class DoSSignal:
         h, tau = pairs.T
         if h.size and h.max() > horizon:  # index only when some onset is past it
             h, tau = pairs[h <= horizon].T
+        self._store(h, tau, horizon)
+
+    def _store(self, h: np.ndarray, tau: np.ndarray, horizon: float) -> None:
+        """Clip, order, merge and store valid (onset, duration) columns.
+
+        The onsets must be finite, >= 0 (or -0.0) and up to the horizon, the
+        durations finite and >= 0 (or -0.0), in columns of any layout: each
+        stored array is a new one.  When each onset lies past the end
+        before it, the stable sort would keep the pairs in place and no
+        neighbours would join, so they are stored as they are.
+        """
+        h = h.copy()
         # min(tau, room) as Python takes it: a -0.0 duration stays -0.0.
         room = horizon - h
         tau = np.where(room < tau, room, tau)
-        # The order of (h, tau) tuples: numpy orders complex numbers by real
-        # part, then imaginary part, and a stable sort keeps ties in input
-        # order.
-        key = np.empty(h.size, dtype=complex)
-        key.real, key.imag = h, tau
-        order = np.argsort(key, kind="stable")
-        h, tau = h[order], tau[order]
         end = h + tau
-        joins = (h[1:] < end[:-1]) | (
-            (h[1:] == end[:-1]) & ((tau[1:] > 0.0) | (h[1:] == h[:-1]))
-        )
-        if joins.any():  # merge only when some neighbours overlap or touch
-            merged: list[tuple[float, float]] = []
-            for h1, tau1 in zip(h.tolist(), tau.tolist()):
-                if merged:
-                    h0, tau0 = merged[-1]
-                    end0 = h0 + tau0
-                    if h1 < end0 or (h1 == end0 and (tau1 > 0.0 or h1 == h0)):
-                        merged[-1] = (h0, max(end0, h1 + tau1) - h0)
-                        continue
-                merged.append((h1, tau1))
-            h, tau = map(np.array, zip(*merged))
+        if np.count_nonzero(h[1:] <= end[:-1]):  # out of order, or touching
+            # The order of (h, tau) tuples: numpy orders complex numbers by
+            # real part, then imaginary part, and a stable sort keeps ties
+            # in input order.
+            key = np.empty(h.size, dtype=complex)
+            key.real, key.imag = h, tau
+            order = np.argsort(key, kind="stable")
+            h, tau = h[order], tau[order]
             end = h + tau
-        for array in (h, tau, end):
-            array.flags.writeable = False
+            joins = (h[1:] < end[:-1]) | (
+                (h[1:] == end[:-1]) & ((tau[1:] > 0.0) | (h[1:] == h[:-1]))
+            )
+            if joins.any():  # merge only when some neighbours overlap or touch
+                merged: list[tuple[float, float]] = []
+                for h1, tau1 in zip(h.tolist(), tau.tolist()):
+                    if merged:
+                        h0, tau0 = merged[-1]
+                        end0 = h0 + tau0
+                        if h1 < end0 or (h1 == end0 and (tau1 > 0.0 or h1 == h0)):
+                            merged[-1] = (h0, max(end0, h1 + tau1) - h0)
+                            continue
+                    merged.append((h1, tau1))
+                h, tau = map(np.array, zip(*merged))
+                end = h + tau
+        h.flags.writeable = tau.flags.writeable = end.flags.writeable = False
         self.__dict__.update(horizon=horizon, onsets=h, ends=end, _durations=tau)
 
     @functools.cached_property
@@ -205,10 +224,13 @@ def _marks(signal: DoSSignal) -> np.ndarray:
     after the onset.  The canonical intervals are disjoint and in order, so
     the marks never decrease.
     """
-    onsets = signal.onsets
+    onsets, ends = signal.onsets, signal.ends
     marks = np.empty(2 * onsets.size)
-    marks[::2] = onsets
-    np.maximum(signal.ends, np.nextafter(onsets, math.inf), out=marks[1::2])
+    marks[::2], marks[1::2] = onsets, ends
+    # An end past its onset is already at or past the float after it.
+    pulses = ends == onsets
+    if np.count_nonzero(pulses):
+        marks[1::2][pulses] = np.nextafter(onsets[pulses], math.inf)
     return marks
 
 
@@ -268,18 +290,22 @@ def active_at(signal: DoSSignal, t: float) -> bool:
 def transitions_count(signal: DoSSignal, tau: float, t: float) -> int:
     """Number of off/on transitions with onset in the half-open window [tau, t[."""
     tau, t = _check_window(signal, tau, t)
-    return int(np.searchsorted(signal.onsets, t) - np.searchsorted(signal.onsets, tau))
+    onsets = signal.onsets
+    return int(onsets.searchsorted(t) - onsets.searchsorted(tau))
 
 
 def dos_measure(signal: DoSSignal, tau: float, t: float) -> float:
     """Total blocked time (Lebesgue measure) within [tau, t]; pulses count 0."""
     tau, t = _check_window(signal, tau, t)
-    n = int(np.searchsorted(signal.onsets, t))
+    onsets = signal.onsets
+    n = int(onsets.searchsorted(t))
     if n == 0:
         return 0.0
-    overlap = np.minimum(signal.ends[:n], t) - np.maximum(signal.onsets[:n], tau)
+    overlap = np.minimum(signal.ends[:n], t)
+    overlap -= np.maximum(onsets[:n], tau)
+    np.maximum(overlap, 0.0, out=overlap)
     # cumsum adds left to right, as a plain loop would; np.sum would not.
-    return float(np.cumsum(np.maximum(overlap, 0.0))[-1])
+    return float(overlap.cumsum(out=overlap)[-1])
 
 
 def _check_window(signal: DoSSignal, tau: float, t: float) -> tuple[float, float]:
@@ -318,13 +344,18 @@ def fit_class_params(
     # kappa = max(c - cummin(b)) with c_j = S_j - end_j/T, b_j = S_{j-1} - h_j/T,
     # where S_j is the blocked time of intervals 0..j.
     onsets, ends = signal.onsets, signal.ends
-    a = np.arange(len(onsets)) - onsets / tau_D
-    blocked = np.cumsum(ends - onsets)
-    c = blocked - ends / T
-    b = np.concatenate(([0.0], blocked[:-1])) - onsets / T
-    eta_min = 1.0 + np.max(a - np.minimum.accumulate(a))
-    kappa_min = np.max(c - np.minimum.accumulate(b))
-    return float(eta_min), float(kappa_min)
+    a = onsets / tau_D
+    np.subtract(np.arange(onsets.size), a, out=a)
+    a -= np.minimum.accumulate(a)
+    blocked = ends - onsets
+    blocked.cumsum(out=blocked)
+    c = ends / T
+    np.subtract(blocked, c, out=c)
+    b = onsets / T
+    np.subtract(blocked[:-1], b[1:], out=b[1:])
+    b[0] = 0.0 - b[0]  # S_{-1} = 0.0; -b[0] would turn a zero into -0.0
+    c -= np.minimum.accumulate(b)
+    return float(1.0 + a.max()), float(c.max())
 
 
 def _batch_rows(cycles: float) -> int:
@@ -336,6 +367,20 @@ def _batch_rows(cycles: float) -> int:
     return int(cycles + 4.0 * math.sqrt(cycles)) + 16
 
 
+def _draw(rng: np.random.Generator, rows: int, spec: GeneratorSpec) -> np.ndarray:
+    """rows (off, on) durations, flat in stream order.
+
+    low + (high - low) u, the bits that rng.uniform(low, high, (rows, 2))
+    gives, one column at a time: a long strided loop, not one of 2 per row.
+    """
+    draw = rng.random((rows, 2))
+    for column, (low, high) in zip(draw.T, (spec.off_range, spec.on_range)):
+        low = float(low)
+        column *= float(high) - low
+        column += low
+    return draw.ravel()
+
+
 def generate(seed: int, spec: GeneratorSpec, horizon: float) -> DoSSignal:
     """Generate a random off/on signal: durations drawn uniformly per range.
 
@@ -343,7 +388,10 @@ def generate(seed: int, spec: GeneratorSpec, horizon: float) -> DoSSignal:
     reproduce the identical interval list on every platform.  The signal
     starts with an off period and is truncated at the horizon.  A horizon
     that spans more than MAX_INTERVALS mean off/on cycles is refused before
-    anything is drawn.
+    anything is drawn.  The drawn onset and on-duration columns go to the
+    constructor's store step, past its checks, which they pass by
+    construction: the store step clips the last interval, and sorts and
+    merges only where a clear period of zero leaves two intervals touching.
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
@@ -356,26 +404,22 @@ def generate(seed: int, spec: GeneratorSpec, horizon: float) -> DoSSignal:
     rng = np.random.default_rng(seed)
     # Draws (off, on) rows in batches, one PCG64 stream as drawn one by one,
     # and sums them left to right into onset, end, onset, ... marks.
-    size = (_batch_rows(horizon / cycle), 2)
-    # low + (high - low) u, the bits that rng.uniform(low, high, size) gives
-    low, high = np.array([spec.off_range, spec.on_range], dtype=float).T
-    span = high - low
-    draws, marks = [], [np.zeros(1)]
-    while marks[-1][-1] <= horizon:
-        draw = rng.random(size)
-        # one column at a time: a long strided loop, not one of 2 per row
-        for column, width, start in zip(draw.T, span, low):
-            column *= width
-            column += start
-        draws.append(draw.ravel())
-        with np.errstate(over="ignore"):  # a sum past the float range ends it too
-            marks.append(np.cumsum(np.concatenate((marks[-1][-1:], draws[-1])))[1:])
-    onsets = np.concatenate(marks[1:])[::2]
-    # Every onset up to the horizon, so that the constructor drops none;
-    # it clips the last interval, the only one that can end past it.
-    n = int(np.searchsorted(onsets, horizon, side="right"))
-    on = np.concatenate(draws)[1::2]
-    return DoSSignal(np.column_stack((onsets[:n], on[:n])), horizon)
+    rows = _batch_rows(horizon / cycle)
+    draws = _draw(rng, rows, spec)
+    with np.errstate(over="ignore"):  # a sum past the float range ends it too
+        marks = draws.cumsum()
+        if marks[-1] <= horizon:
+            batches, sums = [draws], [marks]
+            while sums[-1][-1] <= horizon:
+                batches.append(_draw(rng, rows, spec))
+                sums.append(np.cumsum(np.concatenate((sums[-1][-1:], batches[-1])))[1:])
+            draws, marks = np.concatenate(batches), np.concatenate(sums)
+    # Every onset up to the horizon: the marks are in order, and the first
+    # m of them, those up to it, hold (m + 1) // 2 onsets.
+    n = 2 * ((int(marks.searchsorted(horizon, side="right")) + 1) // 2)
+    signal = DoSSignal.__new__(DoSSignal)
+    signal._store(marks[:n:2], draws[1:n:2], float(horizon))
+    return signal
 
 
 def _attempt_count(signal: DoSSignal, delta_big: float, horizon: float) -> int:
@@ -415,23 +459,28 @@ def _grid_edges(
 ) -> np.ndarray:
     """np.searchsorted(attempts, marks) for the n attempts t_k, unbuilt.
 
-    Each edge is the first k with t_k >= mark, or n.  For a mark up to the
+    The marks are in order, as _marks gives them.  Each edge is the first
+    k with t_k >= mark, or n.  For a mark up to the
     horizon, t_k >= mark exactly when k*Delta >= mark, and ceil(mark / Delta)
     is within one index of the first such k: the quotient and each product
     err by half an ulp, a relative 1.1e-16, so by under 1e-8 of an index
     while n < MAX_ATTEMPTS.  One step down or up then settles it on the
     grid's own floats.  No attempt reaches a mark past the horizon.
     """
-    clamped = np.minimum(marks, horizon)  # keeps mark / Delta near the grid
-    k = clamped / delta_big
+    # The marks past the horizon, the last ones, get n and are kept out of
+    # the arithmetic, which keeps mark / Delta near the grid.
+    inside = marks[: marks.searchsorted(horizon, side="right")]
+    edges = np.empty(marks.size, dtype=np.intp)
+    edges[inside.size:] = n
+    k = inside / delta_big
     np.ceil(k, out=k)
-    up = k * delta_big < clamped
-    down = (k - 1.0) * delta_big >= clamped
+    up = k * delta_big < inside
+    down = (k - 1.0) * delta_big >= inside
     k += up
     k -= down
     np.minimum(k, n, out=k)
-    k[marks > horizon] = n
-    return k.astype(np.intp)
+    edges[: inside.size] = k
+    return edges
 
 
 def successful_transmissions(
@@ -493,19 +542,19 @@ def check_gap_bound(
     falls exactly on a mark obeys the half-open rule: one on an onset is
     blocked, one on an end goes through, and a pulse on the grid blocks
     its one attempt.  Between the blocked runs that hold an attempt lie
-    the clear runs, the successes.  Across a blocked run the gap spans at
-    least two periods, about 2*Delta, while a step within a clear run is
-    Delta to a few ulps (or less, at the clamped last attempt); with
-    n < MAX_ATTEMPTS those ulps stay far below Delta, so with two clear
-    runs or more the largest gap is a cross-run one.  Only a single clear
-    run, all attempts clear or the blocked ones all at one end, needs its
-    steps in full, in O(n).
+    the clear runs, the successes; a blocked run that holds no attempt
+    leaves the two on either side touching, as one.  Across a blocked run
+    the gap spans at least two periods, about 2*Delta, while a step within
+    a clear run is Delta to a few ulps (or less, at the clamped last
+    attempt); with n < MAX_ATTEMPTS those ulps stay far below Delta, so
+    with two clear runs or more the largest gap is a cross-run one, and a
+    step across a touching pair cannot raise it.  Only a single clear run,
+    all attempts clear or the blocked ones all at one end, needs its steps
+    in full, in O(n).
     """
     bound = success_gap_bound(params, delta_big)
     n = _attempt_count(signal, delta_big, horizon)
-    runs = _grid_edges(_marks(signal), delta_big, horizon, n).reshape(-1, 2)
-    # A blocked run that holds no attempt splits no clear run.
-    bounds = _run_bounds(runs[runs[:, 0] < runs[:, 1]].ravel(), n)
+    bounds = _run_bounds(_grid_edges(_marks(signal), delta_big, horizon, n), n)
     starts, stops = bounds[::2], bounds[1::2]
     clear = starts < stops
     starts, stops = starts[clear], stops[clear]
@@ -514,10 +563,10 @@ def check_gap_bound(
     else:
         opened = _attempt_times(starts, delta_big, horizon)
         z0 = float(opened[0])
-        if starts.size > 1:
+        if np.count_nonzero(stops[:-1] < starts[1:]):  # two clear runs or more
             gaps = opened[1:] - _attempt_times(stops[:-1] - 1, delta_big, horizon)
         else:
-            run = np.arange(starts[0], stops[0], dtype=float)
+            run = np.arange(starts[0], stops[-1], dtype=float)
             gaps = np.diff(_attempt_times(run, delta_big, horizon))
         max_gap = float(gaps.max(initial=0.0))
     return GapBoundVerdict(

@@ -137,6 +137,38 @@ def generate_loop(seed, spec, horizon, draws=None):
     return canonical_intervals_loop(intervals, horizon)
 
 
+def drawn_columns(seed, spec, horizon):
+    """Onset and on-duration columns of every period drawn to start up to
+    the horizon, unclipped and unmerged, one Generator.uniform call each."""
+    rng = np.random.default_rng(seed)
+    onsets, on, t = [], [], 0.0
+    while True:
+        onset = t + rng.uniform(*spec.off_range)
+        if onset > horizon:
+            return np.array(onsets, dtype=float), np.array(on, dtype=float)
+        onsets.append(onset)
+        on.append(rng.uniform(*spec.on_range))
+        t = onset + on[-1]
+
+
+def marks_with_nextafter(signal):
+    """The interval marks with the float after each onset taken everywhere."""
+    marks = np.empty(2 * signal.onsets.size)
+    marks[::2] = signal.onsets
+    np.maximum(signal.ends, np.nextafter(signal.onsets, math.inf), out=marks[1::2])
+    return marks
+
+
+def assert_stored_read_only(sig):
+    """Each stored array is contiguous, owns its data and refuses writes."""
+    for array in (sig.onsets, sig.ends, sig._durations):
+        assert array.base is None and array.flags.owndata
+        assert array.flags.c_contiguous and not array.flags.writeable
+        if array.size:
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+
 def assert_canonical_as(sig, intervals):
     """sig holds exactly these canonical intervals, down to the bytes."""
     onsets = np.array([h for h, _ in intervals], dtype=float)
@@ -192,6 +224,36 @@ def interval_lists(draw, valid=True):
         pairs += [(h + tau, draw(value)) for h, tau in picked]
         pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
     return draw(st.permutations(pairs)), horizon
+
+
+@st.composite
+def chained_pairs(draw):
+    """(pairs, horizon): a chain of intervals, each starting past, at or one
+    ulp past the end before it, with pulses, -0.0 and tiny durations (an
+    end equal to its onset), pulses at open ends, duplicate onsets, onsets
+    at and past the horizon and ends past it; in order, or shuffled."""
+    horizon = draw(st.sampled_from([0.5, 1.0, 7.25]))
+    duration = st.sampled_from([0.0, -0.0, 1e-17, 5e-324, 0.25]) | st.floats(0.0, horizon)
+    pairs, end = [], 0.0
+    for _ in range(draw(st.integers(0, 10))):
+        gap = draw(st.sampled_from(["ulp", "touch", "pulse", "same"]) | st.floats(0.0, 1.0))
+        if gap == "ulp":
+            onset = float(np.nextafter(end, math.inf))
+        elif gap in ("touch", "pulse"):
+            onset = end
+        elif gap == "same" and pairs:
+            onset = pairs[-1][0]
+        else:
+            onset = end + (0.0 if isinstance(gap, str) else gap)
+        tau = 0.0 if gap == "pulse" else draw(duration)
+        pairs.append((onset, tau))
+        end = max(end, onset + tau)
+    tail = draw(st.sampled_from([None, 0.0, -0.0, 0.25]))
+    if tail is not None:  # an onset at the horizon
+        pairs.append((horizon, tail))
+    if draw(st.booleans()):
+        pairs = draw(st.permutations(pairs))
+    return pairs, horizon
 
 
 @st.composite
@@ -380,6 +442,19 @@ class TestSignalConstruction:
         assert twin == s and hash(twin) == hash(s) and s != s.intervals
         assert repr(s) == "DoSSignal(intervals=((0.3, 0.0), (1.0, 0.5)), horizon=10.0)"
 
+    @PROPERTY
+    @given(chained_pairs() | interval_lists())
+    def test_store_like_sort_and_merge(self, case):
+        # pairs already in order and disjoint are stored as they are, any
+        # others sorted and merged; no stored array is a view of the
+        # caller's, which would stay writable through its base
+        pairs, horizon = case
+        given_pairs = np.array(pairs, dtype=float).reshape(-1, 2)
+        sig = DoSSignal(given_pairs, horizon)
+        assert_stored_read_only(sig)
+        given_pairs[:] = 0.5
+        assert_canonical_as(sig, canonical_intervals_loop(pairs, horizon))
+
 
 class TestActiveAt:
     def test_left_endpoint_blocks(self):
@@ -545,6 +620,14 @@ class TestBlockedTimeLookup:
                     tau <= h < t for h, _ in sig.intervals
                 )
 
+    @PROPERTY
+    @given(interval_lists() | chained_pairs())
+    def test_marks_take_nextafter_only_for_pulses(self, case):
+        # an end past its onset is at least the float after it, so the
+        # marks equal those that take nextafter of every onset
+        sig = DoSSignal(*case)
+        assert dos._marks(sig).tobytes() == marks_with_nextafter(sig).tobytes()
+
 
 class TestFitClassParams:
     def test_empty_signal(self):
@@ -683,6 +766,31 @@ class TestGenerate:
         batches = (rng.uniform(low, high, (64, 2)).ravel() for _ in itertools.count())
         assert_canonical_as(sig, generate_loop(seed, spec, horizon,
                                                itertools.chain.from_iterable(batches)))
+
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        spec=st.sampled_from([
+            GeneratorSpec(),
+            GeneratorSpec(off_range=(0.0, 0.0)),  # every interval touches
+            GeneratorSpec(on_range=(0.0, 0.0)),  # pulses
+            GeneratorSpec(off_range=(0.0, 0.0), on_range=(0.0, 0.25)),
+            GeneratorSpec(off_range=(0.0, 0.3), on_range=(0.0, 0.0)),
+        ]),
+        horizon=st.sampled_from([0.05, 1.0, 50.0]) | st.floats(1e-3, 60.0),
+    )
+    def test_like_the_constructor_on_its_columns(self, seed, spec, horizon):
+        # the drawn columns, handed past the constructor's checks, give the
+        # signal that the constructor makes of them
+        onsets, on = drawn_columns(seed, spec, horizon)
+        sig = generate(seed, spec, horizon)
+        want = DoSSignal(np.column_stack((onsets, on)), horizon)
+        assert sig.onsets.tobytes() == want.onsets.tobytes()
+        assert sig.ends.tobytes() == want.ends.tobytes()
+        assert sig._durations.tobytes() == want._durations.tobytes()
+        assert repr(sig) == repr(want) and sig.horizon == horizon
+        assert_stored_read_only(sig)
+        assert dos._marks(sig).tobytes() == marks_with_nextafter(sig).tobytes()
 
     @pytest.mark.parametrize("off_range, on_range", [
         ((math.nan, 0.7), (0.3, 1.5)),
