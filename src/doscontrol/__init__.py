@@ -10,12 +10,14 @@ and simulates both against explicit denial-of-service signals.
 
 from .bounds import (
     CONSTANT_FORMULAS,
+    Certificate,
     DerivedConstants,
     DesignInputs,
     EnvelopeConstants,
     HorizonTooShortError,
     SIGMA_FRACTION_SIM,
     SigmaInfeasibleError,
+    certify,
     decay_envelope,
     derive_constants,
     max_sampling_period,
@@ -53,7 +55,6 @@ from .dos import (
 )
 from .linalg import (
     StabilityCertificationError,
-    log_norm,
     solve_lyapunov,
     spectral_norm,
     zoh_discretize,

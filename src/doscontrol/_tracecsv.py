@@ -3,7 +3,8 @@
 g_cells gives '%.12g' % v or '%.16g' % v for every float of an array, with a
 precision per value, the same bytes as Python's '%' operator, from a few
 dozen array operations in place of one '%' call per value.
-simulation.trace_to_csv writes its rows through csv_rows.
+simulation.trace_to_csv writes its rows through csv_rows, with the tails of
+flag_tails.
 """
 
 import math
@@ -11,8 +12,11 @@ import math
 import numpy as np
 
 
-def csv_rows(trace, rows: slice) -> bytes:
+def csv_rows(trace, rows: slice, flags: tuple) -> bytearray:
     """The CSV rows of a SimTrace's rows, each a row of cells joined by commas.
+
+    flags is flag_tails of the run's depths, which end the rows; a row of
+    another depth is looked up in a table of the block's own.
 
     Every float of the rows is formatted in one g_cells call: t to 12
     digits, x, u and V to 16.  u is held over each controller period, so
@@ -24,7 +28,8 @@ def csv_rows(trace, rows: slice) -> bytes:
     its longest text, and the NULs that pad the shorter texts are deleted
     at the end.  A cell is copied whole, its NULs running into the next
     column, which is written after it; each row is long enough to hold the
-    last column's cells whole.
+    last column's cells whole.  The buffer is a bytearray, which the NULs
+    are deleted from without a copy of it as bytes.
     """
     times, x, u, V = trace.times[rows], trace.x[rows], trace.u[rows], trace.V[rows]
     count, n = x.shape
@@ -49,11 +54,18 @@ def csv_rows(trace, rows: slice) -> bytes:
         + [slice(count * (n + 1), count * (n + 2))]
     )
     widths = [lengths[column].max() for column in columns]
-    tails, tail_index = flag_text(trace.dos_active[rows], trace.attempt[rows],
-                                  trace.success[rows], trace.buffer_depth[rows])
+    code = (trace.buffer_depth[rows] * 8 + trace.dos_active[rows] * 4
+            + trace.attempt[rows] * 2 + trace.success[rows])
+    codes, tails = flags
+    tail_index = codes.searchsorted(code)
+    if not np.array_equal(codes.take(tail_index, mode="clip"), code):
+        # a depth that is not among the run's: these rows get their own table
+        codes, tails = flag_tails(code >> 3)
+        tail_index = codes.searchsorted(code)
     last = sum(widths) - widths[-1] + len(widths) - 1
     width = max(last + widths[-1] + tails.itemsize, last + CELL)
-    out = np.empty(count * width, dtype=np.uint8)
+    text = bytearray(count * width)
+    out = np.frombuffer(text, dtype=np.uint8)
     cells = cells.view(f"V{CELL}")[:, 0]
     at = 0
     for column, column_width in zip(columns, widths):
@@ -62,7 +74,7 @@ def csv_rows(trace, rows: slice) -> bytes:
         np.ndarray(count, cells.dtype, out, at, width)[...] = cells[column]
         at += column_width + 1
     np.ndarray(count, tails.dtype, out, at - 1, width)[...] = tails[tail_index]
-    return out.tobytes().translate(None, b"\0")
+    return text.translate(None, b"\0")
 
 
 # The bulk '%.<P>g' formatter.  A cell is CELL bytes: its text, then NULs.
@@ -340,15 +352,17 @@ _FIXED_CELLS, _FIXED_LENGTHS = percent_cells(
     np.array([0.0, -0.0, np.inf, -np.inf, np.nan]), np.full(5, 16))
 
 
-def flag_text(dos_active, attempt, success, depth) -> tuple:
-    """The four flags of every row and the row's CRLF, as (tails, index).
+def flag_tails(depths) -> tuple:
+    """Every text of the four flags and the CRLF that a row of one of these
+    buffer depths can end in, as (codes, tails).
 
-    Row i's text is tails[index[i]], bytes padded with NULs to the longest;
-    each distinct combination of flags is formatted once.
+    A row's code is buffer_depth 8 + dos_active 4 + attempt 2 + success.
+    codes holds every code of the depths, in increasing order, and tails[i]
+    is the text of codes[i], bytes padded with NULs to the longest.
     """
-    code = np.asarray(depth, dtype=np.int64) * 8 + dos_active * 4 + attempt * 2 + success
-    present, index = np.unique(code, return_inverse=True)
+    depths = np.unique(depths)
+    codes = (depths[:, None] * 8 + np.arange(8)).ravel()
     text = [b",%d,%d,%d,%d\r\n" % (c >> 2 & 1, c >> 1 & 1, c & 1, c >> 3)
-            for c in present.tolist()]
+            for c in codes.tolist()]
     tails = np.array(text, dtype=bytes)
-    return tails.view(f"V{tails.itemsize}"), index
+    return codes, tails.view(f"V{tails.itemsize}")

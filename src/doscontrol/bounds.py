@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
+from . import dos, linalg
 from .plant import LtiPlant
 
 # Working sigma as a fraction of its supremum gamma1/gamma2.  The strict
@@ -331,6 +331,55 @@ def decay_envelope(
         Q=Q,
         h_delta=h_delta,
     )
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """The constant chain of one design, run and DoS class; see certify."""
+
+    constants: DerivedConstants
+    delta_max: float  # at the supremum sigma = gamma1/gamma2
+    Q: float | None = None
+    h_min: int | None = None
+    gap_rhs: float | None = None
+    envelope: EnvelopeConstants | None = None
+    skipped: tuple[tuple[str, str], ...] = ()  # (field, reason) for each None
+
+
+def certify(
+    inputs: DesignInputs, h: int, delta: float, delta_big: float,
+    dos_class: dos.DoSClassParams | None = None, mu: int = 1,
+) -> Certificate:
+    """The chain Q -> h_min -> gap_rhs -> envelope for buffer h, as one record.
+
+    Raises what derive_constants raises, and InfeasibleDoSClassError.  A
+    value the chain cannot give is None, with its reason in skipped, in the
+    chain's order: a horizon h delta too short for gap_rhs or the envelope
+    (HorizonTooShortError), or Q, h_min, gap_rhs or lambda past the float
+    range.  With no class, only the constants and delta_max are given.
+    """
+    consts = derive_constants(inputs, h, delta)
+    sigma_sup = consts.gamma1 / consts.gamma2
+    delta_max = max_sampling_period(consts.mu_A, sigma_sup, consts.norm_Phi)
+    if dos_class is None:
+        return Certificate(consts, delta_max)
+    q = dos.success_gap_bound(dos_class, delta_big, mu)
+    given, skipped = {}, []
+    for field, build, args in (
+        ("Q", float, (q,)),
+        ("h_min", min_prediction_horizon, (consts, q, delta_big, delta)),
+        ("gap_rhs", tolerable_dos_bound,
+         (consts, h, delta, delta_big, dos_class.kappa, dos_class.eta)),
+        ("envelope", decay_envelope, (consts, q, delta_big, h, delta)),
+    ):
+        try:
+            value = build(*args)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{field} = {value:g} is past the float range")
+            given[field] = value
+        except ValueError as exc:  # HorizonTooShortError, or past the float range
+            skipped.append((field, str(exc)))
+    return Certificate(consts, delta_max, **given, skipped=tuple(skipped))
 
 
 CONSTANT_FORMULAS = {

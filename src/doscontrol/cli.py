@@ -23,13 +23,9 @@ from . import benchmark
 from .bounds import (
     CONSTANT_FORMULAS,
     DesignInputs,
-    HorizonTooShortError,
     SigmaInfeasibleError,
-    decay_envelope,
-    derive_constants,
-    max_sampling_period,
+    certify,
     min_prediction_horizon,
-    tolerable_dos_bound,
 )
 from .dos import (
     DoSClassParams,
@@ -42,7 +38,6 @@ from .dos import (
     generate,
     signal_from_dict,
     signal_to_dict,
-    success_gap_bound,
     transitions_count,
 )
 from .linalg import LyapunovSolveError, StabilityCertificationError
@@ -351,43 +346,25 @@ def _structured_error(exc) -> dict:
 def cmd_bounds(args) -> int:
     cfg = load_config(args.config)
     run = cfg.run
-    consts = derive_constants(cfg.design_inputs(), run.h, run.delta)
-    sigma_sup = consts.gamma1 / consts.gamma2
+    cert = certify(cfg.design_inputs(), run.h, run.delta, run.delta_big,
+                   cfg.dos_class, cfg.mu)
+    consts, env = cert.constants, cert.envelope
     record = {f.name: getattr(consts, f.name) for f in dataclasses.fields(consts)}
     record.update({
         "format": CONFIG_FORMAT_VERSION,
         "P": consts.P.tolist(),
-        "sigma_supremum": sigma_sup,
-        # reported at the supremum sigma, where the bound is largest
-        "delta_max": max_sampling_period(consts.mu_A, sigma_sup, consts.norm_Phi),
-        "Q": None,
-        "h_min": None,
-        "gap_rhs": None,
-        "beta": None,
-        "lambda": None,
-        "L": None,
+        "sigma_supremum": consts.gamma1 / consts.gamma2,
+        "delta_max": cert.delta_max,
+        "Q": cert.Q,
+        "h_min": cert.h_min,
+        "gap_rhs": cert.gap_rhs,
+        "beta": env and env.beta,
+        "lambda": env and env.lam,
+        "L": env and env.L,
         "h_delta": run.h * run.delta,
-        "warnings": [],
+        "warnings": [reason for _, reason in cert.skipped],
         "formulas": CONSTANT_FORMULAS,
     })
-    if cfg.dos_class is not None:
-        q = success_gap_bound(cfg.dos_class, run.delta_big, cfg.mu)
-        record["Q"] = q
-        record["h_min"] = min_prediction_horizon(consts, q, run.delta_big, run.delta)
-        try:
-            record["gap_rhs"] = tolerable_dos_bound(
-                consts, run.h, run.delta, run.delta_big,
-                cfg.dos_class.kappa, cfg.dos_class.eta,
-            )
-        except HorizonTooShortError as exc:
-            record["warnings"].append(str(exc))
-        try:
-            env = decay_envelope(consts, q, run.delta_big, run.h, run.delta)
-            record["beta"] = env.beta
-            record["lambda"] = env.lam
-            record["L"] = env.L
-        except HorizonTooShortError as exc:
-            record["warnings"].append(str(exc))
     _dump(record)
     return EXIT_OK
 
@@ -474,11 +451,15 @@ def cmd_sim(args) -> int:
         if path:
             _check_output_path(path)
 
-    consts = None
+    # the envelope is certified for remote runs alone
+    dos_class = None if run.mode == "colocated" else cfg.dos_class
     try:
-        consts = derive_constants(cfg.design_inputs(), run.h, run.delta)
+        inputs = cfg.design_inputs()
+        cert = certify(inputs, run.h, run.delta, run.delta_big, dos_class, cfg.mu)
+    except InfeasibleDoSClassError:  # the loop still runs, with no envelope
+        cert = certify(inputs, run.h, run.delta, run.delta_big)
     except (StabilityCertificationError, SigmaInfeasibleError, LyapunovSolveError):
-        pass  # the loop can still be simulated; V falls back to ||x||^2
+        cert = None  # the loop can still be simulated; V falls back to ||x||^2
 
     trace = simulate(
         cfg.plant,
@@ -487,17 +468,13 @@ def cmd_sim(args) -> int:
         cfg.dos_signal,
         noise,
         cfg.x0,
-        P=None if consts is None else consts.P,
+        P=None if cert is None else cert.constants.P,
     )
     envelope_ok = None
-    if consts is not None and cfg.dos_class is not None and run.mode != "colocated":
-        try:
-            q = success_gap_bound(cfg.dos_class, run.delta_big, cfg.mu)
-            env = decay_envelope(consts, q, run.delta_big, run.h, run.delta)
-            w_inf = math.sqrt(cfg.plant.n * (noise.d_bound**2 + noise.n_bound**2))
-            envelope_ok = check_envelope(trace, env, consts, w_inf)
-        except (InfeasibleDoSClassError, HorizonTooShortError, ValueError):
-            envelope_ok = None
+    # with no successful transmission there is nothing to check
+    if cert is not None and cert.envelope is not None and len(trace.z):
+        w_inf = math.sqrt(cfg.plant.n * (noise.d_bound**2 + noise.n_bound**2))
+        envelope_ok = check_envelope(trace, cert.envelope, cert.constants, w_inf)
     metrics = compute_metrics(
         trace,
         divergence_threshold=cfg.divergence_threshold,
@@ -514,50 +491,40 @@ def cmd_sim(args) -> int:
 
 
 def cmd_repro(args) -> int:
-    rows = []
     failed = False
 
-    inputs = benchmark.design()
-    consts = derive_constants(inputs, h=5, delta=benchmark.DELTA)
-    sigma_sup = consts.gamma1 / consts.gamma2
-    for name, ref in benchmark.REFERENCE_CONSTANTS.items():
-        val = getattr(consts, name)
-        diff = abs(val - ref)
-        ok = diff <= benchmark.CONSTANTS_TOL
+    def flag(ok: bool) -> str:
+        nonlocal failed
         failed |= not ok
-        rows.append((name, val, ref, diff, "PASS" if ok else "FAIL"))
+        return "PASS" if ok else "FAIL"
 
-    dmax = max_sampling_period(consts.mu_A, sigma_sup, consts.norm_Phi)
-    diff = abs(dmax - benchmark.REFERENCE_DELTA_MAX)
-    ok = diff <= benchmark.DELTA_MAX_TOL
-    failed |= not ok
-    rows.append(
-        ("delta_max", dmax, benchmark.REFERENCE_DELTA_MAX, diff, "PASS" if ok else "FAIL")
-    )
-
-    # The two reference rates are informational: not jointly reproducible
-    # from the formula chain for any single sigma, so they never fail.
-    for name, ref in benchmark.REFERENCE_RATES.items():
-        val = getattr(consts, name)
-        rows.append((name, val, ref, abs(val - ref), "INFO"))
-
+    cert = certify(benchmark.design(), 5, benchmark.DELTA, benchmark.DELTA_BIG,
+                   benchmark.REFERENCE_CLASS)
+    consts = cert.constants
     # Minimal-buffer regression with the reference rates fed in directly.
     pinned = dataclasses.replace(
         consts,
         omega1=benchmark.REFERENCE_RATES["omega1"],
         omega2=benchmark.REFERENCE_RATES["omega2"],
     )
-    q = success_gap_bound(benchmark.REFERENCE_CLASS, benchmark.DELTA_BIG)
-    h_min = min_prediction_horizon(pinned, q, benchmark.DELTA_BIG, benchmark.DELTA)
-    ref = benchmark.REFERENCE_MIN_BUFFER
-    ok = h_min == ref
-    failed |= not ok
-    rows.append(("h_min", h_min, ref, abs(h_min - ref), "PASS" if ok else "FAIL"))
+    h_min = min_prediction_horizon(pinned, cert.Q, benchmark.DELTA_BIG, benchmark.DELTA)
+    # (name, computed, reference, tolerance).  The two reference rates are
+    # informational: not jointly reproducible from the formula chain for any
+    # single sigma, so they have no tolerance and never fail.
+    rows = [(name, getattr(consts, name), ref, benchmark.CONSTANTS_TOL)
+            for name, ref in benchmark.REFERENCE_CONSTANTS.items()]
+    rows.append(("delta_max", cert.delta_max, benchmark.REFERENCE_DELTA_MAX,
+                 benchmark.DELTA_MAX_TOL))
+    rows += [(name, getattr(consts, name), ref, None)
+             for name, ref in benchmark.REFERENCE_RATES.items()]
+    rows.append(("h_min", h_min, benchmark.REFERENCE_MIN_BUFFER, 0))
 
     print("constants comparison")
     print(f"{'name':<10} {'computed':>12} {'reference':>12} {'|diff|':>10}  flag")
-    for name, val, ref, diff, flag in rows:
-        print(f"{name:<10} {val:>12.6g} {ref:>12.6g} {diff:>10.3g}  {flag}")
+    for name, val, ref, tol in rows:
+        diff = abs(val - ref)
+        verdict = "INFO" if tol is None else flag(diff <= tol)
+        print(f"{name:<10} {val:>12.6g} {ref:>12.6g} {diff:>10.3g}  {verdict}")
 
     sig = benchmark.dos_signal()
     stats = {
@@ -573,9 +540,7 @@ def cmd_repro(args) -> int:
     for key in ("n_transitions", "dos_time", "rate", "eta_min", "kappa_min"):
         ref = benchmark.REALIZED[key]
         ok = abs(stats[key] - ref) <= 1e-9 * max(1.0, abs(ref))
-        failed |= not ok
-        print(f"{key:<16} {stats[key]:>14.8g} (frozen {ref:.8g})  "
-              f"{'PASS' if ok else 'FAIL'}")
+        print(f"{key:<16} {stats[key]:>14.8g} (frozen {ref:.8g})  {flag(ok)}")
 
     print("\nscenario verdicts")
     for name, mode, h in benchmark.SCENARIOS:
@@ -591,19 +556,16 @@ def cmd_repro(args) -> int:
         metrics = compute_metrics(trace)
         expected = benchmark.EXPECTED_STABLE[name]
         ok = metrics.stable_verdict == expected
-        failed |= not ok
         print(
             f"{name:<12} stable={str(metrics.stable_verdict):<5} "
             f"expected={str(expected):<5} max||x||={metrics.max_state_norm:<10.4g} "
-            f"failures={metrics.failure_fraction:.3f}  {'PASS' if ok else 'FAIL'}"
+            f"failures={metrics.failure_fraction:.3f}  {flag(ok)}"
         )
         if name == "remote_h1":
             ff = metrics.failure_fraction
             ref = benchmark.REALIZED["failure_fraction"]
             ok = abs(ff - ref) <= 1e-12
-            failed |= not ok
-            print(f"  failure_fraction {ff:.8g} (frozen {ref:.8g})  "
-                  f"{'PASS' if ok else 'FAIL'}")
+            print(f"  failure_fraction {ff:.8g} (frozen {ref:.8g})  {flag(ok)}")
 
     print("\noverall:", "FAIL" if failed else "PASS")
     return EXIT_UNSTABLE if failed else EXIT_OK
@@ -675,7 +637,6 @@ def main(argv=None) -> int:
         SigmaInfeasibleError,
         StabilityCertificationError,
         LyapunovSolveError,
-        HorizonTooShortError,
     ) as exc:
         _dump(_structured_error(exc))
         return EXIT_INFEASIBLE

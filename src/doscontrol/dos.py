@@ -120,7 +120,15 @@ class DoSSignal:
                         h0, tau0 = merged[-1]
                         end0 = h0 + tau0
                         if h1 < end0 or (h1 == end0 and (tau1 > 0.0 or h1 == h0)):
-                            merged[-1] = (h0, max(end0, h1 + tau1) - h0)
+                            end = max(end0, h1 + tau1)
+                            if tau0 <= 0.0 < tau1 and len(merged) > 1 and (
+                                h0 == sum(merged[-2])
+                            ):
+                                # a pulse at an open end, grown into an
+                                # interval, joins the interval it ends
+                                del merged[-1]
+                                h0 = merged[-1][0]
+                            merged[-1] = (h0, end - h0)
                             continue
                     merged.append((h1, tau1))
                 h, tau = map(np.array, zip(*merged))
@@ -148,6 +156,18 @@ class DoSSignal:
 
     def __repr__(self):
         return f"DoSSignal(intervals={self.intervals!r}, horizon={self.horizon!r})"
+
+    def __reduce__(self):
+        # a copy or an unpickled signal goes through the store step too, so
+        # that its arrays are read-only and its own
+        return _stored, (self.onsets, self._durations, self.horizon)
+
+
+def _stored(h: np.ndarray, tau: np.ndarray, horizon: float) -> DoSSignal:
+    """The signal of valid (onset, duration) columns, by the store step alone."""
+    signal = DoSSignal.__new__(DoSSignal)
+    signal._store(h, tau, horizon)
+    return signal
 
 
 @dataclass(frozen=True)
@@ -417,9 +437,7 @@ def generate(seed: int, spec: GeneratorSpec, horizon: float) -> DoSSignal:
     # Every onset up to the horizon: the marks are in order, and the first
     # m of them, those up to it, hold (m + 1) // 2 onsets.
     n = 2 * ((int(marks.searchsorted(horizon, side="right")) + 1) // 2)
-    signal = DoSSignal.__new__(DoSSignal)
-    signal._store(marks[:n:2], draws[1:n:2], float(horizon))
-    return signal
+    return _stored(marks[:n:2], draws[1:n:2], float(horizon))
 
 
 def _attempt_count(signal: DoSSignal, delta_big: float, horizon: float) -> int:

@@ -284,13 +284,9 @@ def _solve_in_schur(phi_arr, t, u, m) -> LyapunovSolution:
     return LyapunovSolution(p, p_eigs, m_eigs)
 
 
-def log_norm(a) -> float:
-    """Logarithmic norm (2-norm): largest eigenvalue of (A + A')/2."""
-    return _log_norm(_as_square(a, "A"))
-
-
 def _log_norm(arr: np.ndarray) -> float:
-    """log_norm of a finite square float64 arr, taken as is."""
+    """Logarithmic norm (2-norm) of a finite square float64 arr, taken as is:
+    the largest eigenvalue of (A + A')/2."""
     return float(_eigvalsh(0.5 * (arr + arr.T))[-1])
 
 

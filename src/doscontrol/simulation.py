@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dos, linalg
 from .bounds import DerivedConstants, EnvelopeConstants
-from ._tracecsv import csv_rows
+from ._tracecsv import csv_rows, flag_tails
 from .plant import LtiPlant
 
 MODES = ("colocated", "remote")
@@ -650,8 +650,10 @@ def trace_to_csv(trace: SimTrace, path) -> None:
     with open(path, "wb") as fh:
         fh.write(f"# format: {TRACE_FORMAT_VERSION}\n".encode())
         fh.write((",".join(header) + "\r\n").encode())
+        # every row of a tick has the depth of the tick's first row
+        flags = flag_tails(trace.buffer_depth[:: trace.substeps])
         for lo in range(0, len(trace.times), CSV_BLOCK_ROWS):
-            fh.write(csv_rows(trace, slice(lo, lo + CSV_BLOCK_ROWS)))
+            fh.write(csv_rows(trace, slice(lo, lo + CSV_BLOCK_ROWS), flags))
 
 
 def metrics_to_dict(metrics: SimMetrics) -> dict:

@@ -7,15 +7,19 @@ import scipy.linalg
 
 from doscontrol import (
     DesignInputs,
+    DoSClassParams,
     HorizonTooShortError,
+    InfeasibleDoSClassError,
     LtiPlant,
     SigmaInfeasibleError,
     StabilityCertificationError,
+    certify,
     decay_envelope,
     derive_constants,
     max_sampling_period,
     min_prediction_horizon,
     linalg,
+    success_gap_bound,
     tolerable_dos_bound,
 )
 
@@ -321,7 +325,7 @@ class TestBitIdenticalToTheEigvalsSequence:
                 gamma3=linalg.spectral_norm(2.0 * p),
                 sigma=sigma,
                 gamma4=gamma1 - sigma * gamma2,
-                mu_A=linalg.log_norm(a),
+                mu_A=linalg._log_norm(a),
                 norm_Phi=linalg.spectral_norm(phi),
             )
             for name in DesignConstants._fields:
@@ -516,3 +520,74 @@ class TestGapFormEquivalence:
                     continue
                 gap_form.append(rate < rhs)
             assert threshold_form == gap_form
+
+
+BENCH_CLASS = DoSClassParams(eta=2.958, tau_D=1.2821, kappa=0.8442, T=1.4430)
+
+
+class TestCertify:
+    """One record of the whole chain, with one rule for what it skips."""
+
+    def test_no_class_gives_the_constants_alone(self, bench_inputs):
+        cert = certify(bench_inputs, 5, 0.1, 0.1)
+        consts = derive_constants(bench_inputs, h=5, delta=0.1)
+        assert_bitwise_equal(cert.constants, consts)
+        assert cert.delta_max == max_sampling_period(
+            consts.mu_A, consts.gamma1 / consts.gamma2, consts.norm_Phi)
+        assert (cert.Q, cert.h_min, cert.gap_rhs, cert.envelope, cert.skipped) == (
+            None, None, None, None, ())
+
+    @pytest.mark.parametrize("h", [5, 49, 50, 60])
+    def test_fields_are_the_functions_values(self, bench_inputs, h):
+        cert = certify(bench_inputs, h, 0.1, 0.1, BENCH_CLASS)
+        consts = cert.constants
+        q = success_gap_bound(BENCH_CLASS, 0.1)
+        assert cert.Q == q
+        assert cert.h_min == min_prediction_horizon(consts, q, 0.1, 0.1) == 50
+        assert cert.gap_rhs == tolerable_dos_bound(
+            consts, h, 0.1, 0.1, BENCH_CLASS.kappa, BENCH_CLASS.eta)
+        if h >= cert.h_min:
+            assert cert.envelope == decay_envelope(consts, q, 0.1, h, 0.1)
+            assert cert.skipped == ()
+        else:  # too short a horizon: the envelope alone is skipped
+            with pytest.raises(HorizonTooShortError) as exc:
+                decay_envelope(consts, q, 0.1, h, 0.1)
+            assert cert.envelope is None
+            assert cert.skipped == (("envelope", str(exc.value)),)
+
+    def test_mu_reaches_the_gap_bound(self, bench_inputs):
+        cert = certify(bench_inputs, 5, 0.1, 0.1, BENCH_CLASS, mu=2)
+        assert cert.Q == success_gap_bound(BENCH_CLASS, 0.1, 2)
+
+    def test_past_the_float_range_is_skipped_in_chain_order(self, bench_inputs):
+        cls = dataclasses.replace(BENCH_CLASS, kappa=1e308)  # Q = inf
+        cert = certify(bench_inputs, 5, 0.1, 0.1, cls)
+        assert (cert.Q, cert.h_min, cert.gap_rhs, cert.envelope) == (None,) * 4
+        assert [field for field, _ in cert.skipped] == [
+            "Q", "h_min", "gap_rhs", "envelope"]
+        assert cert.skipped[0][1] == "Q = inf is past the float range"
+        assert cert.skipped[2][1] == "gap_rhs = -inf is past the float range"
+
+    def test_overflowing_overshoot_is_skipped(self, bench_inputs):
+        cls = dataclasses.replace(BENCH_CLASS, kappa=10.0)  # lambda = e^788
+        cert = certify(bench_inputs, 437, 0.1, 0.1, cls)
+        assert cert.h_min == 437 and cert.gap_rhs > 0.0 and cert.envelope is None
+        [(field, reason)] = cert.skipped
+        assert field == "envelope" and "lambda = inf" in reason
+
+    def test_infeasibility_still_raises(self, bench_inputs):
+        cls = dataclasses.replace(BENCH_CLASS, tau_D=0.1, T=1e18, eta=1.0)
+        with pytest.raises(InfeasibleDoSClassError):
+            certify(bench_inputs, 5, 0.1, 0.1, cls)
+        # the design is checked first
+        no_margin = DesignInputs(plant=LtiPlant(A=[[0.0]], B=[[1.0]]), K=[[-1.0]],
+                                 sigma_fraction=1.0)
+        with pytest.raises(SigmaInfeasibleError):
+            certify(no_margin, 5, 0.1, 0.1, cls)
+        with pytest.raises(ValueError, match="takes the constant chain past"):
+            certify(bench_inputs, 10000, 0.1, 0.1, BENCH_CLASS)
+
+    def test_record_is_frozen(self, bench_inputs):
+        cert = certify(bench_inputs, 5, 0.1, 0.1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cert.Q = 1.0

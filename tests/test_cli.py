@@ -137,13 +137,25 @@ class TestBounds:
         assert err["type"] == "InfeasibleDoSClassError"
         assert err["rate"] is None
 
-    @pytest.mark.parametrize("field", ["dos_class.eta", "dos_class.kappa"])
-    def test_minimal_buffer_past_the_float_range(self, capsys, tmp_path, field):
+    @pytest.mark.parametrize("field, q", [("dos_class.eta", 4.366768923854234e+307),
+                                          ("dos_class.kappa", None)])
+    def test_minimal_buffer_past_the_float_range(self, capsys, tmp_path, field, q):
+        # what the chain cannot give is null, with its reason; the rest stands
         cfg = write_config(tmp_path, **{field: 1e308})
         code, out, err = run(capsys, "bounds", cfg)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: Q=") and "past the float range" in err
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert record["Q"] == q
+        assert record["h_min"] is record["beta"] is record["lambda"] is None
+        assert record["omega1"] == pytest.approx(0.5558849507572442)
+        reasons = record["warnings"]
+        if q is None:  # kappa = 1e308: Q and gap_rhs leave the range too
+            assert reasons[:2] == ["Q = inf is past the float range",
+                                   "Q=inf puts the minimal buffer past the float range"]
+            assert record["gap_rhs"] is None
+        else:
+            assert reasons[0] == (
+                "Q=4.36677e+307 puts the minimal buffer past the float range")
 
     def test_malformed_config(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -414,6 +426,16 @@ class TestSim:
         code, out, _ = run(capsys, "sim", cfg, "--h", "1")
         assert code == 3 and json.loads(out)["envelope_ok"] is None
 
+    def test_a_run_with_no_success_has_no_envelope_verdict(self, capsys, tmp_path):
+        # h = 60 certifies an envelope, but a signal that jams every attempt
+        # leaves no success to check it at
+        jammed = {"horizon": 51.0, "intervals": [[0.0, 51.0]]}
+        cfg = write_config(tmp_path, **{"buffer.h": 60, "dos": {"signal": jammed}})
+        code, out, _ = run(capsys, "sim", cfg)
+        payload = json.loads(out)
+        assert code == 3 and payload["failure_fraction"] == 1.0
+        assert payload["envelope_ok"] is None
+
     @pytest.mark.parametrize("field", ["dos_class.eta", "dos_class.kappa"])
     def test_gap_bound_past_the_float_range_has_no_envelope(
         self, capsys, tmp_path, field
@@ -431,8 +453,12 @@ class TestSim:
         code, out, _ = run(capsys, "sim", cfg)
         assert code == 0 and json.loads(out)["envelope_ok"] is None
         code, out, err = run(capsys, "bounds", cfg)
-        assert code == 1 and out == ""
-        assert err.startswith("error: Q=") and "lambda = inf" in err
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert record["h_min"] == 437 and record["gap_rhs"] > 0.0
+        assert record["beta"] is record["lambda"] is record["L"] is None
+        [warning] = record["warnings"]
+        assert warning.startswith("Q=44.9594 ") and "lambda = inf" in warning
 
     @pytest.mark.parametrize("overrides, flags, message", [
         ({}, ["--h", "0"], "h must be an integer >= 1, got 0"),
@@ -865,9 +891,11 @@ FUZZ_VALUES = [
 ]
 
 
-def mutated_config(path, mutation, value):
-    """The bundled config with one field changed; see test_config_fuzz."""
+def mutated_config(path, mutation, value, h=5):
+    """The bundled config at buffer.h = h with one field changed; see
+    test_config_fuzz."""
     cfg = json.loads(Path(BENCHMARK_CONFIG).read_text())
+    cfg["buffer"]["h"] = h
     parent = cfg
     for key in path[:-1]:
         node = parent.get(key)
@@ -901,12 +929,16 @@ def mutated_config(path, mutation, value):
 class TestConfigFuzz:
     """Each mutation of one field of the bundled config ends in an exit code.
 
-    Outside the dos section, sim refuses a file only as bounds does.  The
-    drawn numbers keep any run the mutation leaves valid short: none makes a
+    Outside the dos section, sim refuses a file only as bounds does, and
+    on a remote run with a class, sim has no envelope verdict exactly where
+    bounds has no beta or the run no success to check it at.  The drawn
+    numbers keep any run the mutation leaves valid short: none makes a
     horizon, a period or a generator range that passes the row and interval
     limits and still takes long.
     """
 
+    # at h = 5 bounds gives no beta; at h = 60 it gives one
+    @pytest.mark.parametrize("h", [5, 60])
     @settings(max_examples=200, deadline=timedelta(seconds=5), derandomize=True,
               database=None)
     @given(
@@ -916,9 +948,9 @@ class TestConfigFuzz:
         ),
         value=st.sampled_from(FUZZ_VALUES),
     )
-    def test_config_fuzz(self, path, mutation, value):
-        cfg = mutated_config(path, mutation, value)
-        results = {}
+    def test_config_fuzz(self, h, path, mutation, value):
+        cfg = mutated_config(path, mutation, value, h)
+        results, printed = {}, {}
         with tempfile.TemporaryDirectory() as tmp:
             config_path = os.path.join(tmp, "config.json")
             with open(config_path, "w") as fh:
@@ -938,9 +970,16 @@ class TestConfigFuzz:
                         1, f"config error: {name}: unknown field\n"
                     )
                 results[command] = code, err.getvalue()
+                printed[command] = out.getvalue()
         # only sim builds the signal, so only there may sim refuse alone
         if path[0] != "dos" and results["sim"][0] == 1:
             assert results["bounds"] == results["sim"]
+        if path[0] != "dos" and results["bounds"][0] == results["sim"][0] == 0:
+            parsed = cli.ExperimentConfig(cfg)
+            if parsed.run.mode == "remote" and parsed.dos_class is not None:
+                bounds, sim = json.loads(printed["bounds"]), json.loads(printed["sim"])
+                no_envelope = bounds["beta"] is None or sim["failure_fraction"] == 1
+                assert (sim["envelope_ok"] is None) == no_envelope
 
 
 class TestUsage:

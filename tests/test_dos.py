@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import math
@@ -107,6 +108,10 @@ def merge_loop(pairs):
             h0, tau0 = merged[-1]
             end0 = h0 + tau0
             if h < end0 or (h == end0 and (tau > 0.0 or h == h0)):
+                if tau0 <= 0.0 < tau and len(merged) > 1 and h0 == sum(merged[-2]):
+                    # the pulse at the open end before it was kept apart;
+                    # grown into an interval, it joins that end
+                    h0 = merged.pop(-2)[0]
                 merged[-1] = (h0, max(end0, h + tau) - h0)
                 continue
         merged.append((h, tau))
@@ -454,6 +459,30 @@ class TestSignalConstruction:
         assert_stored_read_only(sig)
         given_pairs[:] = 0.5
         assert_canonical_as(sig, canonical_intervals_loop(pairs, horizon))
+
+    def test_a_grown_pulse_joins_the_end_it_sits_at(self):
+        # the pulse at 0.25 stays apart from [0, 0.25[ until the interval
+        # [0.25, 0.5[ covers it; then the three are one interval
+        s = DoSSignal([(0, 0.25), (0.25, 0), (0.25, 0.25)], 0.5)
+        assert s.intervals == ((0.0, 0.5),)
+        assert DoSSignal([(0, 0.25), (0.25, 0)], 0.5).intervals == (
+            (0.0, 0.25), (0.25, 0.0))
+
+    @PROPERTY
+    @given(chained_pairs() | interval_lists())
+    def test_canonical_form_is_a_fixed_point(self, case):
+        s = DoSSignal(*case)
+        assert DoSSignal(s.intervals, s.horizon) == s
+
+    @pytest.mark.parametrize("clone", [
+        lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy,
+    ])
+    def test_a_clone_is_stored_anew(self, clone):
+        s = generate(6128, GeneratorSpec(), 50.0)
+        twin = clone(s)
+        assert twin == s and twin.onsets is not s.onsets
+        assert_stored_read_only(twin)
+        assert_canonical_as(twin, s.intervals)
 
 
 class TestActiveAt:

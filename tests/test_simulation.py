@@ -1158,10 +1158,11 @@ class TestBenchmarkTraceCsv:
 
     def test_block_peak(self, trace):
         block = slice(10 * simulation.CSV_BLOCK_ROWS, 11 * simulation.CSV_BLOCK_ROWS)
-        _tracecsv.csv_rows(trace, block)
+        flags = _tracecsv.flag_tails(trace.buffer_depth)
+        _tracecsv.csv_rows(trace, block, flags)
         tracemalloc.start()
         try:
-            _tracecsv.csv_rows(trace, block)
+            _tracecsv.csv_rows(trace, block, flags)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
