@@ -12,6 +12,8 @@ Run from the repository root:  python3 scripts/select_benchmark_seed.py
 The winning seed is committed in src/doscontrol/benchmark.py.
 """
 
+import numpy as np
+
 from doscontrol import (
     benchmark,
     compute_metrics,
@@ -19,9 +21,9 @@ from doscontrol import (
     fit_class_params,
     generate,
     simulate,
-    successful_transmissions,
     transitions_count,
 )
+from doscontrol.dos import active_mask
 
 # Target windows for the committed fixture
 N_TRANSITIONS = 39
@@ -44,8 +46,10 @@ def signal_stats(seed):
     if t_avg <= 1.0:
         return None
     rate = 1.0 / t_avg + delta_big / tau_d
-    sched = successful_transmissions(sig, delta_big, horizon)
-    fail = 1.0 - len(sched.successes) / len(sched.attempts)
+    # the attempt grid min(k Delta, horizon), k = 0..horizon / Delta
+    grid = np.arange(round(horizon / delta_big) + 1) * delta_big
+    blocked = active_mask(sig, np.minimum(grid, horizon))
+    fail = 1.0 - np.count_nonzero(~blocked) / blocked.size
     eta, kappa = fit_class_params(sig, tau_d, t_avg)
     return sig, n, xi, rate, fail, eta, kappa
 

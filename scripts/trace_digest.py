@@ -292,13 +292,14 @@ def record(config, signal_args, noise, csv_path) -> dict:
     sig = generate(seed, spec, sig_horizon)
     trace = simulate(benchmark.plant(), benchmark.K, config, sig, noise,
                      benchmark.X0, P=P)
+    # the CSV first, from a fresh trace, as sim writes it
+    trace_to_csv(trace, csv_path)
+    with open(csv_path, "rb") as fh:
+        data = fh.read()
     out = {name: as_array(getattr(trace, name)) for name in TRACE_NAMES}
     metrics = compute_metrics(trace)
     out.update({f.name: as_array(getattr(metrics, f.name))
                 for f in dataclasses.fields(metrics)})
-    trace_to_csv(trace, csv_path)
-    with open(csv_path, "rb") as fh:
-        data = fh.read()
     lines = data.split(b"\n", 2)
     out["csv_head"] = np.frombuffer(b"\n".join(lines[:2]), dtype=np.uint8)
     # dos_active, attempt, success and buffer_depth: the last four columns

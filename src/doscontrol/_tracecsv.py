@@ -3,8 +3,8 @@
 g_cells gives '%.12g' % v or '%.16g' % v for every float of an array, with a
 precision per value, the same bytes as Python's '%' operator, from a few
 dozen array operations in place of one '%' call per value.
-simulation.trace_to_csv writes its rows through csv_rows, with the tails of
-flag_tails.
+simulation.trace_to_csv lays out each block of rows and writes it through
+csv_rows, with the tails of flag_tails.
 """
 
 import math
@@ -12,17 +12,13 @@ import math
 import numpy as np
 
 
-def csv_rows(trace, rows: slice, flags: tuple) -> bytearray:
-    """The CSV rows of a SimTrace's rows, each a row of cells joined by commas.
+def csv_rows(times, x, V, u, tick, tails) -> bytearray:
+    """The CSV rows t, x1..xn, u1..um, V joined by commas, each row ending in
+    its tail, the text of its flags and CRLF padded with NULs (flag_tails).
 
-    flags is flag_tails of the run's depths, which end the rows; a row of
-    another depth is looked up in a table of the block's own.
-
-    Every float of the rows is formatted in one g_cells call: t to 12
-    digits, x, u and V to 16.  u is held over each controller period, so
-    most rows repeat the one before: its cells are formatted once per run
-    of equal rows.  Rows compare by their bits: -0.0 equals 0.0 as a float
-    but prints as -0, and a NaN equals no float, not even itself.
+    times, x and V hold a value per row; u holds one input per tick, which
+    is formatted once, and tick each row's index into it.  Every float is
+    formatted in one g_cells call: t to 12 digits, x, u and V to 16.
 
     The cells go straight into one buffer of rows, each column as wide as
     its longest text, and the NULs that pad the shorter texts are deleted
@@ -31,37 +27,21 @@ def csv_rows(trace, rows: slice, flags: tuple) -> bytearray:
     last column's cells whole.  The buffer is a bytearray, which the NULs
     are deleted from without a copy of it as bytes.
     """
-    times, x, u, V = trace.times[rows], trace.x[rows], trace.u[rows], trace.V[rows]
     count, n = x.shape
     m = u.shape[1]
-    bits = u.view(np.int64)
-    changed = bits[1:] != bits[:-1]
-    starts = np.zeros(count, dtype=bool)
-    starts[0] = True
-    for j in range(m):
-        starts[1:] |= changed[:, j]
-    held = u[starts]
-    precision = np.full(count * (n + 2) + held.size, 16, dtype=np.int8)
+    precision = np.full(count * (n + 2) + u.size, 16, dtype=np.int8)
     precision[:count] = 12
-    cells, lengths = g_cells(np.concatenate([times, x.ravel(), V, held.ravel()]),
+    cells, lengths = g_cells(np.concatenate([times, x.ravel(), V, u.ravel()]),
                              precision)
     # the cells of t, x1..xn, u1..um and V, in the order of the rows
-    run = (np.cumsum(starts) - 1) * m + count * (n + 2)
+    held = tick * m + count * (n + 2)
     columns = (
         [slice(0, count)]
         + [slice(count + j, count * (n + 1), n) for j in range(n)]
-        + [run + j for j in range(m)]
+        + [held + j for j in range(m)]
         + [slice(count * (n + 1), count * (n + 2))]
     )
     widths = [lengths[column].max() for column in columns]
-    code = (trace.buffer_depth[rows] * 8 + trace.dos_active[rows] * 4
-            + trace.attempt[rows] * 2 + trace.success[rows])
-    codes, tails = flags
-    tail_index = codes.searchsorted(code)
-    if not np.array_equal(codes.take(tail_index, mode="clip"), code):
-        # a depth that is not among the run's: these rows get their own table
-        codes, tails = flag_tails(code >> 3)
-        tail_index = codes.searchsorted(code)
     last = sum(widths) - widths[-1] + len(widths) - 1
     width = max(last + widths[-1] + tails.itemsize, last + CELL)
     text = bytearray(count * width)
@@ -73,7 +53,7 @@ def csv_rows(trace, rows: slice, flags: tuple) -> bytearray:
             out[at - 1 :: width] = ord(",")
         np.ndarray(count, cells.dtype, out, at, width)[...] = cells[column]
         at += column_width + 1
-    np.ndarray(count, tails.dtype, out, at - 1, width)[...] = tails[tail_index]
+    np.ndarray(count, tails.dtype, out, at - 1, width)[...] = tails
     return text.translate(None, b"\0")
 
 
@@ -353,16 +333,13 @@ _FIXED_CELLS, _FIXED_LENGTHS = percent_cells(
 
 
 def flag_tails(depths) -> tuple:
-    """Every text of the four flags and the CRLF that a row of one of these
-    buffer depths can end in, as (codes, tails).
-
-    A row's code is buffer_depth 8 + dos_active 4 + attempt 2 + success.
-    codes holds every code of the depths, in increasing order, and tails[i]
-    is the text of codes[i], bytes padded with NULs to the longest.
+    """(tails, at): every text of the four flags and CRLF that a row of these
+    buffer depths can end in, bytes padded with NULs to the longest; a row
+    of depth depths[i] ends in tails[at[i] + 4 dos_active + 2 attempt + success].
     """
-    depths = np.unique(depths)
-    codes = (depths[:, None] * 8 + np.arange(8)).ravel()
+    distinct, at = np.unique(depths, return_inverse=True)
+    codes = (distinct[:, None] * 8 + np.arange(8)).ravel()
     text = [b",%d,%d,%d,%d\r\n" % (c >> 2 & 1, c >> 1 & 1, c & 1, c >> 3)
             for c in codes.tolist()]
     tails = np.array(text, dtype=bytes)
-    return codes, tails.view(f"V{tails.itemsize}")
+    return tails.view(f"V{tails.itemsize}"), at * 8

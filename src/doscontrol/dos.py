@@ -276,6 +276,15 @@ def _run_flags(edges: np.ndarray, size: int) -> np.ndarray:
     return np.repeat(blocked, bounds[1:] - bounds[:-1])
 
 
+def _sorted_mask(marks: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """active_mask over ascending t from the signal's _marks, searching only
+    the intervals that reach into [t[0], t[-1]]: the others flag no time."""
+    if t.size:
+        lo, hi = marks.searchsorted(t[[0, -1]], side="right")
+        marks = marks[lo - lo % 2 : hi + hi % 2]
+    return _run_flags(np.searchsorted(t, marks), t.size)
+
+
 def active_mask(signal: DoSSignal, times) -> np.ndarray:
     """Blocked flag at each of ``times``, by the rule of the interval marks.
 
@@ -293,7 +302,7 @@ def active_mask(signal: DoSSignal, times) -> np.ndarray:
     if not (t[1:] >= t[:-1]).all():  # NaN sorts last, past every interval
         order = np.argsort(t, kind="stable")
         t = t[order]
-    flags = _run_flags(np.searchsorted(t, _marks(signal)), t.size)
+    flags = _sorted_mask(_marks(signal), t)
     if order is not None:
         flags[order] = flags.copy()
     return flags.reshape(times.shape)
@@ -501,6 +510,11 @@ def _grid_edges(
     return edges
 
 
+def _blocked_attempts(signal: DoSSignal, delta_big: float, horizon: float, n: int):
+    """Blocked flags of the n attempts t_k by active_mask's rule (_grid_edges)."""
+    return _run_flags(_grid_edges(_marks(signal), delta_big, horizon, n), n)
+
+
 def successful_transmissions(
     signal: DoSSignal, delta_big: float, horizon: float
 ) -> TransmissionSchedule:
@@ -512,8 +526,7 @@ def successful_transmissions(
     """
     n = _attempt_count(signal, delta_big, horizon)
     attempts = _attempt_times(np.arange(n, dtype=float), delta_big, horizon)
-    edges = _grid_edges(_marks(signal), delta_big, horizon, n)
-    successes = attempts[~_run_flags(edges, n)]
+    successes = attempts[~_blocked_attempts(signal, delta_big, horizon, n)]
     attempts.flags.writeable = successes.flags.writeable = False
     return TransmissionSchedule(
         delta_big=delta_big, attempts=attempts, successes=successes

@@ -29,13 +29,14 @@ MODES = ("colocated", "remote")
 TRACE_FORMAT_VERSION = 1
 METRICS_FORMAT_VERSION = 1
 
-# Rows per formatted block of the CSV writer, to bound its temporaries: 1.1
-# MiB at 2048 rows under tracemalloc, for a two-state plant, 2.2 MiB at 4096
-# and 4.4 MiB at 8192.  Each block pays ~0.5 ms of fixed array-call costs,
-# so short blocks cost time, and long ones outgrow the caches: on a 2-vCPU
-# VM a 1024-row block takes ~0.6 and a 4096-row one ~2.6 times as long as a
-# 2048-row one.  Writing a 500 s run's CSV raises its peak RSS by ~0.5 MiB
-# at 2048 rows, ~1.6 MiB at 4096 and ~5.6 MiB at 8192.
+# Rows per formatted block of the CSV writer, to bound its temporaries: 1.0
+# MiB at 2048 rows under tracemalloc, for a two-state plant, 2.0 MiB at 4096
+# and 4.0 MiB at 8192.  Each block pays ~0.5 ms of fixed array-call costs,
+# so short blocks cost time, and long ones page faults: glibc returns their
+# freed temporaries to the kernel and maps them afresh, ~5 500 minor faults
+# over a 500 s run at 8192 rows and none at 2048.  Where freed memory is
+# kept, 4096 and 8192 rows run 10-20% faster than 2048 on a 2-vCPU VM.
+# Writing a 500 s run's CSV raises its peak RSS by ~0.5 MiB at 2048 rows.
 CSV_BLOCK_ROWS = 2048
 
 # Most ticks per block that simulate solves and fills at once, and most
@@ -269,35 +270,33 @@ class _Ticks(NamedTuple):
     """What a run settled per tick, from which SimTrace builds its rows.
 
     states holds s_q = [x_q; alpha_q] for every tick q (see simulate); K
-    and P are copies of the run's gain and Lyapunov weight, ages the
-    periods since the last delivered sample, first the first tick with a
-    prediction, stored the entries a packet holds when it is delivered (0
-    co-located), success the ticks whose attempt got through, and rows the
+    and P are copies of the run's gain and Lyapunov weight, depths the
+    buffer depth at each tick (0 co-located), first the first tick with a
+    prediction, success the ticks whose attempt got through, and rows the
     number of sub-step rows.
     """
 
     states: np.ndarray
     K: np.ndarray
     P: np.ndarray
-    ages: np.ndarray
+    depths: np.ndarray
     first: int
-    stored: int
     success: np.ndarray
     b: int
     signal: dos.DoSSignal
     rows: int
 
+    @np.errstate(over="ignore", invalid="ignore")
+    def inputs(self) -> np.ndarray:
+        """The input u_q = K alpha_q at each tick (inf or NaN once diverged)."""
+        return self.states[:, self.K.shape[1] :] @ self.K.T
 
-def _row_times(delta: float, substeps: int, n_ticks: int) -> np.ndarray:
-    """The time of each sub-step row: row r = q S + j at q delta + j delta / S.
 
-    The last row is the final tick alone.  Row q S is q delta + 0.0, the
-    same float as tick q's time.
-    """
-    return (
-        (np.arange(n_ticks + 1, dtype=float) * delta)[:, None]
-        + np.arange(substeps) * (delta / substeps)
-    ).ravel()[: n_ticks * substeps + 1]
+def _row_times(delta: float, substeps: int, tick, sub) -> np.ndarray:
+    """The time of sub-step row r = q S + j, q = tick and j = sub: q delta
+    + j delta / S.  Row q S is q delta + 0.0, the same float as tick q's
+    time.  The last row of a run is its final tick alone."""
+    return tick * delta + sub * (delta / substeps)
 
 
 @dataclass(frozen=True)
@@ -325,7 +324,8 @@ class SimTrace:
 
     @functools.cached_property
     def times(self) -> np.ndarray:
-        return _row_times(self.delta, self.substeps, len(self._ticks.states) - 1)
+        rows = np.arange(self._ticks.rows)
+        return _row_times(self.delta, self.substeps, *np.divmod(rows, self.substeps))
 
     @functools.cached_property
     def dos_active(self) -> np.ndarray:
@@ -344,14 +344,10 @@ class SimTrace:
         flags[:: self.substeps] = self._ticks.success
         return flags
 
-    # u and V: a diverged run's state holds inf or NaN (see simulate)
     @functools.cached_property
-    @np.errstate(over="ignore", invalid="ignore")
     def u(self) -> np.ndarray:
         ticks = self._ticks
-        n = self.x.shape[1]
-        u_ticks = ticks.states[:, n:] @ ticks.K.T
-        return np.repeat(u_ticks, self.substeps, axis=0)[: ticks.rows]
+        return np.repeat(ticks.inputs(), self.substeps, axis=0)[: ticks.rows]
 
     @functools.cached_property
     def prediction(self) -> np.ndarray:
@@ -363,9 +359,9 @@ class SimTrace:
     @functools.cached_property
     def buffer_depth(self) -> np.ndarray:
         ticks = self._ticks
-        depths = np.maximum(ticks.stored - ticks.ages, 0)
-        return np.repeat(depths, self.substeps)[: ticks.rows]
+        return np.repeat(ticks.depths, self.substeps)[: ticks.rows]
 
+    # a diverged run's state holds inf or NaN (see simulate)
     @functools.cached_property
     @np.errstate(over="ignore", invalid="ignore")
     def V(self) -> np.ndarray:
@@ -432,14 +428,13 @@ def simulate(
     n, m, substeps = plant.n, plant.m, config.substeps
     _check_noise_map(n, substeps)
     # Row r sits at tick r // substeps, sub-step r % substeps (_row_times).
-    # Attempts fall on every b-th tick, so on tick rows alone, and row q S
-    # has tick q's time: the schedule is decided on the tick grid.
+    # Attempt k, on tick k b, is decided at min(k Delta, signal horizon) as the
+    # DoS audit decides it (at b = 1 tick k's time); it samples at the tick.
     n_rows = n_ticks * substeps + 1
-    tick_times = np.arange(n_ticks + 1, dtype=float) * delta
-    blocked = dos.active_mask(dos_signal, np.minimum(tick_times, dos_signal.horizon))
     success_ticks = np.zeros(n_ticks + 1, dtype=bool)
-    success_ticks[:: config.b] = ~blocked[:: config.b]
-    z = tick_times[success_ticks]
+    success_ticks[:: config.b] = ~dos._blocked_attempts(
+        dos_signal, config.delta_big, dos_signal.horizon, n_ticks // config.b + 1)
+    z = np.flatnonzero(success_ticks) * delta
 
     # One disturbance per sub-step (held from its row to the next) and one
     # measurement noise per successful sample, each stream drawn in order:
@@ -454,7 +449,8 @@ def simulate(
         draws *= 2.0 * bound
         draws -= bound
     if noise.decay_at is not None:
-        dist[_row_times(delta, substeps, n_ticks)[:-1] >= noise.decay_at] = 0.0
+        rows = np.divmod(np.arange(n_rows - 1), substeps)
+        dist[_row_times(delta, substeps, *rows) >= noise.decay_at] = 0.0
         meas[z >= noise.decay_at] = 0.0
 
     # One law for every mode: u = K alpha, where alpha rolls the model
@@ -465,7 +461,6 @@ def simulate(
     # skip and no buffer; remote applies zero until the first packet.
     colocated = config.mode == "colocated"
     last = math.inf if colocated else config.h - 1
-    stored = 0 if colocated else config.h
     skip = 0 if colocated else config.skip
     steps, step, windows, phi_skip, (block, kl), templates, reach = _tick_model(
         plant.A.tobytes(), plant.B.tobytes(), k_mat.tobytes(), n, m, delta,
@@ -546,8 +541,9 @@ def simulate(
         substeps=config.substeps,
         noise_decay_at=noise.decay_at,
         _ticks=_Ticks(
-            states=states, K=k_mat.copy(), P=p_mat.copy(), ages=ages,
-            first=first, stored=stored, success=success_ticks, b=config.b,
+            states=states, K=k_mat.copy(), P=p_mat.copy(),
+            depths=np.maximum((0 if colocated else config.h) - ages, 0),
+            first=first, success=success_ticks, b=config.b,
             signal=dos_signal, rows=n_rows,
         ),
     )
@@ -620,8 +616,10 @@ def compute_metrics(
     stable = finite and peak < divergence_threshold
     if trace.noise_decay_at is not None:
         stable = stable and float(norms[-1]) <= 1e-3 * scale
+    # the attempt rows, every b S-th row from row 0 (SimTrace.attempt)
+    attempts = -(-trace._ticks.rows // (trace._ticks.b * trace.substeps))
     return SimMetrics(
-        failure_fraction=1.0 - len(z) / np.count_nonzero(trace.attempt),
+        failure_fraction=1.0 - len(z) / attempts,
         max_state_norm=peak if finite else None,
         final_state_norm=float(norms[-1]) if math.isfinite(norms[-1]) else None,
         max_gap=max_gap,
@@ -638,22 +636,32 @@ def trace_to_csv(trace: SimTrace, path) -> None:
     line ends in LF, the header and every row in CRLF.  t is written as
     '%.12g' % t, the other floats as '%.16g' % v and the four flags with %d;
     the floats are formatted in bulk (_tracecsv) to the same bytes.
+
+    Each block of rows is laid out from the tick record by the rules of the
+    SimTrace columns; beyond x and V nothing is built per row of the run.
     """
-    n = trace.x.shape[1]
-    m = trace.u.shape[1]
-    header = (
-        ["t"]
-        + [f"x{i + 1}" for i in range(n)]
-        + [f"u{j + 1}" for j in range(m)]
-        + ["V", "dos_active", "attempt", "success", "buffer_depth"]
-    )
+    ticks, substeps = trace._ticks, trace.substeps
+    u = ticks.inputs()
+    n, m = trace.x.shape[1], u.shape[1]
+    header = ["t", *(f"x{i + 1}" for i in range(n)), *(f"u{j + 1}" for j in range(m)),
+              "V", "dos_active", "attempt", "success", "buffer_depth"]
+    # a row's tail is tails[tail_at[q] + 4 dos_active + 2 attempt + success]
+    # for its tick q; attempt and success mark a tick's first row
+    tails, tail_at = flag_tails(ticks.depths)
+    lead = ticks.success.astype(np.intp)
+    lead[:: ticks.b] += 2
+    signal, marks = ticks.signal, dos._marks(ticks.signal)
     with open(path, "wb") as fh:
         fh.write(f"# format: {TRACE_FORMAT_VERSION}\n".encode())
         fh.write((",".join(header) + "\r\n").encode())
-        # every row of a tick has the depth of the tick's first row
-        flags = flag_tails(trace.buffer_depth[:: trace.substeps])
-        for lo in range(0, len(trace.times), CSV_BLOCK_ROWS):
-            fh.write(csv_rows(trace, slice(lo, lo + CSV_BLOCK_ROWS), flags))
+        for lo in range(0, ticks.rows, CSV_BLOCK_ROWS):
+            hi = min(lo + CSV_BLOCK_ROWS, ticks.rows)
+            tick, sub = np.divmod(np.arange(lo, hi), substeps)
+            times = _row_times(trace.delta, substeps, tick, sub)
+            tail = tail_at[tick] + lead[tick] * (sub == 0)
+            tail += dos._sorted_mask(marks, np.minimum(times, signal.horizon)) * 4
+            fh.write(csv_rows(times, trace.x[lo:hi], trace.V[lo:hi],
+                              u[tick[0] : tick[-1] + 1], tick - tick[0], tails[tail]))
 
 
 def metrics_to_dict(metrics: SimMetrics) -> dict:

@@ -342,6 +342,27 @@ class TestSim:
         assert lines[1].startswith("t,x1,x2,u1,u2,V,")
         assert len(lines) == 2 + 50 * 10 * 10 + 1
 
+    def test_sim_and_dos_verify_agree_at_b_above_one(self, capsys, tmp_path):
+        # b = 3: attempt 3 is tick 9, at 9 (0.1 / 3) = 0.3, and lies on the
+        # dos grid at 3 0.1 = 0.30000000000000004, this interval's onset
+        sig = tmp_path / "sig.json"
+        sig.write_text(json.dumps({"horizon": 0.6, "intervals": [[0.1 + 0.2, 0.05]]}))
+        config = write_config(tmp_path, **{
+            "network.b": 3, "sim.horizon": 0.6, "dos": {"file": str(sig)},
+        })
+        code, out, _ = run(capsys, "dos", "verify", str(sig), "--tau-d", "1.0",
+                           "--big-t", "10.0", "--delta-big", "0.1")
+        assert code == 0
+        audit = json.loads(out)["gap_check"]
+        signal = cli.load_signal_file(str(sig))
+        schedule = dos.successful_transmissions(signal, 0.1, 0.6)
+        assert len(schedule.attempts) == 7 and len(schedule.successes) == 6
+        assert audit["max_gap"] == pytest.approx(0.2, rel=1e-12)
+        code, out, _ = run(capsys, "sim", config)
+        metrics = json.loads(out)
+        assert metrics["failure_fraction"] == 1.0 - 6 / 7
+        assert metrics["max_gap"] == pytest.approx(audit["max_gap"], rel=1e-12)
+
     def refused_before_the_run(self, capsys, monkeypatch, tmp_path, flag,
                                path=None):
         def never(*args, **kwargs):

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -59,8 +60,8 @@ def bench_sim(plant, mode="remote", h=5, horizon=10.0, dos_signal=NO_DOS,
 def tampered(trace, **columns):
     """trace's public names, with columns in place of some of them.
 
-    compute_metrics, check_envelope and trace_to_csv only read attributes,
-    so a namespace stands in for a trace whose columns were edited.
+    check_envelope only reads public attributes, so a namespace stands in
+    for a trace whose columns were edited.
     """
     names = [f.name for f in dataclasses.fields(trace) if not f.name.startswith("_")]
     names += [name for name, value in vars(type(trace)).items()
@@ -322,8 +323,11 @@ def literal_law(plant, K, config, dos_signal, noise, x0, P):
     n_rows = n_ticks * substeps + 1
     rows = np.arange(n_rows)
     times = rows // substeps * delta + rows % substeps * (delta / substeps)
-    dos_flags = dos.active_mask(dos_signal, np.minimum(times, dos_signal.horizon))
-    success_flags = (rows % (config.b * substeps) == 0) & ~dos_flags
+    # attempt k, on row k b S, is blocked at dos's grid time min(k Delta, horizon)
+    attempts = rows[:: config.b * substeps]
+    blocked = dos.active_mask(dos_signal, np.minimum(
+        np.arange(len(attempts)) * config.delta_big, dos_signal.horizon))
+    success_flags = np.isin(rows, attempts[~blocked])
     d_seq, n_seq = np.random.SeedSequence(noise.seed).spawn(2)
     dist = np.random.default_rng(d_seq).uniform(
         -noise.d_bound, noise.d_bound, size=(n_rows - 1, plant.n)
@@ -544,10 +548,11 @@ class TestTickGridEdges:
 
 
 def columns_on_the_row_grid(trace, sig, K, P, b):
-    """The eight row columns, built together: the schedule on the row grid.
+    """The eight row columns, built together.
 
-    times, the flags and V follow from the grid, x and the signal alone;
-    u, prediction and buffer_depth from the run's tick record.
+    times, the flags and V follow from the grid, x and the signal alone,
+    each attempt decided on dos's grid, at min(k Delta, horizon); u,
+    prediction and buffer_depth from the run's tick record.
     """
     ticks, substeps, delta = trace._ticks, trace.substeps, trace.delta
     n_ticks, n = len(ticks.states) - 1, trace.x.shape[1]
@@ -559,6 +564,9 @@ def columns_on_the_row_grid(trace, sig, K, P, b):
     dos_active = dos.active_mask(sig, np.minimum(times, sig.horizon))
     attempt = np.zeros(n_rows, dtype=bool)
     attempt[:: b * substeps] = True
+    grid = np.arange(np.count_nonzero(attempt)) * trace.delta_big
+    success = attempt.copy()
+    success[attempt] = ~dos.active_mask(sig, np.minimum(grid, sig.horizon))
     with np.errstate(over="ignore", invalid="ignore"):
         weighted = trace.x @ P
         v = weighted[:, 0] * trace.x[:, 0]
@@ -568,15 +576,14 @@ def columns_on_the_row_grid(trace, sig, K, P, b):
         u_ticks = states[:, n:] @ K.T
     preds = states[:, n:]
     preds[: ticks.first] = np.nan
-    depths = np.maximum(ticks.stored - ticks.ages, 0)
     return {
         "times": times,
         "dos_active": dos_active,
         "attempt": attempt,
-        "success": attempt & ~dos_active,
+        "success": success,
         "u": np.repeat(u_ticks, substeps, axis=0)[:n_rows],
         "prediction": np.repeat(preds, substeps, axis=0)[:n_rows],
-        "buffer_depth": np.repeat(depths, substeps)[:n_rows],
+        "buffer_depth": np.repeat(ticks.depths, substeps)[:n_rows],
         "V": v,
     }
 
@@ -585,7 +592,8 @@ class TestColumnsOnFirstRead:
     """The row columns are built when read, each equal to its eager build."""
 
     SIG = generate(21, GeneratorSpec(off_range=(0.05, 0.4), on_range=(0.0, 0.3)), 3.0)
-    UNREAD = ("times", "u", "prediction", "buffer_depth", "dos_active")
+    UNREAD = ("times", "u", "prediction", "buffer_depth", "dos_active", "attempt",
+              "success")
 
     def run(self, plant, mode, h, T_c, b, decay_at, K=BENCH_K, P=P2):
         config = SimConfig(delta_big=0.1, horizon=3.0, h=h, b=b, T_c=T_c,
@@ -597,6 +605,12 @@ class TestColumnsOnFirstRead:
         for mode, h in (("colocated", 1), ("remote", 5)):
             trace = self.run(bench_plant, mode, h, 0.0, 1, None)
             compute_metrics(trace)
+            assert not set(self.UNREAD) & set(vars(trace)), mode
+
+    def test_the_export_builds_no_row_column(self, bench_plant, tmp_path):
+        for mode, h, b in (("colocated", 1, 1), ("remote", 5, 2)):
+            trace = self.run(bench_plant, mode, h, 0.0, b, 1.23)
+            trace_to_csv(trace, tmp_path / "trace.csv")
             assert not set(self.UNREAD) & set(vars(trace)), mode
 
     @pytest.mark.parametrize("mode, h, T_c", [
@@ -770,6 +784,49 @@ class TestMemory:
         for h, skip in ((50, 49), (600, 599)):
             assert self.peak(bench_plant, h, skip) <= 1.5 * self.SKIP0_PEAK, skip
 
+    @pytest.fixture(scope="class")
+    def long_config(self, tmp_path_factory):
+        """The bundled config as a 2 000 s remote run at h = 50 (200 000 rows)."""
+        data = json.loads((REPO / "configs" / "benchmark.json").read_text())
+        data["sim"]["horizon"] = 2000.0
+        data["buffer"]["h"] = 50
+        path = tmp_path_factory.mktemp("long") / "config.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    def test_export_allocates_per_tick(self, long_config, tmp_path):
+        # ~8.3 MiB when the export built six whole-run row columns, ~40 B a row
+        cfg = cli.load_config(str(long_config))
+        consts = derive_constants(cfg.design_inputs(), cfg.run.h, cfg.run.delta)
+        trace = simulate(cfg.plant, cfg.K, cfg.run, cfg.dos_signal, cfg.noise, cfg.x0,
+                         P=consts.P)
+        trace.V
+        tracemalloc.start()
+        try:
+            trace_to_csv(trace, tmp_path / "trace.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+        assert set(vars(trace)) == {"x", "z", "delta", "delta_big", "substeps",
+                                    "noise_decay_at", "_ticks", "V"}
+
+    def test_export_does_not_raise_the_peak_of_sim(self, long_config, tmp_path):
+        # sim --trace peaked ~1.4 times as high as sim when the export built
+        # the whole-run row columns
+        def peak(*argv):
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    cli.main(["sim", str(long_config), *argv])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["sim", str(long_config)])  # the tick model, built once
+        assert peak("--trace", str(tmp_path / "trace.csv")) <= 1.05 * peak()
+
 
 class TestLyapunovTrace:
     def test_zero_state(self, bench_plant):
@@ -840,7 +897,7 @@ def metrics_by_isfinite(trace, divergence_threshold=None):
         stable = stable and float(norms[-1]) <= 1e-3 * scale
     z = trace.z
     return simulation.SimMetrics(
-        failure_fraction=1.0 - len(z) / np.count_nonzero(trace.attempt),
+        failure_fraction=float(1.0 - len(z) / np.count_nonzero(trace.attempt)),
         max_state_norm=float(np.max(norms)) if finite else None,
         final_state_norm=float(norms[-1]) if math.isfinite(norms[-1]) else None,
         max_gap=float(np.max(np.diff(z))) if len(z) > 1 else 0.0,
@@ -864,7 +921,7 @@ class TestMetrics:
         x = trace.x.copy()
         for row, values in rows.items():
             x[row] = values
-        trace = tampered(trace, x=x)
+        trace = dataclasses.replace(trace, x=x)
         for threshold in (None, 0.5, 1e300):
             with np.errstate(over="ignore", invalid="ignore"):
                 expected = metrics_by_isfinite(trace, threshold)
@@ -918,15 +975,15 @@ class TestTraceCsv:
         assert float(last[0]) == pytest.approx(1.0)
         assert float(last[5]) >= 0.0
 
-    # Block edges fall inside the cases' traces at this block length.
+    # Block edges fall inside the cases' traces at this block length, and
+    # inside a tick at 7 substeps.
     BLOCK = 512
 
     def test_bytes_match_per_cell_writer(self, bench_plant, tmp_path, monkeypatch):
         monkeypatch.setattr(simulation, "CSV_BLOCK_ROWS", self.BLOCK)
-        cases = (self.sixteen_digits, self.three_states_one_input,
-                 self.held_input_across_blocks, self.diverged, self.deep_buffer,
-                 self.far_apart_depths, self.strided_input,
-                 self.extreme_magnitudes)
+        assert self.BLOCK % 7
+        cases = (self.sixteen_digits, self.three_states_one_input, self.diverged,
+                 self.deep_buffer, self.far_apart_depths, self.attempts_on_the_dos_grid)
         for case in cases:
             trace, marks = case(bench_plant)
             path = tmp_path / f"{case.__name__}.csv"
@@ -941,11 +998,11 @@ class TestTraceCsv:
         sig = generate(3, GeneratorSpec(), 10.0)
         noise = NoiseSpec(d_bound=0.01, n_bound=0.01, seed=2)
         trace = bench_sim(bench_plant, dos_signal=sig, noise=noise, substeps=7)
-        assert len(trace.times) > TestTraceCsv.BLOCK
+        assert len(trace.x) > TestTraceCsv.BLOCK
         x = trace.x.copy()
         x[3, 0] = -0.0
         x[600, 1] = 0.1234567890123456  # needs all 16 significant digits
-        return tampered(trace, x=x), {
+        return dataclasses.replace(trace, x=x), {
             b",-0,": 1, b",0.1234567890123456,": 1,
         }
 
@@ -959,21 +1016,6 @@ class TestTraceCsv:
         return trace, {b"t,x1,x2,x3,u1,V,": 1}
 
     @staticmethod
-    def held_input_across_blocks(bench_plant):
-        trace = bench_sim(bench_plant, substeps=7)
-        u = trace.u.copy()
-        edge = TestTraceCsv.BLOCK
-        # zeros of either sign, which compare equal as floats, in a row; then
-        # one held value from four rows before a block edge to six after it,
-        # and a row where only the second input changes
-        u[edge - 7 : edge - 4] = [[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0]]
-        u[edge - 4 : edge + 6] = [0.25, -0.0]
-        u[edge + 6] = [0.25, 0.5]
-        return tampered(trace, u=u), {
-            b",-0,-0,": 1, b",0,-0,": 1, b",0.25,-0,": 10, b",0.25,0.5,": 1,
-        }
-
-    @staticmethod
     def diverged(bench_plant):
         # the sign-flipped gain drives the state past the float range
         config = SimConfig(delta_big=0.1, horizon=10.0, substeps=7, mode="colocated")
@@ -985,43 +1027,63 @@ class TestTraceCsv:
     @staticmethod
     def deep_buffer(bench_plant):
         sig = generate(4, GeneratorSpec(), 20.0)
-        trace = bench_sim(bench_plant, h=50, b=2, horizon=20.0, substeps=3,
+        trace = bench_sim(bench_plant, h=50, b=2, horizon=20.0, substeps=7,
                           dos_signal=sig)
         assert trace.buffer_depth.max() >= 10
-        # flip some successes, so that no flag follows from the other two
-        success = trace.success ^ (np.arange(len(trace.times)) % 5 == 0)
+        # flip the successes of some ticks, so that no flag follows from the
+        # other two
+        ticks = trace._ticks
+        success = ticks.success ^ (np.arange(len(ticks.success)) % 5 == 0)
+        trace = dataclasses.replace(trace, _ticks=ticks._replace(success=success))
         flags = zip(trace.dos_active.tolist(), trace.attempt.tolist(),
-                    success.tolist())
+                    trace.success.tolist())
         assert len(set(flags)) == 8
-        return tampered(trace, success=success), {}
+        return trace, {}
 
     @staticmethod
     def far_apart_depths(bench_plant):
         # buffer depths 10^9 apart within one block
         sig = generate(4, GeneratorSpec(), 20.0)
-        trace = bench_sim(bench_plant, h=50, horizon=20.0, substeps=3, dos_signal=sig)
-        depth = trace.buffer_depth.copy()
-        depth[::7] += 10**9
-        return tampered(trace, buffer_depth=depth), {
-            b",1000000": len(depth[::7]),
-        }
+        trace = bench_sim(bench_plant, h=50, horizon=20.0, substeps=7, dos_signal=sig)
+        depths = trace._ticks.depths.copy()
+        depths[::7] += 10**9
+        trace = dataclasses.replace(trace, _ticks=trace._ticks._replace(depths=depths))
+        return trace, {b",1000000": np.count_nonzero(trace.buffer_depth >= 10**9)}
 
     @staticmethod
-    def strided_input(bench_plant):
-        sig = generate(3, GeneratorSpec(), 10.0)
-        trace = bench_sim(bench_plant, dos_signal=sig, substeps=7)
-        u = trace.u[:, ::-1]
-        assert not u.flags.c_contiguous and np.any(u[:, 0] != u[:, 1])
-        return tampered(trace, u=u), {}
+    def attempts_on_the_dos_grid(bench_plant):
+        # attempt 3 at b = 3 is tick 9, at 9 (0.1 / 3) = 0.3, and is decided
+        # at 3 0.1 = 0.30000000000000004, on the onset: blocked while the
+        # row's own time is clear
+        sig = DoSSignal(intervals=((0.1 + 0.2, 0.05),), horizon=1.0)
+        trace = bench_sim(bench_plant, b=3, horizon=1.0, substeps=7, dos_signal=sig)
+        row = 9 * 7
+        assert trace.times[row] == 0.3 < sig.onsets[0]
+        assert trace.attempt[row] and not trace.dos_active[row]
+        assert not trace.success[row]
+        return trace, {b"\r\n0.3,": 1}
 
-    @staticmethod
-    def extreme_magnitudes(bench_plant):
-        # every float column drawn from the formatter's edge cases
-        trace = bench_sim(bench_plant, horizon=2.0, substeps=7)
+    def test_rows_match_per_cell(self):
+        # every float drawn from the formatter's edge cases, 7 rows a tick,
+        # an input read through a stride and depths 10^9 apart
         rng = np.random.default_rng(11)
-        columns = {name: rng.choice(EDGE_VALUES, size=getattr(trace, name).shape)
-                   for name in ("times", "x", "u", "V")}
-        return tampered(trace, **columns), {}
+        count, n, m = 600, 3, 2
+        tick = np.arange(count) // 7
+        times, V = rng.choice(EDGE_VALUES, size=(2, count))
+        x = rng.choice(EDGE_VALUES, size=(count, n))
+        u = rng.choice(EDGE_VALUES, size=(tick[-1] + 1, m))[:, ::-1]
+        assert not u.flags.c_contiguous
+        depths = np.array([0, 3, 10**9, 10**9 + 1])
+        tails, at = _tracecsv.flag_tails(depths)
+        depth, code = rng.integers(0, len(depths), count), rng.integers(0, 8, count)
+        got = _tracecsv.csv_rows(times, x, V, u, tick, tails[at[depth] + code])
+        want = b"".join(
+            b",".join([b"%.12g" % times[i]]
+                      + [b"%.16g" % v for v in [*x[i], *u[tick[i]], V[i]]])
+            + b",%d,%d,%d,%d\r\n" % (code[i] >> 2, code[i] >> 1 & 1, code[i] & 1,
+                                     depths[depth[i]])
+            for i in range(count))
+        assert bytes(got) == want
 
     def test_formatter_matches_percent(self):
         rng = np.random.default_rng(3)
@@ -1158,11 +1220,18 @@ class TestBenchmarkTraceCsv:
 
     def test_block_peak(self, trace):
         block = slice(10 * simulation.CSV_BLOCK_ROWS, 11 * simulation.CSV_BLOCK_ROWS)
-        flags = _tracecsv.flag_tails(trace.buffer_depth)
-        _tracecsv.csv_rows(trace, block, flags)
+        # the block's arguments, as trace_to_csv lays them out
+        tick = np.arange(block.start, block.stop) // trace.substeps
+        tails, at = _tracecsv.flag_tails(trace.buffer_depth[:: trace.substeps])
+        code = (trace.dos_active[block] * 4 + trace.attempt[block] * 2
+                + trace.success[block])
+        args = (trace.times[block], trace.x[block], trace.V[block],
+                trace.u[:: trace.substeps][tick[0] : tick[-1] + 1], tick - tick[0],
+                tails[at[tick] + code])
+        _tracecsv.csv_rows(*args)
         tracemalloc.start()
         try:
-            _tracecsv.csv_rows(trace, block, flags)
+            _tracecsv.csv_rows(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
