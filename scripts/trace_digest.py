@@ -42,6 +42,10 @@ Phi has a real eigenvalue, or a pair, at -HURWITZ_TOL times 0.999, 1 and
 StabilityCertificationError, the eigenvalue it names; or else the constant
 chain.
 
+Then the CLI's public numbers: the stdout and exit code of `doscontrol
+repro`, and of `doscontrol bounds` on configs/benchmark.json with its
+buffer h set to 1, 5, 50 and 60.
+
     PYTHONPATH=<checkout A>/src python3 scripts/trace_digest.py save a.npz
     PYTHONPATH=<checkout B>/src python3 scripts/trace_digest.py save b.npz
     PYTHONPATH=src python3 scripts/trace_digest.py compare a.npz b.npz
@@ -62,19 +66,24 @@ x, u, prediction and V, and their CSV cells, row by row within TOL times
 the running maximum row norm (NaN positions exact), and the two state
 norms within TOL times max_state_norm, the running maximum at the last
 row.  It holds each derive_constants output
-within TOL times the larger absolute entry of the two saves.  It prints the
+within TOL times the larger absolute entry of the two saves, and the CLI
+outputs exact.  It prints the
 largest scaled deviation per field, then every mismatch, including a run or
 field that only one save has, and exits 1 on any mismatch.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import functools
+import io
 import itertools
+import json
 import os
 import sys
 import tempfile
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -89,6 +98,7 @@ from doscontrol import (
     StabilityCertificationError,
     benchmark,
     check_gap_bound,
+    cli,
     compute_metrics,
     derive_constants,
     dos_measure,
@@ -139,6 +149,9 @@ VERDICT_H = 5
 # against AUDIT_CLASS
 AUDITS = (("gap_third", 1 / 3, 0.0), ("gap_short", 0.1, 0.05))
 AUDIT_CLASS = DoSClassParams(eta=1.0, tau_D=10.0, kappa=1.0, T=2.0)
+CLI = "cli:"  # label prefix of the CLI outputs, held exact
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
+CLI_H = (1, 5, 50, 60)  # the buffer lengths bounds is saved at
 
 TOL = 1e-12
 PER_CELL = "csv_per_cell"  # the CSV's bytes equal the per-cell writer's
@@ -249,6 +262,28 @@ def record_verdict(build) -> dict:
         return out
 
 
+def cli_grid(tmp):
+    """Yield (label, argv) per saved CLI run; bounds reads a copy of the
+    bundled config, with its buffer h changed, written under tmp."""
+    yield f"{CLI}repro", ["repro"]
+    data = json.loads(CONFIG.read_text())
+    for h in CLI_H:
+        data["buffer"]["h"] = h
+        path = os.path.join(tmp, f"bounds_h{h}.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        yield f"{CLI}bounds:h={h}", ["bounds", path]
+
+
+def record_cli(argv) -> dict:
+    """The stdout bytes and the exit code of one CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return {"stdout": np.frombuffer(out.getvalue().encode(), dtype=np.uint8),
+            "exit": np.asarray(code)}
+
+
 def as_array(value) -> np.ndarray:
     """A field as an array that np.load reads back; None becomes NaN."""
     return np.asarray(np.nan if value is None else value)
@@ -333,6 +368,7 @@ def save(path, runs, chains, verdicts) -> None:
              for label, config, sig, noise in runs),
             ((label, record_bounds(design, h)) for label, design, h in chains),
             ((label, record_verdict(build)) for label, build in verdicts),
+            ((label, record_cli(argv)) for label, argv in cli_grid(tmp)),
         ))
 
 
@@ -382,7 +418,7 @@ def compare(path_a, path_b):
             problems.append(f"{key}: only in {path_a if key in keys_a else path_b}")
         for key in sorted(keys_a & keys_b):
             label, name = key.rsplit("/", 1)
-            for prefix in (BOUNDS, VERDICT):
+            for prefix in (BOUNDS, VERDICT, CLI):
                 if label.startswith(prefix):
                     name = prefix + name
             scale = None

@@ -24,25 +24,12 @@ from .bounds import (
     min_prediction_horizon,
     tolerable_dos_bound,
 )
-from .controllers import (
-    ActuatorBuffer,
-    ControlPacket,
-    PredictorState,
-    build_packet,
-    buffer_depth,
-    buffer_output,
-    buffer_prediction,
-    colocated_step,
-    deliver_packet,
-)
 from .dos import (
     DoSClassParams,
     DoSSignal,
     GapBoundVerdict,
     GeneratorSpec,
     InfeasibleDoSClassError,
-    TransmissionSchedule,
-    active_at,
     check_gap_bound,
     dos_measure,
     fit_class_params,
@@ -50,7 +37,6 @@ from .dos import (
     signal_from_dict,
     signal_to_dict,
     success_gap_bound,
-    successful_transmissions,
     transitions_count,
 )
 from .linalg import (

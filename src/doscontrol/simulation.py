@@ -13,7 +13,6 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg.lapack
@@ -266,32 +265,6 @@ def _tick_model(a: bytes, b: bytes, k: bytes, n: int, m: int, delta: float,
     return steps, step, windows, phi_skip, (block, kl), templates, reach
 
 
-class _Ticks(NamedTuple):
-    """What a run settled per tick, from which SimTrace builds its rows.
-
-    states holds s_q = [x_q; alpha_q] for every tick q (see simulate); K
-    and P are copies of the run's gain and Lyapunov weight, depths the
-    buffer depth at each tick (0 co-located), first the first tick with a
-    prediction, success the ticks whose attempt got through, and rows the
-    number of sub-step rows.
-    """
-
-    states: np.ndarray
-    K: np.ndarray
-    P: np.ndarray
-    depths: np.ndarray
-    first: int
-    success: np.ndarray
-    b: int
-    signal: dos.DoSSignal
-    rows: int
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def inputs(self) -> np.ndarray:
-        """The input u_q = K alpha_q at each tick (inf or NaN once diverged)."""
-        return self.states[:, self.K.shape[1] :] @ self.K.T
-
-
 def _row_times(delta: float, substeps: int, tick, sub) -> np.ndarray:
     """The time of sub-step row r = q S + j, q = tick and j = sub: q delta
     + j delta / S.  Row q S is q delta + 0.0, the same float as tick q's
@@ -311,7 +284,12 @@ class SimTrace:
     The row columns times, u, V, prediction, dos_active, attempt, success
     and buffer_depth are built on first read, each on its own, from x and
     the run's tick record, and kept: a run whose caller reads x and z alone
-    never builds them.
+    never builds them.  The tick record is the private fields: _states
+    holds s_q = [x_q; alpha_q] for every tick q (see simulate), _K and _P
+    copies of the run's gain and Lyapunov weight, _depths the buffer depth
+    at each tick (0 co-located), _first the first tick with a prediction,
+    _attempts and _successes the ticks that attempt a transmission and
+    those whose attempt got through, and _signal the run's DoS signal.
     """
 
     x: np.ndarray
@@ -320,46 +298,61 @@ class SimTrace:
     delta_big: float
     substeps: int
     noise_decay_at: float | None
-    _ticks: _Ticks = field(repr=False)
+    _states: np.ndarray = field(repr=False)
+    _K: np.ndarray = field(repr=False)
+    _P: np.ndarray = field(repr=False)
+    _depths: np.ndarray = field(repr=False)
+    _first: int = field(repr=False)
+    _attempts: np.ndarray = field(repr=False)
+    _successes: np.ndarray = field(repr=False)
+    _signal: dos.DoSSignal = field(repr=False)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _tick_inputs(self) -> np.ndarray:
+        """The input u_q = K alpha_q at each tick (inf or NaN once diverged)."""
+        return self._states[:, self.x.shape[1] :] @ self._K.T
+
+    def _on_rows(self, per_tick: np.ndarray) -> np.ndarray:
+        """A per-tick array held over each tick's sub-step rows."""
+        return np.repeat(per_tick, self.substeps, axis=0)[: len(self.x)]
+
+    def _first_rows(self, per_tick: np.ndarray) -> np.ndarray:
+        """Per-tick flags on each tick's first row, the other rows False."""
+        flags = np.zeros(len(self.x), dtype=bool)
+        flags[:: self.substeps] = per_tick
+        return flags
 
     @functools.cached_property
     def times(self) -> np.ndarray:
-        rows = np.arange(self._ticks.rows)
+        rows = np.arange(len(self.x))
         return _row_times(self.delta, self.substeps, *np.divmod(rows, self.substeps))
 
     @functools.cached_property
     def dos_active(self) -> np.ndarray:
-        signal = self._ticks.signal
+        signal = self._signal
         return dos.active_mask(signal, np.minimum(self.times, signal.horizon))
 
     @functools.cached_property
     def attempt(self) -> np.ndarray:
-        flags = np.zeros(self._ticks.rows, dtype=bool)
-        flags[:: self._ticks.b * self.substeps] = True
-        return flags
+        return self._first_rows(self._attempts)
 
     @functools.cached_property
     def success(self) -> np.ndarray:
-        flags = np.zeros(self._ticks.rows, dtype=bool)
-        flags[:: self.substeps] = self._ticks.success
-        return flags
+        return self._first_rows(self._successes)
 
     @functools.cached_property
     def u(self) -> np.ndarray:
-        ticks = self._ticks
-        return np.repeat(ticks.inputs(), self.substeps, axis=0)[: ticks.rows]
+        return self._on_rows(self._tick_inputs())
 
     @functools.cached_property
     def prediction(self) -> np.ndarray:
-        ticks = self._ticks
-        preds = ticks.states[:, self.x.shape[1] :].copy()
-        preds[: ticks.first] = np.nan
-        return np.repeat(preds, self.substeps, axis=0)[: ticks.rows]
+        preds = self._states[:, self.x.shape[1] :].copy()
+        preds[: self._first] = np.nan
+        return self._on_rows(preds)
 
     @functools.cached_property
     def buffer_depth(self) -> np.ndarray:
-        ticks = self._ticks
-        return np.repeat(ticks.depths, self.substeps)[: ticks.rows]
+        return self._on_rows(self._depths)
 
     # a diverged run's state holds inf or NaN (see simulate)
     @functools.cached_property
@@ -367,7 +360,7 @@ class SimTrace:
     def V(self) -> np.ndarray:
         # x' P x row by row, as a left fold of its columns
         xs = self.x
-        weighted = xs @ self._ticks.P
+        weighted = xs @ self._P
         v = weighted[:, 0] * xs[:, 0]
         for j in range(1, xs.shape[1]):
             v += weighted[:, j] * xs[:, j]
@@ -431,8 +424,11 @@ def simulate(
     # Attempt k, on tick k b, is decided at min(k Delta, signal horizon) as the
     # DoS audit decides it (at b = 1 tick k's time); it samples at the tick.
     n_rows = n_ticks * substeps + 1
+    attempt_ticks = np.zeros(n_ticks + 1, dtype=bool)
     success_ticks = np.zeros(n_ticks + 1, dtype=bool)
-    success_ticks[:: config.b] = ~dos._blocked_attempts(
+    on_grid = slice(None, None, config.b)
+    attempt_ticks[on_grid] = True
+    success_ticks[on_grid] = ~dos._blocked_attempts(
         dos_signal, config.delta_big, dos_signal.horizon, n_ticks // config.b + 1)
     z = np.flatnonzero(success_ticks) * delta
 
@@ -540,12 +536,14 @@ def simulate(
         delta_big=config.delta_big,
         substeps=config.substeps,
         noise_decay_at=noise.decay_at,
-        _ticks=_Ticks(
-            states=states, K=k_mat.copy(), P=p_mat.copy(),
-            depths=np.maximum((0 if colocated else config.h) - ages, 0),
-            first=first, success=success_ticks, b=config.b,
-            signal=dos_signal, rows=n_rows,
-        ),
+        _states=states,
+        _K=k_mat.copy(),
+        _P=p_mat.copy(),
+        _depths=np.maximum((0 if colocated else config.h) - ages, 0),
+        _first=first,
+        _attempts=attempt_ticks,
+        _successes=success_ticks,
+        _signal=dos_signal,
     )
 
 
@@ -561,6 +559,10 @@ def check_envelope(
     exactly when the buffer does not cover the worst-case gap (the regime it
     was derived for), and when the buffer does cover it the loop decays at
     omega1 between successes, so the clamped rate is valid in both regimes.
+    The noise tail takes the growth of V over the part of a gap of at most
+    Q + Delta that outlasts the buffer's h delta, e^(omega2 (Q + Delta - h
+    delta)); once h delta covers the gap there is no such part, and the
+    factor is 1, so its exponent is clamped at 0 as the rate is at omega1.
     The trace must carry V computed with the same weight P as ``consts``.
     """
     if len(trace.z) == 0:
@@ -574,7 +576,7 @@ def check_envelope(
     zeta = (
         2.0
         * max(consts.zeta1, consts.zeta2)
-        * math.exp(consts.omega2 * (env.Q + trace.delta_big - env.h_delta))
+        * math.exp(consts.omega2 * max(env.Q + trace.delta_big - env.h_delta, 0.0))
         * w_inf**2
     )
     tail = 2.0 * zeta / (1.0 - env.L)
@@ -616,10 +618,8 @@ def compute_metrics(
     stable = finite and peak < divergence_threshold
     if trace.noise_decay_at is not None:
         stable = stable and float(norms[-1]) <= 1e-3 * scale
-    # the attempt rows, every b S-th row from row 0 (SimTrace.attempt)
-    attempts = -(-trace._ticks.rows // (trace._ticks.b * trace.substeps))
     return SimMetrics(
-        failure_fraction=1.0 - len(z) / attempts,
+        failure_fraction=1.0 - len(z) / int(np.count_nonzero(trace._attempts)),
         max_state_norm=peak if finite else None,
         final_state_norm=float(norms[-1]) if math.isfinite(norms[-1]) else None,
         max_gap=max_gap,
@@ -640,22 +640,21 @@ def trace_to_csv(trace: SimTrace, path) -> None:
     Each block of rows is laid out from the tick record by the rules of the
     SimTrace columns; beyond x and V nothing is built per row of the run.
     """
-    ticks, substeps = trace._ticks, trace.substeps
-    u = ticks.inputs()
+    substeps, rows = trace.substeps, len(trace.x)
+    u = trace._tick_inputs()
     n, m = trace.x.shape[1], u.shape[1]
     header = ["t", *(f"x{i + 1}" for i in range(n)), *(f"u{j + 1}" for j in range(m)),
               "V", "dos_active", "attempt", "success", "buffer_depth"]
     # a row's tail is tails[tail_at[q] + 4 dos_active + 2 attempt + success]
     # for its tick q; attempt and success mark a tick's first row
-    tails, tail_at = flag_tails(ticks.depths)
-    lead = ticks.success.astype(np.intp)
-    lead[:: ticks.b] += 2
-    signal, marks = ticks.signal, dos._marks(ticks.signal)
+    tails, tail_at = flag_tails(trace._depths)
+    lead = 2 * trace._attempts.astype(np.intp) + trace._successes
+    signal, marks = trace._signal, dos._marks(trace._signal)
     with open(path, "wb") as fh:
         fh.write(f"# format: {TRACE_FORMAT_VERSION}\n".encode())
         fh.write((",".join(header) + "\r\n").encode())
-        for lo in range(0, ticks.rows, CSV_BLOCK_ROWS):
-            hi = min(lo + CSV_BLOCK_ROWS, ticks.rows)
+        for lo in range(0, rows, CSV_BLOCK_ROWS):
+            hi = min(lo + CSV_BLOCK_ROWS, rows)
             tick, sub = np.divmod(np.arange(lo, hi), substeps)
             times = _row_times(trace.delta, substeps, tick, sub)
             tail = tail_at[tick] + lead[tick] * (sub == 0)

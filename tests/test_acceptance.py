@@ -33,13 +33,13 @@ from doscontrol import (
     simulate,
     spectral_norm,
     success_gap_bound,
-    successful_transmissions,
     tolerable_dos_bound,
     transitions_count,
     solve_lyapunov,
     zoh_discretize,
 )
 from doscontrol import benchmark
+from doscontrol.dos import successful_transmissions
 from doscontrol.linalg import _log_norm
 
 QUIET = NoiseSpec()

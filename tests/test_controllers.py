@@ -1,21 +1,37 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from doscontrol import (
+import doscontrol
+from doscontrol import DelayExceedsHorizonError, zoh_discretize
+from doscontrol.controllers import (
     ActuatorBuffer,
-    DelayExceedsHorizonError,
     PredictorState,
     build_packet,
     buffer_depth,
     buffer_output,
     colocated_step,
     deliver_packet,
-    zoh_discretize,
 )
 
 from conftest import BENCH_A, BENCH_B, BENCH_K
 
 AD, BD = zoh_discretize(BENCH_A, BENCH_B, 0.1)
+
+
+def test_the_package_does_not_load_the_state_machines():
+    # simulate runs both laws as one; the state machines are a reference
+    # for the tests and the benchmark tracer, which import the module itself
+    env = {**os.environ, "PYTHONPATH": str(Path(doscontrol.__file__).parents[1])}
+    code = ("import sys, doscontrol; print(*(f'doscontrol.{name}' in sys.modules"
+            " for name in ('simulation', 'controllers')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["True", "False"]
 
 
 class TestColocatedStep:

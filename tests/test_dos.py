@@ -16,7 +16,6 @@ from doscontrol import (
     DoSSignal,
     GeneratorSpec,
     InfeasibleDoSClassError,
-    active_at,
     check_gap_bound,
     dos_measure,
     fit_class_params,
@@ -24,11 +23,12 @@ from doscontrol import (
     signal_from_dict,
     signal_to_dict,
     success_gap_bound,
-    successful_transmissions,
     transitions_count,
 )
 from doscontrol import dos
-from doscontrol.dos import MAX_ATTEMPTS, MAX_INTERVALS, active_mask
+from doscontrol.dos import (
+    MAX_ATTEMPTS, MAX_INTERVALS, active_at, active_mask, successful_transmissions,
+)
 
 # Deterministic property runs that leave no example database behind.
 PROPERTY = settings(max_examples=300, deadline=timedelta(seconds=2),

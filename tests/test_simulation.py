@@ -14,15 +14,18 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 import doscontrol
 from doscontrol import (
+    DesignInputs,
     DoSSignal,
     GeneratorSpec,
     LtiPlant,
     NoiseSpec,
     SimConfig,
+    certify,
     check_envelope,
     compute_metrics,
     controllers,
@@ -36,11 +39,10 @@ from doscontrol import (
     simulate,
     simulation,
     success_gap_bound,
-    successful_transmissions,
     trace_to_csv,
 )
 from doscontrol import _tracecsv, cli
-from doscontrol.dos import DoSClassParams
+from doscontrol.dos import DoSClassParams, successful_transmissions
 from doscontrol.simulation import MAX_ROWS, solve_blocks
 
 from conftest import BENCH_A, BENCH_B, BENCH_K
@@ -554,8 +556,8 @@ def columns_on_the_row_grid(trace, sig, K, P, b):
     each attempt decided on dos's grid, at min(k Delta, horizon); u,
     prediction and buffer_depth from the run's tick record.
     """
-    ticks, substeps, delta = trace._ticks, trace.substeps, trace.delta
-    n_ticks, n = len(ticks.states) - 1, trace.x.shape[1]
+    substeps, delta = trace.substeps, trace.delta
+    n_ticks, n = len(trace._states) - 1, trace.x.shape[1]
     n_rows = n_ticks * substeps + 1
     times = (
         (np.arange(n_ticks + 1, dtype=float) * delta)[:, None]
@@ -572,10 +574,10 @@ def columns_on_the_row_grid(trace, sig, K, P, b):
         v = weighted[:, 0] * trace.x[:, 0]
         for j in range(1, n):
             v += weighted[:, j] * trace.x[:, j]
-        states = ticks.states.copy()
+        states = trace._states.copy()
         u_ticks = states[:, n:] @ K.T
     preds = states[:, n:]
-    preds[: ticks.first] = np.nan
+    preds[: trace._first] = np.nan
     return {
         "times": times,
         "dos_active": dos_active,
@@ -583,7 +585,7 @@ def columns_on_the_row_grid(trace, sig, K, P, b):
         "success": success,
         "u": np.repeat(u_ticks, substeps, axis=0)[:n_rows],
         "prediction": np.repeat(preds, substeps, axis=0)[:n_rows],
-        "buffer_depth": np.repeat(ticks.depths, substeps)[:n_rows],
+        "buffer_depth": np.repeat(trace._depths, substeps)[:n_rows],
         "V": v,
     }
 
@@ -625,7 +627,7 @@ class TestColumnsOnFirstRead:
         trace = self.run(bench_plant, mode, h, T_c, b, decay_at, K=K, P=P)
         # a delayed remote run has rows before its first prediction, NaN in
         # prediction and not in u
-        assert mode == "colocated" or (trace._ticks.first > 0) == (T_c > 0.0)
+        assert mode == "colocated" or (trace._first > 0) == (T_c > 0.0)
         # the run keeps its own K and P: later writes to the caller's reach
         # no column
         K[...], P[...] = 0.0, 0.0
@@ -809,7 +811,9 @@ class TestMemory:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
         assert set(vars(trace)) == {"x", "z", "delta", "delta_big", "substeps",
-                                    "noise_decay_at", "_ticks", "V"}
+                                    "noise_decay_at", "_states", "_K", "_P",
+                                    "_depths", "_first", "_attempts", "_successes",
+                                    "_signal", "V"}
 
     def test_export_does_not_raise_the_peak_of_sim(self, long_config, tmp_path):
         # sim --trace peaked ~1.4 times as high as sim when the export built
@@ -871,6 +875,21 @@ class TestCheckEnvelope:
         trace, env, consts = self.make_run(bench_plant, bench_inputs, seed=2)
         assert check_envelope(trace, env, consts, w_inf=0.0)
 
+    def test_a_buffer_past_the_gap_keeps_the_whole_noise_tail(self, tmp_path):
+        # h delta = 8 s outlasts Q + Delta = 5.08 s, so a gap has no growth
+        # phase; a tail scaled by e^(omega2 (Q + Delta - h delta)) < 1 failed
+        # this certified, stable 500 s run of the bundled config
+        data = json.loads((REPO / "configs" / "benchmark.json").read_text())
+        data["sim"]["horizon"] = 500.0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["sim", str(path), "--h", "80"]) == 0
+        metrics = json.loads(out.getvalue())
+        assert metrics["stable_verdict"] is True
+        assert metrics["envelope_ok"] is True
+
     def test_detects_violation(self, bench_plant, bench_inputs):
         trace, env, consts = self.make_run(bench_plant, bench_inputs, seed=2)
         v = trace.V.copy()
@@ -883,6 +902,72 @@ class TestCheckEnvelope:
         env = decay_envelope(consts, 0.2, 0.1, 5, 0.1)
         trace = bench_sim(bench_plant, x0=np.zeros(2), horizon=5.0)
         assert check_envelope(trace, env, consts, w_inf=0.0)
+
+
+@functools.lru_cache(maxsize=None)
+def soundness_design(seed):
+    """The bundled design (seed None), or a two-state, one-input LQR design
+    on a seeded Gaussian (A, B); seeds 1 and 2 give open-loop unstable
+    plants that certify at delta = 0.05 and 0.1."""
+    if seed is None:
+        return DesignInputs(plant=LtiPlant(A=BENCH_A, B=BENCH_B), K=BENCH_K)
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2, 2)), rng.standard_normal((2, 1))
+    k = -b.T @ scipy.linalg.solve_continuous_are(a, b, np.eye(2), np.eye(1))
+    return DesignInputs(plant=LtiPlant(A=a, B=b), K=k)
+
+
+class TestCertificateSoundness:
+    """Wherever the analytic certificate gives an envelope, a noisy remote run
+    inside the class it was fitted to is stable and inside that envelope.
+
+    The class is fitted to the run's own signal, at its own tau_D and T, so
+    the signal is in the class; 200 s lets V decay to the noise floor, where
+    the envelope's noise tail binds.
+    """
+
+    HORIZON = 200.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        sig_seed=st.integers(0, 2**16),
+        off=st.tuples(st.floats(0.05, 1.0), st.floats(0.0, 1.0)),
+        on=st.tuples(st.floats(0.05, 0.5), st.floats(0.0, 1.0)),
+        noise_seed=st.integers(0, 2**16),
+        d_bound=st.sampled_from([0.0, 0.01, 0.05]),
+        n_bound=st.sampled_from([0.0, 0.01, 0.05]),
+        b=st.sampled_from([1, 2]),
+        extra=st.integers(0, 50),
+        design_seed=st.sampled_from([None, 1, 2]),
+    )
+    def test_certified_runs_keep_their_envelope(self, sig_seed, off, on, noise_seed,
+                                                d_bound, n_bound, b, extra,
+                                                design_seed):
+        horizon = self.HORIZON
+        spec = GeneratorSpec(off_range=(off[0], sum(off)), on_range=(on[0], sum(on)))
+        sig = generate(sig_seed, spec, horizon)
+        count = dos.transitions_count(sig, 0.0, horizon)
+        blocked = dos.dos_measure(sig, 0.0, horizon)
+        assume(count > 0 and 0.0 < blocked < horizon)
+        tau_d, big_t = horizon / count, horizon / blocked
+        eta, kappa = fit_class_params(sig, tau_d, big_t)
+        dos_class = DoSClassParams(eta=eta, tau_D=tau_d, kappa=kappa, T=big_t)
+        design, delta = soundness_design(design_seed), 0.1 / b
+        try:
+            h_min = certify(design, 1, delta, 0.1, dos_class).h_min
+        except dos.InfeasibleDoSClassError:
+            h_min = None
+        assume(h_min is not None)
+        cert = certify(design, h_min + extra, delta, 0.1, dos_class)
+        assume(cert.envelope is not None and delta <= cert.delta_max)
+        config = SimConfig(delta_big=0.1, horizon=horizon, b=b, h=h_min + extra)
+        noise = NoiseSpec(d_bound=d_bound, n_bound=n_bound, seed=noise_seed)
+        trace = simulate(design.plant, design.K, config, sig, noise, X0,
+                         P=cert.constants.P)
+        assume(len(trace.z) > 0)
+        assert compute_metrics(trace).stable_verdict
+        w_inf = math.sqrt(2 * (d_bound**2 + n_bound**2))
+        assert check_envelope(trace, cert.envelope, cert.constants, w_inf)
 
 
 def metrics_by_isfinite(trace, divergence_threshold=None):
@@ -1032,9 +1117,8 @@ class TestTraceCsv:
         assert trace.buffer_depth.max() >= 10
         # flip the successes of some ticks, so that no flag follows from the
         # other two
-        ticks = trace._ticks
-        success = ticks.success ^ (np.arange(len(ticks.success)) % 5 == 0)
-        trace = dataclasses.replace(trace, _ticks=ticks._replace(success=success))
+        success = trace._successes ^ (np.arange(len(trace._successes)) % 5 == 0)
+        trace = dataclasses.replace(trace, _successes=success)
         flags = zip(trace.dos_active.tolist(), trace.attempt.tolist(),
                     trace.success.tolist())
         assert len(set(flags)) == 8
@@ -1045,9 +1129,9 @@ class TestTraceCsv:
         # buffer depths 10^9 apart within one block
         sig = generate(4, GeneratorSpec(), 20.0)
         trace = bench_sim(bench_plant, h=50, horizon=20.0, substeps=7, dos_signal=sig)
-        depths = trace._ticks.depths.copy()
+        depths = trace._depths.copy()
         depths[::7] += 10**9
-        trace = dataclasses.replace(trace, _ticks=trace._ticks._replace(depths=depths))
+        trace = dataclasses.replace(trace, _depths=depths)
         return trace, {b",1000000": np.count_nonzero(trace.buffer_depth >= 10**9)}
 
     @staticmethod

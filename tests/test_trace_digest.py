@@ -3,15 +3,16 @@
 import dataclasses
 import functools
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from doscontrol import (
-    DerivedConstants, GapBoundVerdict, SimMetrics, SimTrace, generate,
-    successful_transmissions, trace_to_csv,
+    DerivedConstants, GapBoundVerdict, SimMetrics, SimTrace, generate, trace_to_csv,
 )
+from doscontrol.dos import successful_transmissions
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "trace_digest.py"
 
@@ -268,3 +269,44 @@ def test_a_flipped_verdict_fails(script, verdicts, tmp_path):
     problems, _ = compare(script, tmp_path, verdicts, edited)
     assert problems and all(line.startswith("verdict:phi:real:scale=1.0/")
                             and ": only in" in line for line in problems)
+
+
+@pytest.fixture(scope="module")
+def outputs(script, tmp_path_factory):
+    """Every saved CLI output: [(label, {name: array})]."""
+    tmp = tmp_path_factory.mktemp("cli")
+    return [(label, script.record_cli(argv)) for label, argv in script.cli_grid(tmp)]
+
+
+def test_cli_grid_covers_repro_and_each_h(outputs):
+    assert [label for label, _ in outputs] == (
+        ["cli:repro"] + [f"cli:bounds:h={h}" for h in (1, 5, 50, 60)])
+    by_label = dict(outputs)
+    assert all(list(arrays) == ["stdout", "exit"] and arrays["exit"] == 0
+               for arrays in by_label.values())
+    assert bytes(by_label["cli:repro"]["stdout"]).endswith(b"overall: PASS\n")
+    for h in (1, 5, 50, 60):
+        record = json.loads(bytes(by_label[f"cli:bounds:h={h}"]["stdout"]))
+        assert record["h_delta"] == pytest.approx(0.1 * h)
+        # the envelope is given from h_min = 50 on
+        assert (record["beta"] is None) == (h < 50)
+
+
+def test_cli_outputs_repeat_exactly(script, outputs, tmp_path):
+    again = [(label, script.record_cli(argv))
+             for label, argv in script.cli_grid(tmp_path)]
+    problems, worst = compare(script, tmp_path, outputs, again)
+    assert problems == []
+    assert worst == {"cli:stdout": 0.0, "cli:exit": 0.0}
+
+
+@pytest.mark.parametrize("label, name, edit", [
+    ("cli:repro", "stdout", lambda out: np.concatenate([out, np.frombuffer(b" ", np.uint8)])),
+    ("cli:bounds:h=50", "stdout", lambda out: np.where(np.arange(len(out)) == 9, out ^ 1, out)),
+    ("cli:bounds:h=1", "exit", lambda code: np.asarray(2)),
+])
+def test_cli_outputs_are_held_exact(script, outputs, tmp_path, label, name, edit):
+    edited = [(lb, {**arrays, name: edit(arrays[name])} if lb == label else arrays)
+              for lb, arrays in outputs]
+    problems, _ = compare(script, tmp_path, outputs, edited)
+    assert problems == [f"{label}/{name}: deviation inf"]
