@@ -29,13 +29,15 @@ TRACE_FORMAT_VERSION = 1
 METRICS_FORMAT_VERSION = 1
 
 # Rows per formatted block of the CSV writer, to bound its temporaries: 1.0
-# MiB at 2048 rows under tracemalloc, for a two-state plant, 2.0 MiB at 4096
-# and 4.0 MiB at 8192.  Each block pays ~0.5 ms of fixed array-call costs,
-# so short blocks cost time, and long ones page faults: glibc returns their
-# freed temporaries to the kernel and maps them afresh, ~5 500 minor faults
-# over a 500 s run at 8192 rows and none at 2048.  Where freed memory is
-# kept, 4096 and 8192 rows run 10-20% faster than 2048 on a 2-vCPU VM.
-# Writing a 500 s run's CSV raises its peak RSS by ~0.5 MiB at 2048 rows.
+# MiB at 2048 rows under tracemalloc, for a two-state plant, and 2.0 MiB at
+# 4096.  Each block pays ~0.1 ms of fixed array-call costs, so short blocks
+# cost time, and long ones page faults: glibc returns a long block's freed
+# temporaries to the kernel and maps them afresh.  Over a 500 s run
+# (ru_minflt, 2-vCPU VM) 2048-row blocks take no minor fault, in the main
+# thread or in another; 4096-row blocks none in the main thread but ~6 000
+# in another, as the benchmark runs its ops, and 8192-row blocks ~2 800 and
+# ~6 500.  A 2048-row block takes ~1.0 ms there (~24 ms for the run), and
+# writing a 500 s run's CSV raises its peak RSS by ~0.5 MiB.
 CSV_BLOCK_ROWS = 2048
 
 # Most ticks per block that simulate solves and fills at once, and most
@@ -650,17 +652,23 @@ def trace_to_csv(trace: SimTrace, path) -> None:
     tails, tail_at = flag_tails(trace._depths)
     lead = 2 * trace._attempts.astype(np.intp) + trace._successes
     signal, marks = trace._signal, dos._marks(trace._signal)
+    block = np.arange(min(rows, CSV_BLOCK_ROWS))
     with open(path, "wb") as fh:
         fh.write(f"# format: {TRACE_FORMAT_VERSION}\n".encode())
         fh.write((",".join(header) + "\r\n").encode())
         for lo in range(0, rows, CSV_BLOCK_ROWS):
-            hi = min(lo + CSV_BLOCK_ROWS, rows)
-            tick, sub = np.divmod(np.arange(lo, hi), substeps)
+            sub = block[: rows - lo] + lo
+            hi = lo + len(sub)
+            tick = sub // substeps
+            sub -= tick * substeps
             times = _row_times(trace.delta, substeps, tick, sub)
-            tail = tail_at[tick] + lead[tick] * (sub == 0)
-            tail += dos._sorted_mask(marks, np.minimum(times, signal.horizon)) * 4
+            tail = tail_at[tick]
+            first = slice(-lo % substeps, None, substeps)  # the rows of sub-step 0
+            tail[first] += lead[tick[first]]
+            np.add(tail, 4, out=tail,
+                   where=dos._sorted_mask(marks, np.minimum(times, signal.horizon)))
             fh.write(csv_rows(times, trace.x[lo:hi], trace.V[lo:hi],
-                              u[tick[0] : tick[-1] + 1], tick - tick[0], tails[tail]))
+                              u[tick[0] : tick[-1] + 1], tick - tick[0], tails, tail))
 
 
 def metrics_to_dict(metrics: SimMetrics) -> dict:

@@ -1160,10 +1160,38 @@ class TestTraceCsv:
         depths = np.array([0, 3, 10**9, 10**9 + 1])
         tails, at = _tracecsv.flag_tails(depths)
         depth, code = rng.integers(0, len(depths), count), rng.integers(0, 8, count)
-        got = _tracecsv.csv_rows(times, x, V, u, tick, tails[at[depth] + code])
+        got = _tracecsv.csv_rows(times, x, V, u, tick, tails, at[depth] + code)
         want = b"".join(
             b",".join([b"%.12g" % times[i]]
                       + [b"%.16g" % v for v in [*x[i], *u[tick[i]], V[i]]])
+            + b",%d,%d,%d,%d\r\n" % (code[i] >> 2, code[i] >> 1 & 1, code[i] & 1,
+                                     depths[depth[i]])
+            for i in range(count))
+        assert bytes(got) == want
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_rows_property(self, data):
+        # a block of 1..600 rows of n states and m inputs, whose ticks of
+        # 1..40 rows may begin and end past its edges, every float drawn
+        # from FLOATS and each row's depth from some 10^9 apart
+        n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        count, substeps = data.draw(st.integers(1, 600)), data.draw(st.integers(1, 40))
+        tick = (data.draw(st.integers(0, substeps - 1)) + np.arange(count)) // substeps
+        pool = np.array(data.draw(st.lists(self.FLOATS, min_size=1, max_size=30)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        times, V = rng.choice(pool, size=(2, count))
+        x = rng.choice(pool, size=(count, n))
+        u = rng.choice(pool, size=(tick[-1] + 1, m))
+        depths = 10**9 * np.array(data.draw(
+            st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True)))
+        depths += data.draw(st.integers(0, 99))
+        tails, at = _tracecsv.flag_tails(depths)
+        depth, code = rng.integers(0, len(depths), count), rng.integers(0, 8, count)
+        got = _tracecsv.csv_rows(times, x, V, u, tick - tick[0], tails, at[depth] + code)
+        want = b"".join(
+            b",".join([b"%.12g" % times[i]]
+                      + [b"%.16g" % v for v in [*x[i], *u[tick[i] - tick[0]], V[i]]])
             + b",%d,%d,%d,%d\r\n" % (code[i] >> 2, code[i] >> 1 & 1, code[i] & 1,
                                      depths[depth[i]])
             for i in range(count))
@@ -1240,11 +1268,17 @@ class TestTraceCsv:
 
     def test_powers_of_ten_within_2_to_the_minus_106(self):
         tens = _tracecsv._TENS
-        low = _tracecsv._K_LOW
-        decades = _tracecsv._DECADES
-        # every scale 10^(P - 1 - e) of a cell of 12 or 16 digits is there
-        assert low <= 11 - decades[-1] and low + tens.shape[1] > 15 - decades[0]
-        for k, (hi, big, small, lo) in enumerate(tens.T.tolist(), low):
+        low, rows = _tracecsv._LOW_DECADE, _tracecsv._ROWS
+        # every scale 10^(P - 1 - e) of a cell of 12 or 16 digits is there:
+        # a column per precision and decade of the bulk range, and one more
+        # decade either way
+        assert tens.shape == (5, 2 * rows)
+        assert low <= math.floor(math.log10(1 / _tracecsv._RANGE)) - 1
+        assert low + rows - 1 >= math.floor(math.log10(_tracecsv._RANGE)) + 1
+        for row, (hi, big, small, lo, scale) in enumerate(tens.T.tolist()):
+            p = (12, 16)[row // rows]
+            k = p - 1 - (low + row % rows)
+            assert scale == 10 ** (16 - p), row
             exact = Fraction(10) ** k
             assert abs(Fraction(hi) - exact) <= Fraction(math.ulp(hi)) / 2, k
             assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact / 2**106, k
@@ -1311,7 +1345,7 @@ class TestBenchmarkTraceCsv:
                 + trace.success[block])
         args = (trace.times[block], trace.x[block], trace.V[block],
                 trace.u[:: trace.substeps][tick[0] : tick[-1] + 1], tick - tick[0],
-                tails[at[tick] + code])
+                tails, at[tick] + code)
         _tracecsv.csv_rows(*args)
         tracemalloc.start()
         try:
@@ -1320,6 +1354,27 @@ class TestBenchmarkTraceCsv:
         finally:
             tracemalloc.stop()
         assert peak <= 1.05 * self.BLOCK_PEAK
+
+    @pytest.mark.parametrize("mode, h", [("colocated", 1), ("remote", 5), ("remote", 50)])
+    def test_benchmark_runs_match_per_cell(self, mode, h, tmp_path):
+        # the three 500 s runs of the long-run export workload, written at
+        # the real block length
+        data = json.loads((REPO / "configs" / "benchmark.json").read_text())
+        data["sim"].update(horizon=500.0, mode=mode)
+        data["buffer"]["h"] = h
+        cfg = cli.ExperimentConfig(data)
+        consts = derive_constants(cfg.design_inputs(), cfg.run.h, cfg.run.delta)
+        trace = simulate(cfg.plant, cfg.K, cfg.run, cfg.dos_signal, cfg.noise, cfg.x0,
+                         P=consts.P)
+        assert len(trace.x) > 10 * simulation.CSV_BLOCK_ROWS
+        trace_to_csv(trace, tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == per_cell_csv(trace)
+
+    def test_tables_stay_small(self):
+        # the formatter's tables, which every process that imports the
+        # package holds
+        tables = [v for v in vars(_tracecsv).values() if isinstance(v, np.ndarray)]
+        assert sum(table.nbytes for table in tables) <= 160 * 2**10
 
     def test_cells_seldom_take_the_per_cell_path(self, trace, monkeypatch, tmp_path):
         seen = []
